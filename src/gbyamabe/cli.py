@@ -122,7 +122,6 @@ def _solver_config(args) -> SolverConfig:
         max_iterations=args.max_iterations,
         tol_residual=args.tol_residual,
         tol_volume=args.tol_volume,
-        fd_jacobian_step=args.fd_step,
         damping=args.damping,
         nnodes=args.nnodes,
     )
@@ -210,7 +209,7 @@ def _cmd_invariants(args, calibration):
         "base_coefficient": consts.base_coefficient,
         "ricci_coefficient": consts.ricci_coefficient,
     }
-    if 2 * args.k < args.n:
+    if args.k <= max_order(args.n):
         lin = linearization_constants(args.n, args.k, args.mu)
         results["tensor_coefficient"] = lin.tensor_coefficient
         results["conformal_coefficient"] = lin.conformal_coefficient
@@ -321,11 +320,7 @@ def _cmd_solve_g(args, calibration):
 
 
 def _cmd_kernel_demo(args, calibration):
-    cfg = SolverConfig(
-        mode_cutoff=args.mode_cutoff,
-        fd_jacobian_step=args.fd_step,
-        nnodes=args.nnodes,
-    )
+    cfg = SolverConfig(mode_cutoff=args.mode_cutoff, nnodes=args.nnodes)
     even_sv, full_sv = sphere_kernel_demo(args.n, args.mu, args.k, cfg)
     results = {
         "even_min_singular_value": even_sv,
@@ -356,8 +351,8 @@ def _cmd_sweep(args, calibration):
             }
         )
         rows.extend(_iteration_rows(report, amplitude=amp))
-    results = {"runs": entries, "all_converged": all(e["status"] == "converged" for e in entries)}
-    return results, rows, 0
+    converged = all(e["status"] == "converged" for e in entries)
+    return {"runs": entries, "all_converged": converged}, rows, 0 if converged else 3
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +375,14 @@ def _add_solver_flags(sub):
     sub.add_argument("--max-iterations", type=int, default=30)
     sub.add_argument("--tol-residual", type=float, default=1e-10)
     sub.add_argument("--tol-volume", type=float, default=1e-10)
-    sub.add_argument("--fd-step", type=float, default=1e-6, help="Jacobian finite-difference step")
     sub.add_argument("--damping", type=float, default=1.0, help="initial Newton step fraction")
     sub.add_argument("--nnodes", type=int, default=None, help="collocation nodes (default 2*cutoff+16)")
+
+
+def _add_background_flags(sub):
+    sub.add_argument("--n", type=int, default=5)
+    sub.add_argument("--mu", type=float, default=1.0)
+    sub.add_argument("--quotient", choices=("rp", "sphere"), default="rp")
 
 
 def _add_profile_flags(sub):
@@ -446,9 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_calibrate)
 
     p = subs.add_parser("solve", help="Newton solve for a constant order-2k invariant")
-    p.add_argument("--n", type=int, default=5)
-    p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--quotient", choices=("rp", "sphere"), default="rp")
+    _add_background_flags(p)
     p.add_argument("--k", type=int, default=2)
     _add_profile_flags(p)
     _add_solver_flags(p)
@@ -458,9 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_solve)
 
     p = subs.add_parser("solve-g", help="Newton solve for a combined functional of several orders")
-    p.add_argument("--n", type=int, default=5)
-    p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--quotient", choices=("rp", "sphere"), default="rp")
+    _add_background_flags(p)
     p.add_argument("--g-coeffs", required=True, help="functional coefficients by order, e.g. '1,0.1'")
     _add_profile_flags(p)
     _add_solver_flags(p)
@@ -474,15 +470,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=1.0)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--mode-cutoff", type=int, default=16)
-    p.add_argument("--fd-step", type=float, default=1e-6)
     p.add_argument("--nnodes", type=int, default=None)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_kernel_demo)
 
     p = subs.add_parser("sweep", help="warm-started continuation in the profile amplitude")
-    p.add_argument("--n", type=int, default=5)
-    p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--quotient", choices=("rp", "sphere"), default="rp")
+    _add_background_flags(p)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--mode", type=int, default=2, help="profile direction: single mode index")
     p.add_argument("--amplitudes", default="0.0,0.02,0.04,0.06,0.08,0.1")

@@ -11,7 +11,12 @@ Two independent evaluation routes are kept deliberately separate:
 The proportionality constant between the raw Kronecker sum and the invariant
 depends on product normalization conventions, so it is never hardcoded: it is
 measured at runtime on random symmetric (2,2) tensors, checked for
-cross-sample constancy, and cached per (n, k).
+cross-sample constancy, and cached per (n, k, samples, seed).
+
+The order rule of the conformal problem, 2k < n (max_order,
+check_problem_order), lives here too, as does the batched power-and-contract
+kernel (gauss_bonnet_coeffs) that spaceform's grid evaluator shares with the
+dense oracles.
 """
 
 from __future__ import annotations
@@ -39,6 +44,9 @@ __all__ = [
     "CalibrationError",
     "InvariantConstants",
     "invariant_constants",
+    "base_coefficient",
+    "max_order",
+    "check_problem_order",
     "gauss_bonnet",
     "ricci_2k",
     "raw_kronecker_sum",
@@ -76,20 +84,40 @@ class InvariantConstants:
 
 
 def _check_order(n: int, k: int):
+    """The algebra's range: k copies of a (2,2) form fit in dimension n."""
     if n < 3:
         raise ValueError(f"dimension {n} too small")
     if k < 1 or 2 * k > n:
         raise ValueError(f"order k={k} out of range for dimension {n} (need 1 <= k <= n/2)")
 
 
+def max_order(n: int) -> int:
+    """Largest k with 2k < n."""
+    return (n - 1) // 2
+
+
+def check_problem_order(n: int, k: int):
+    """The conformal problem's range, 1 <= k and 2k < n (stricter than the
+    algebra's: at 2k = n the invariant is the Gauss-Bonnet integrand)."""
+    if k < 1 or k > max_order(n):
+        raise ValueError(f"order k={k} must satisfy 1 <= k and 2k < n (n={n})")
+
+
+def base_coefficient(n: int, k: int) -> float:
+    """(2k)!(n-3)!/(2^k (n-2k)!), the base coefficient of InvariantConstants
+    and of the linearization constants."""
+    return math.factorial(2 * k) * math.factorial(n - 3) / (2**k * math.factorial(n - 2 * k))
+
+
 def invariant_constants(n: int, k: int, calibrate: bool = False, samples: int = 6, seed: int = 0) -> InvariantConstants:
     _check_order(n, k)
-    base = math.factorial(2 * k) * math.factorial(n - 3) / (2**k * math.factorial(n - 2 * k))
     ricci = math.factorial(2 * k) * math.factorial(n - 1) / (2**k * math.factorial(n - 2 * k))
     c_nk = None
     if calibrate:
         c_nk = calibrate_kronecker_constant(n, k, samples=samples, seed=seed)
-    return InvariantConstants(n=n, k=k, base_coefficient=base, ricci_coefficient=ricci, kronecker_constant=c_nk)
+    return InvariantConstants(
+        n=n, k=k, base_coefficient=base_coefficient(n, k), ricci_coefficient=ricci, kronecker_constant=c_nk
+    )
 
 
 def _validate_curvature(R: DoubleForm):
@@ -110,14 +138,24 @@ def _orthonormal_components(R: DoubleForm, g: DoubleForm) -> np.ndarray:
     return _to_frame(R.coeffs, n, 2, 2, E)
 
 
-def _curvature_power(n: int, k: int, w: np.ndarray) -> tuple[np.ndarray, int]:
-    """w^k under the double-form product, tracking the (growing) bidegree."""
+def _power_contract(n: int, k: int, w: np.ndarray, contractions: int) -> np.ndarray:
+    """w^k under the double-form product, then `contractions` standard-metric
+    contractions. w may carry leading batch dimensions."""
     out = w
     deg = 2
     for _ in range(k - 1):
         out = product_coeffs(n, deg, deg, out, 2, 2, w)
         deg += 2
-    return out, deg
+    for _ in range(contractions):
+        out = contract_coeffs(n, deg, deg, out)
+        deg -= 1
+    return out
+
+
+def gauss_bonnet_coeffs(n: int, k: int, w: np.ndarray) -> np.ndarray:
+    """Order-2k invariant of a batch of orthonormal-frame (2,2) coefficient
+    matrices shaped (..., C(n,2), C(n,2)); returns the batch shape."""
+    return _power_contract(n, k, w, 2 * k)[..., 0, 0] / math.factorial(2 * k)
 
 
 def gauss_bonnet(R: DoubleForm, g: DoubleForm, k: int) -> float:
@@ -129,13 +167,7 @@ def gauss_bonnet(R: DoubleForm, g: DoubleForm, k: int) -> float:
     """
     _check_order(R.dim, k)
     _validate_curvature(R)
-    n = R.dim
-    w = _orthonormal_components(R, g)
-    out, deg = _curvature_power(n, k, w)
-    for _ in range(2 * k):
-        out = contract_coeffs(n, deg, deg, out)
-        deg -= 1
-    return float(out[0, 0]) / math.factorial(2 * k)
+    return float(gauss_bonnet_coeffs(R.dim, k, _orthonormal_components(R, g)))
 
 
 def ricci_2k(R: DoubleForm, g: DoubleForm, k: int) -> DoubleForm:
@@ -145,11 +177,7 @@ def ricci_2k(R: DoubleForm, g: DoubleForm, k: int) -> DoubleForm:
     _validate_curvature(R)
     n = R.dim
     identity = np.array_equal(g.coeffs, np.eye(n))
-    w = _orthonormal_components(R, g)
-    out, deg = _curvature_power(n, k, w)
-    for _ in range(2 * k - 1):
-        out = contract_coeffs(n, deg, deg, out)
-        deg -= 1
+    out = _power_contract(n, k, _orthonormal_components(R, g), 2 * k - 1)
     if not identity:
         from .forms import _frame_for
 
@@ -238,7 +266,7 @@ class CalibrationResult:
     samples: int
 
 
-_calibration_cache: dict[tuple[int, int], CalibrationResult] = {}
+_calibration_cache: dict[tuple[int, int, int, int], CalibrationResult] = {}
 _calibration_lock = threading.Lock()
 
 
@@ -278,10 +306,11 @@ def _calibration_pass(n: int, k: int, samples: int, seed: int, tensors) -> Calib
 
 
 def calibration_info(n: int, k: int, samples: int = 6, seed: int = 0) -> CalibrationResult:
-    """Calibrated constant plus its cross-sample spread, cached per (n, k)."""
+    """Calibrated constant plus its cross-sample spread, cached per
+    (n, k, samples, seed)."""
     if samples < 2:
         raise ValueError("calibration needs at least 2 samples")
-    key = (n, k)
+    key = (n, k, samples, seed)
     with _calibration_lock:
         hit = _calibration_cache.get(key)
     if hit is not None:
@@ -297,8 +326,8 @@ def calibrate_kronecker_constant(n: int, k: int, samples: int = 6, seed: int = 0
     The ratio contraction-invariant / raw-sum is taken over `samples`
     non-degenerate random symmetric tensors (near-zero raw sums are skipped)
     and must be constant to 1e-10 relative, else CalibrationError. Results
-    are cached per (n, k); passing an explicit `tensors` iterable bypasses
-    the cache (useful for tests).
+    are cached per (n, k, samples, seed); passing an explicit `tensors`
+    iterable bypasses the cache (useful for tests).
     """
     if tensors is not None:
         if samples < 2:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .invariants import base_coefficient, check_problem_order, max_order
 from .spaceform import (
     ConformalMetric,
     LatitudeField,
@@ -66,19 +67,11 @@ class LinearizationConstants:
     conformal_coefficient: float
 
 
-def max_order(n: int) -> int:
-    """Largest k with 2k < n."""
-    return (n - 1) // 2
-
-
 def constants(n: int, k: int, mu: float) -> LinearizationConstants:
-    if n < 3:
-        raise ValueError(f"dimension must be at least 3, got {n}")
-    if k < 1 or 2 * k >= n:
-        raise ValueError(f"order k={k} must satisfy 1 <= k and 2k < n (n={n})")
+    check_problem_order(n, k)
     if mu == 0:
         raise ValueError("background curvature must be nonzero")
-    base = math.factorial(2 * k) * math.factorial(n - 3) / (2**k * math.factorial(n - 2 * k))
+    base = base_coefficient(n, k)
     tensor = (n - 2) * k * base * float(mu) ** (k - 1) / math.factorial(2 * k)
     return LinearizationConstants(
         n=n,
@@ -200,10 +193,6 @@ def generalized_constants(n: int, mu: float, functional: LinearFunctional) -> Ge
     Raises NondegeneracyViolated when the combination cancels: the combined
     coefficient is negligible against the scale of its terms.
     """
-    if len(functional.coefficients) > max_order(n):
-        raise ValueError(
-            f"functional has {len(functional.coefficients)} orders but n={n} admits only {max_order(n)}"
-        )
     per_order = tuple(constants(n, k, mu) for k in functional.orders)
     combined = sum(c * pc.tensor_coefficient for c, pc in zip(functional.coefficients, per_order))
     scale = sum(abs(c * pc.tensor_coefficient) for c, pc in zip(functional.coefficients, per_order))

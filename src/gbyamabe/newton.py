@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .invariants import check_problem_order
 from .linearization import LinearFunctional, generalized_constants
 from .spaceform import (
     FULL_SPHERE,
@@ -54,6 +55,7 @@ __all__ = [
 ]
 
 _SUP_NORM_LIMIT = 0.3
+_FD_STEP = 1e-6  # central-difference step of the Jacobian
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,6 @@ class SolverConfig:
     max_iterations: int = 30
     tol_residual: float = 1e-10
     tol_volume: float = 1e-10
-    fd_jacobian_step: float = 1e-6
     damping: float = 1.0
     nnodes: int | None = None
 
@@ -78,7 +79,7 @@ class SolverConfig:
             raise ValueError("mode_cutoff must be at least 2")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        for name in ("tol_residual", "tol_volume", "fd_jacobian_step", "damping"):
+        for name in ("tol_residual", "tol_volume", "damping"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -142,7 +143,7 @@ def _evaluate(sf, weights, basis, sel, phi_modes, c):
     return F, S, vol
 
 
-def _assemble_jacobian(sf, weights, basis, sel, phi_modes, eta):
+def _assemble_jacobian(sf, weights, basis, sel, phi_modes):
     """Central-difference Jacobian in one batched curvature call.
 
     Rows: projected residual on the selected modes, then the volume defect.
@@ -154,13 +155,13 @@ def _assemble_jacobian(sf, weights, basis, sel, phi_modes, eta):
     pert_d = basis.dtheta[:, sel].T
     pert_dd = basis.ddtheta[:, sel].T
     base_v, base_d, base_dd = _phi_grids(basis, phi_modes)
-    vals = np.concatenate([base_v + eta * pert_v, base_v - eta * pert_v])
-    dv = np.concatenate([base_d + eta * pert_d, base_d - eta * pert_d])
-    ddv = np.concatenate([base_dd + eta * pert_dd, base_dd - eta * pert_dd])
+    vals = np.concatenate([base_v + _FD_STEP * pert_v, base_v - _FD_STEP * pert_v])
+    dv = np.concatenate([base_d + _FD_STEP * pert_d, base_d - _FD_STEP * pert_d])
+    ddv = np.concatenate([base_dd + _FD_STEP * pert_dd, base_dd - _FD_STEP * pert_dd])
     S = _combined_values(sf, weights, basis, vals, dv, ddv)
     vols = np.asarray(_volume_from_values(sf, basis, vals))
-    dS = (S[:m] - S[m:]) / (2.0 * eta)
-    dvol = (vols[:m] - vols[m:]) / (2.0 * eta)
+    dS = (S[:m] - S[m:]) / (2.0 * _FD_STEP)
+    dvol = (vols[:m] - vols[m:]) / (2.0 * _FD_STEP)
     J = np.empty((m + 1, m + 1))
     J[:m, :m] = basis.projection[sel] @ dS.T
     J[m, :m] = dvol / sf.reference_volume
@@ -169,17 +170,12 @@ def _assemble_jacobian(sf, weights, basis, sel, phi_modes, eta):
     return J
 
 
-def _validate_orders(n: int, weights) -> None:
-    for k in weights:
-        if k < 1 or 2 * k >= n:
-            raise ValueError(f"order k={k} must satisfy 1 <= k and 2k < n (n={n})")
-
-
 def _solve_core(sf, psi, weights, config, w0, c0):
     cfg = config if config is not None else SolverConfig()
     if sf.quotient == SYNTHETIC_HYPERBOLIC:
         raise ValueError("the solver needs a collocation grid; spherical quotients only")
-    _validate_orders(sf.n, weights)
+    for k in weights:
+        check_problem_order(sf.n, k)
     basis = zonal_basis(sf.n, cfg.mode_cutoff, cfg.nnodes)
     psi_b = psi if psi.basis is basis else resample(psi, basis)
     projective = sf.quotient == REAL_PROJECTIVE
@@ -226,7 +222,7 @@ def _solve_core(sf, psi, weights, config, w0, c0):
         if it == cfg.max_iterations:
             break
 
-        J = _assemble_jacobian(sf, weights, basis, sel, psi_b.modes + wm, cfg.fd_jacobian_step)
+        J = _assemble_jacobian(sf, weights, basis, sel, psi_b.modes + wm)
         U, svals, Vt = np.linalg.svd(J)
         smin = float(svals[-1])
         if projective and svals[-1] < 1e-10 * svals[0]:
@@ -263,7 +259,7 @@ def _solve_core(sf, psi, weights, config, w0, c0):
         )
 
     if smin is None:
-        J = _assemble_jacobian(sf, weights, basis, sel, psi_b.modes + wm, cfg.fd_jacobian_step)
+        J = _assemble_jacobian(sf, weights, basis, sel, psi_b.modes + wm)
         smin = float(np.linalg.svd(J, compute_uv=False)[-1])
 
     w_field = field_from_modes(basis, wm, parity=parity)
@@ -292,8 +288,6 @@ def newton_solve(
     """
     if k < 2:
         raise ValueError("newton_solve handles orders k >= 2")
-    if 2 * k >= sf.n:
-        raise ValueError(f"order k={k} requires 2k < n (n={sf.n})")
     return _solve_core(sf, psi, {int(k): 1.0}, config, w0, c0)
 
 
@@ -326,8 +320,7 @@ def sphere_kernel_demo(
     (to finite-difference roundoff) while the first stays order one.
     """
     cfg = config if config is not None else SolverConfig()
-    if k < 1 or 2 * k >= n:
-        raise ValueError(f"order k={k} must satisfy 1 <= k and 2k < n (n={n})")
+    check_problem_order(n, k)
     sf = space_form(n, mu, FULL_SPHERE)
     basis = zonal_basis(n, cfg.mode_cutoff, cfg.nnodes)
     weights = {int(k): 1.0}
@@ -336,7 +329,7 @@ def sphere_kernel_demo(
     full = np.arange(cfg.mode_cutoff + 1)
     out = []
     for sel in (even, full):
-        J = _assemble_jacobian(sf, weights, basis, sel, phi0, cfg.fd_jacobian_step)
+        J = _assemble_jacobian(sf, weights, basis, sel, phi0)
         out.append(float(np.linalg.svd(J, compute_uv=False)[-1]))
     return out[0], out[1]
 
@@ -401,7 +394,8 @@ def fixed_point_certificate(
         if k is None:
             raise ValueError("pass either an order k or explicit weights")
         weights = {int(k): 1.0}
-    _validate_orders(sf.n, weights)
+    for order in weights:
+        check_problem_order(sf.n, order)
     src = report.w.basis
     fine = zonal_basis(sf.n, 2 * src.max_mode, 2 * src.x.size)
     phi_modes = resample(psi, fine).modes + resample(report.w, fine).modes

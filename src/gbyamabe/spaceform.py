@@ -29,16 +29,15 @@ the Newton solver, by contrast, insist on spherical (mu > 0) bases.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import eval_gegenbauer, roots_gegenbauer
 
-from .forms import DoubleForm, contract_coeffs, double_form, product_coeffs
-from .indexing import index_tuples, num_indices
+from .forms import DoubleForm, double_form, product_coeffs
+from .indexing import num_indices, split_tables
+from .invariants import check_problem_order, gauss_bonnet_coeffs
 
 __all__ = [
     "REAL_PROJECTIVE",
@@ -433,11 +432,18 @@ def conformal_curvature(cm: ConformalMetric, node: int) -> DoubleForm:
     return double_form(cm.base.n, 2, 2, stack[0])
 
 
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("GB_THREADS", "1")))
-    except ValueError:
-        return 1
+# Float64 entries one product gather may hold: about 32 MB per gathered operand.
+_GATHER_BUDGET = 4_000_000
+
+
+def _gather_entries(n, k, pipeline):
+    """Entries of the largest per-node array one evaluation gathers: the
+    curvature stack, the product of g and T on the conformal pipeline, and
+    the k - 1 curvature products (sized from their split tables)."""
+    splits = [(2 * j, 2) for j in range(1, k)]
+    if pipeline == "conformal":
+        splits.append((1, 1))
+    return max([num_indices(n, 2) ** 2] + [split_tables(n, p, r)[0].size ** 2 for p, r in splits])
 
 
 def _gb_chunk(n, mu, k, x, sin_t, vals, dv, ddv, pipeline):
@@ -448,50 +454,21 @@ def _gb_chunk(n, mu, k, x, sin_t, vals, dv, ddv, pipeline):
         R = _conformal_curvature_stack(n, mu, x, sin_t, vals, dv, ddv)
     else:
         raise ValueError(f"unknown pipeline {pipeline!r}")
-    out = R
-    deg = 2
-    for _ in range(k - 1):
-        out = product_coeffs(n, deg, deg, out, 2, 2, R)
-        deg += 2
-    for _ in range(2 * k):
-        out = contract_coeffs(n, deg, deg, out)
-        deg -= 1
-    return out[..., 0, 0] / math.factorial(2 * k)
+    return gauss_bonnet_coeffs(n, k, R)
 
 
 def _gb_values(n, mu, k, basis: ZonalBasis, vals, dv, ddv, pipeline="warped"):
     """Pointwise order-2k invariant of e^{2 phi} g_mu on raw value arrays.
 
     vals/dv/ddv may carry leading batch dimensions in front of the node
-    axis. Work is chunked to bound memory; GB_THREADS > 1 runs chunks on a
-    thread pool (pure numpy sections release the GIL). Chunking does not
-    change results: outputs are concatenated, never reduced across chunks.
+    axis. Work runs in chunks sized so that no gather exceeds
+    _GATHER_BUDGET entries. Chunking does not change results: outputs are
+    concatenated, never reduced across chunks.
     """
-    vals = np.asarray(vals, dtype=float)
-    batch = vals.shape
-    nodes = basis.x.size
-    x = np.broadcast_to(basis.x, batch).reshape(-1)
-    sin_t = np.broadcast_to(basis.sin_theta, batch).reshape(-1)
-    flat = (vals.reshape(-1), np.asarray(dv).reshape(-1), np.asarray(ddv).reshape(-1))
-    total = flat[0].size
-
-    if k >= 2:
-        table = num_indices(n, 4) * math.comb(4, 2)
-    else:
-        table = num_indices(n, 2)
-    chunk = max(nodes, int(4_000_000 // max(1, table * table)))
-    spans = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
-
-    def run(span):
-        s, e = span
-        return _gb_chunk(n, mu, k, x[s:e], sin_t[s:e], flat[0][s:e], flat[1][s:e], flat[2][s:e], pipeline)
-
-    workers = _worker_count()
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, spans))
-    else:
-        parts = [run(span) for span in spans]
+    batch = np.shape(vals)
+    grid = np.stack([np.broadcast_to(a, batch).reshape(-1) for a in (basis.x, basis.sin_theta, vals, dv, ddv)])
+    chunk = max(1, _GATHER_BUDGET // _gather_entries(n, k, pipeline))
+    parts = [_gb_chunk(n, mu, k, *grid[:, s : s + chunk], pipeline) for s in range(0, grid.shape[1], chunk)]
     return np.concatenate(parts).reshape(batch)
 
 
@@ -502,8 +479,7 @@ def gb_field(cm: ConformalMetric, k: int, pipeline: str = "warped") -> LatitudeF
     projection onto the field's basis.
     """
     n = cm.base.n
-    if 2 * k >= n and k != 1:
-        raise ValueError(f"order k={k} requires 2k < n (n={n})")
+    check_problem_order(n, k)
     phi = cm.phi
     vals = _gb_values(n, cm.base.curvature, k, phi.basis, phi.values, phi.dvalues, phi.ddvalues, pipeline)
     return field_from_values(phi.basis, vals, parity=phi.parity)
@@ -511,11 +487,7 @@ def gb_field(cm: ConformalMetric, k: int, pipeline: str = "warped") -> LatitudeF
 
 def gauss_bonnet_values(cm: ConformalMetric, ks, pipeline: str = "warped") -> dict[int, np.ndarray]:
     """Raw grid values of the invariant for each requested order."""
-    phi = cm.phi
-    return {
-        int(k): _gb_values(cm.base.n, cm.base.curvature, int(k), phi.basis, phi.values, phi.dvalues, phi.ddvalues, pipeline)
-        for k in ks
-    }
+    return {int(k): gb_field(cm, int(k), pipeline).values for k in ks}
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,14 @@ def test_sweep_command(capsys):
     assert report["results"]["all_converged"] is True
 
 
+def test_sweep_exit_code_when_a_run_does_not_converge(capsys):
+    code, report = run_cli(
+        capsys, ["sweep", "--n", "5", "--k", "2", "--amplitudes", "0.05,0.1", "--max-iterations", "1"]
+    )
+    assert code == 3
+    assert report["results"]["all_converged"] is False
+
+
 def test_csv_output(tmp_path, capsys):
     target = tmp_path / "history.csv"
     code, report = run_cli(capsys, ["solve", "--output", str(target), "--format", "csv"])

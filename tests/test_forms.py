@@ -260,6 +260,12 @@ def test_algebra_property_suite_smoke():
         assert entry["cases"] >= 40
 
 
+def test_algebra_property_suite_adjointness_survives_cancellation():
+    # here <g.w, t> nearly cancels: the error relative to |<g.w, t>| was 1.25e-12
+    report = algebra_property_suite(cases=2, seed=1864415716, dims=(5,), tol=1e-12)
+    assert report["adjointness"]["passed"], report["adjointness"]
+
+
 def test_frozen_coefficients_are_immutable():
     g = standard_metric(4)
     with pytest.raises(ValueError):

@@ -133,6 +133,13 @@ def test_calibration_info_reports_tight_spread():
     assert again is info  # cached
 
 
+def test_calibration_cache_key_covers_samples_and_seed():
+    few = calibration_info(5, 2, samples=3)
+    more = calibration_info(5, 2, samples=8, seed=4)
+    assert (few.samples, more.samples) == (3, 8)
+    assert calibration_info(5, 2, samples=8, seed=4) is more
+
+
 def test_calibration_with_explicit_tensors_and_degenerate_pool():
     n, k = 5, 1
     rng = np.random.default_rng(27)

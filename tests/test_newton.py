@@ -105,8 +105,6 @@ def test_config_validation():
         SolverConfig(tol_residual=0.0)
     with pytest.raises(ValueError):
         SolverConfig(damping=-0.5)
-    with pytest.raises(ValueError):
-        SolverConfig(fd_jacobian_step=0.0)
 
 
 def test_solver_input_guards():

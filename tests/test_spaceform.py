@@ -30,7 +30,9 @@ from gbyamabe import (
     warped_curvature,
     zonal_basis,
 )
-from gbyamabe.spaceform import _gb_values
+from gbyamabe import spaceform
+from gbyamabe.indexing import split_tables
+from gbyamabe.spaceform import _GATHER_BUDGET, _gb_values
 
 from reference_forms import two_block_invariant
 
@@ -306,19 +308,46 @@ def test_gauss_bonnet_values_multiple_orders():
     vals = gauss_bonnet_values(cm, (1, 2))
     np.testing.assert_allclose(vals[1], gb_field(cm, 1).values, atol=0)
     np.testing.assert_allclose(vals[2], gb_field(cm, 2).values, atol=0)
+    with pytest.raises(ValueError):
+        gauss_bonnet_values(cm, (0,))
 
 
-def test_gb_values_threading_is_bitwise_deterministic(monkeypatch):
+def test_gb_values_chunking_does_not_change_results(monkeypatch):
     rng = np.random.default_rng(39)
     basis = zonal_basis(6, 10)
     f = random_phi(basis, rng, sup=0.2)
     vals = np.stack([f.values] * 5) + 0.01 * rng.standard_normal((5, basis.x.size))
     dv = np.broadcast_to(f.dvalues, (5, basis.x.size))
     ddv = np.broadcast_to(f.ddvalues, (5, basis.x.size))
-    serial = _gb_values(6, 1.0, 2, basis, vals, dv, ddv)
-    monkeypatch.setenv("GB_THREADS", "4")
-    threaded = _gb_values(6, 1.0, 2, basis, vals, dv, ddv)
-    assert np.array_equal(serial, threaded)
+    whole = _gb_values(6, 1.0, 2, basis, vals, dv, ddv)
+    monkeypatch.setattr(spaceform, "_GATHER_BUDGET", 1)  # one node per chunk
+    assert np.array_equal(_gb_values(6, 1.0, 2, basis, vals, dv, ddv), whole)
+
+
+def test_gb_values_gathers_stay_within_budget(monkeypatch):
+    # n = 9, k = 3 gathers 1260^2 entries per node in its last product, so
+    # 20 nodes in one chunk would hold 3.2e7 entries
+    import gbyamabe.invariants as invariants
+
+    real = invariants.product_coeffs
+    gathered = []
+
+    def recording(n, p, q, w1, r, s, w2):
+        batch = math.prod(np.broadcast_shapes(w1.shape[:-2], w2.shape[:-2]))
+        gathered.append(batch * split_tables(n, p, r)[0].size * split_tables(n, q, s)[0].size)
+        return real(n, p, q, w1, r, s, w2)
+
+    monkeypatch.setattr(invariants, "product_coeffs", recording)
+    n, k = 9, 3
+    basis = zonal_basis(n, 2)
+    cm = conformal_metric(space_form(n, 1.0, FULL_SPHERE), mode_field(basis, 2, 0.05))
+    field = gb_field(cm, k)
+    assert basis.x.size == 20
+    assert 0 < max(gathered) <= _GATHER_BUDGET
+    for node in (0, 7, 19):
+        R = warped_curvature(cm, node)
+        expected = two_block_invariant(n, k, R.coeffs[0, 0], R.coeffs[-1, -1])
+        assert field.values[node] == pytest.approx(expected, rel=1e-11)
 
 
 # ---------------------------------------------------------------------------
