@@ -22,11 +22,15 @@ Conventions (fixed once, relied on everywhere):
 
 The *_coeffs functions at the bottom operate on raw coefficient arrays with
 arbitrary leading batch dimensions; the geometry modules use them to evaluate
-whole grids of curvature tensors in single numpy calls.
+whole grids of curvature tensors in single numpy calls. product_coeffs
+writes its large intermediates into buffers kept per thread (_work_array), so
+that repeated calls fault in no fresh memory pages.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,6 +223,48 @@ def random_form(n: int, p: int, q: int, rng: np.random.Generator) -> DoubleForm:
 # ---------------------------------------------------------------------------
 
 
+# Entries above which _work_array allocates per call instead of keeping the
+# buffer (16 MB): a rare huge call then leaves nothing behind, and in calls
+# that large the page faults are a small share of the work.
+_WORK_RETAIN = 2**21
+_work = threading.local()
+
+
+def _work_array(slot: int, shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialized float64 array of `shape` for a kernel intermediate.
+
+    It is a view of a buffer this thread keeps for `slot` and grows when a
+    call needs more, so the memory is reused by the next call instead of
+    being returned to the system and faulted in again (for arrays over a
+    few hundred kB that is what the allocator does, or not, depending on
+    the sizes freed earlier in the process). The view is valid until the
+    next request for the same slot on this thread: a kernel must never
+    return one, and must not call another kernel that uses the slot while
+    holding one.
+    """
+    size = math.prod(shape)
+    if size > _WORK_RETAIN:
+        return np.empty(shape)
+    buffers = getattr(_work, "buffers", None)
+    if buffers is None:
+        buffers = _work.buffers = {}
+    buf = buffers.get(slot)
+    if buf is None or buf.size < size:
+        buf = buffers[slot] = np.empty(size)
+    return buf[:size].reshape(shape)
+
+
+def _gather(a: np.ndarray, rows: np.ndarray, cols: np.ndarray, slot: int) -> np.ndarray:
+    """a[..., rows[:, None], cols[None, :]] as float64 in C order, written
+    into _work_array(slot) through a row gather in _work_array(3)."""
+    a = np.asarray(a, dtype=float)
+    shape = a.shape[:-2]
+    # mode="clip" writes straight into out (mode="raise" buffers it); the
+    # ranks are in range by construction
+    picked = np.take(a, rows, axis=-2, out=_work_array(3, shape + (rows.size, a.shape[-1])), mode="clip")
+    return np.take(picked, cols, axis=-1, out=_work_array(slot, shape + (rows.size, cols.size)), mode="clip")
+
+
 def product_coeffs(n, p, q, w1, r, s, w2) -> np.ndarray:
     """Coefficients of the product of a (p,q) and an (r,s) form.
 
@@ -227,9 +273,19 @@ def product_coeffs(n, p, q, w1, r, s, w2) -> np.ndarray:
     """
     A1, B1, E1 = split_tables(n, p, r)
     A2, B2, E2 = split_tables(n, q, s)
-    W = w1[..., A1[:, None], A2[None, :]] * w2[..., B1[:, None], B2[None, :]]
+    g1, g2 = _gather(w1, A1, A2, 0), _gather(w2, B1, B2, 1)
+    batch = np.broadcast_shapes(g1.shape[:-2], g2.shape[:-2])
+    W = g1 if g1.shape[:-2] == batch else g2 if g2.shape[:-2] == batch else None
+    W = np.multiply(g1, g2, out=W)
     # two-step matmul keeps the contraction order sane (sum splits per factor)
-    return np.matmul(E1, np.matmul(W, E2.T))
+    half = np.matmul(W, E2.T, out=_work_array(2, batch + (A1.size, E2.shape[0])))
+    return np.matmul(E1, half)
+
+
+def product_gather_entries(n, p, q, r, s) -> int:
+    """Entries product_coeffs gathers per product: one per pair of a row
+    split and a column split."""
+    return split_tables(n, p, r)[0].size * split_tables(n, q, s)[0].size
 
 
 def contract_coeffs(n, p, q, w) -> np.ndarray:

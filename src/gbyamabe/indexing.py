@@ -6,8 +6,12 @@ module owns the combinatorial plumbing: rank/unrank maps, the signed split
 tables behind the wedge-type product, the insertion tables behind contraction,
 and compound (minor-determinant) matrices for frame changes.
 
-All tables are cached per (n, degree) signature; they are tiny for the
-dimensions this package targets (n <= 8, degrees <= 6).
+All tables are cached per (n, degree) signature. The largest is the dense
+sign matrix E of split_tables, C(n, p+r) rows by C(n, p+r) C(p+r, p)
+columns: under 1 MB for every table the invariants and the solver build up
+to n = 9 (84 by 1260 for the (4,2) split at n = 9). What grows with n and k
+is the arrays the products gather through these tables, which spaceform
+bounds by chunking.
 """
 
 from functools import lru_cache

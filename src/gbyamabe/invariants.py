@@ -2,11 +2,15 @@
 
 Two independent evaluation routes are kept deliberately separate:
 
-- the contraction route: k-1 double-form products followed by repeated
-  contractions (polynomial cost, the production path), and
-- the generalized-Kronecker-delta route: brute-force enumeration of index
-  tuples with antisymmetrized signs (factorial cost, the oracle path,
-  guarded to n <= 7).
+- the trace route: 2k contractions of a (2k,2k) form give (2k)! times its
+  trace, so the invariant is tr(R^k), read off the diagonal blocks of the
+  last of the k-1 double-form products without forming that product
+  (polynomial cost, the production path). ricci_2k keeps the full chain of
+  products and contractions, so tr ricci_2k = (2k)! gauss_bonnet compares
+  two code paths; and
+- the generalized-Kronecker-delta route: enumeration of index tuples with
+  antisymmetrized signs, summing each orbit of 4^k k! equal terms once
+  (factorial cost, the oracle path, guarded to n <= 7).
 
 The proportionality constant between the raw Kronecker sum and the invariant
 depends on product normalization conventions, so it is never hardcoded: it is
@@ -14,9 +18,9 @@ measured at runtime on random symmetric (2,2) tensors, checked for
 cross-sample constancy, and cached per (n, k, samples, seed).
 
 The order rule of the conformal problem, 2k < n (max_order,
-check_problem_order), lives here too, as does the batched power-and-contract
-kernel (gauss_bonnet_coeffs) that spaceform's grid evaluator shares with the
-dense oracles.
+check_problem_order), lives here too, as does the batched trace kernel
+(gauss_bonnet_coeffs) that spaceform's grid evaluator shares with the dense
+oracles.
 """
 
 from __future__ import annotations
@@ -36,9 +40,10 @@ from .forms import (
     double_form,
     is_in_symmetry_class,
     product_coeffs,
+    product_gather_entries,
     standard_metric,
 )
-from .indexing import index_tuples, num_indices
+from .indexing import index_tuples, num_indices, split_tables
 
 __all__ = [
     "CalibrationError",
@@ -152,15 +157,62 @@ def _power_contract(n: int, k: int, w: np.ndarray, contractions: int) -> np.ndar
     return out
 
 
+@lru_cache(maxsize=None)
+def _trace_blocks(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Signed diagonal blocks of the product w^(k-1) w, for k >= 2.
+
+    For every 2k-combination M and every pair (a, b) of its C(2k, 2) splits
+    into a (2k-2)-part A and a 2-part B, the flat position of P[A_a, A_b] in
+    a C(n, 2k-2)^2 matrix, that of w[B_a, B_b] in a C(n, 2)^2 matrix, and
+    the sign s_a s_b; the diagonal entry of w^k at M is then the signed sum
+    of P[A_a, A_b] w[B_a, B_b] over its block. Read from split_tables,
+    which lists each combination's splits contiguously with one nonzero
+    sign per column of E.
+    """
+    A, B, E = split_tables(n, 2 * k - 2, 2)
+    shape = (num_indices(n, 2 * k), math.comb(2 * k, 2))
+    A, B, s = A.reshape(shape), B.reshape(shape), E.sum(axis=0).reshape(shape)
+    rows_p, rows_w = num_indices(n, 2 * k - 2), num_indices(n, 2)
+    flat_p = (A[:, :, None] * rows_p + A[:, None, :]).ravel()
+    flat_w = (B[:, :, None] * rows_w + B[:, None, :]).ravel()
+    signs = (s[:, :, None] * s[:, None, :]).ravel()
+    for arr in (flat_p, flat_w, signs):
+        arr.flags.writeable = False
+    return flat_p, flat_w, signs
+
+
 def gauss_bonnet_coeffs(n: int, k: int, w: np.ndarray) -> np.ndarray:
     """Order-2k invariant of a batch of orthonormal-frame (2,2) coefficient
-    matrices shaped (..., C(n,2), C(n,2)); returns the batch shape."""
-    return _power_contract(n, k, w, 2 * k)[..., 0, 0] / math.factorial(2 * k)
+    matrices shaped (..., C(n,2), C(n,2)); returns the batch shape.
+
+    2k contractions of a (2k,2k) form give (2k)! times its trace, so the
+    invariant is tr(w^k): the plain trace at k = 1, else the diagonal
+    blocks of the last product P w with P = w^(k-1) (_trace_blocks), which
+    is never formed in full.
+    """
+    if k == 1:
+        return np.trace(w, axis1=-2, axis2=-1)
+    flat_p, flat_w, signs = _trace_blocks(n, k)
+    batch = w.shape[:-2]
+    P = _power_contract(n, k - 1, w, 0).reshape(batch + (-1,))
+    terms = np.take(P, flat_p, axis=-1) * np.take(w.reshape(batch + (-1,)), flat_w, axis=-1)
+    # one dot product per matrix, so a matrix's value never depends on its batch
+    return (terms[..., None, :] @ signs[:, None])[..., 0, 0]
+
+
+def gauss_bonnet_gather_entries(n: int, k: int) -> int:
+    """Entries of the largest array gauss_bonnet_coeffs gathers per matrix:
+    one of the k - 2 products that build w^(k-1), or the diagonal-block
+    terms of the last product (0 at k = 1, which gathers nothing)."""
+    sizes = [product_gather_entries(n, 2 * j, 2 * j, 2, 2) for j in range(1, k - 1)]
+    if k > 1:
+        sizes.append(_trace_blocks(n, k)[0].size)
+    return max(sizes, default=0)
 
 
 def gauss_bonnet(R: DoubleForm, g: DoubleForm, k: int) -> float:
-    """The order-2k Gauss-Bonnet curvature: contract the k-th power of R
-    down to a scalar 2k times and divide by (2k)!.
+    """The order-2k Gauss-Bonnet curvature: the k-th power of R contracted
+    down to a scalar 2k times and divided by (2k)!, which is its trace.
 
     At k=1 this is half the scalar curvature under this package's product
     and inner-product conventions.
@@ -192,17 +244,23 @@ def ricci_2k(R: DoubleForm, g: DoubleForm, k: int) -> DoubleForm:
 
 
 @lru_cache(maxsize=None)
-def _position_permutations(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """All permutations of range(m) with their parities (+-1.0)."""
+def _pair_orbits(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Orbit representatives of the position permutations of range(m), with
+    their parities (+-1.0): sigma, the m!/2^(m/2) permutations whose pairs
+    (2j, 2j+1) are increasing, in every pair order; tau, those whose pairs
+    are also sorted by first entry, one per pair partition ((m-1)!!)."""
     perms = np.array(list(permutations(range(m))), dtype=np.intp)
     inversions = np.zeros(len(perms), dtype=np.int64)
     for a in range(m):
         for b in range(a + 1, m):
             inversions += perms[:, a] > perms[:, b]
     parity = np.where(inversions % 2 == 0, 1.0, -1.0)
-    perms.flags.writeable = False
-    parity.flags.writeable = False
-    return perms, parity
+    sigma = np.all(perms[:, 0::2] < perms[:, 1::2], axis=1)
+    tau = sigma & np.all(np.diff(perms[:, 0::2], axis=1) > 0, axis=1)
+    out = (perms[sigma], parity[sigma], perms[tau], parity[tau])
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -218,34 +276,31 @@ def _pair_rank_table(n: int) -> np.ndarray:
 def raw_kronecker_sum(R: DoubleForm, k: int) -> float:
     """Uncalibrated generalized-Kronecker-delta sum of order 2k.
 
-    Enumerates every ordered pair of 2k-tuples of distinct indices; the
-    antisymmetrized identity tensor restricts the sum to tuples sharing the
-    same index set, contributing the sign of the relative permutation. The
-    enumeration is organized per index set and vectorized over the two
-    permutations. Guarded to n <= 7 (factorial growth).
+    The sum runs over every ordered pair of 2k-tuples of distinct indices;
+    the antisymmetrized identity tensor restricts it to tuples sharing the
+    same index set, contributing the sign of the relative permutation. Each
+    term is unchanged by reversing a pair of either tuple (both signs flip)
+    and by permuting the k pairs of both tuples together, so every orbit of
+    4^k k! terms is summed once: sigma over the tuples made of increasing
+    pairs, tau over the pair partitions, all index sets in one gather.
+    Guarded to n <= 7 (factorial growth).
     """
     _validate_curvature(R)
     n = R.dim
     if n > KRONECKER_DIM_LIMIT:
         raise ValueError(f"Kronecker enumeration is limited to n <= {KRONECKER_DIM_LIMIT}, got {n}")
     _check_order(n, k)
-    m = 2 * k
-    w = R.coeffs
     rank2 = _pair_rank_table(n)
-    perms, parity = _position_permutations(m)
-    total = 0.0
-    for combo in index_tuples(n, m):
-        elems = np.asarray(combo, dtype=np.intp)[perms]  # (m!, m)
-        x = elems[:, 0::2]
-        y = elems[:, 1::2]
-        orientation = np.where(x < y, 1.0, -1.0).prod(axis=1)
-        ranks = rank2[np.minimum(x, y), np.maximum(x, y)]  # (m!, k)
-        eff = parity * orientation
-        M = w[ranks[:, 0][:, None], ranks[:, 0][None, :]].copy()
-        for j in range(1, k):
-            M *= w[ranks[:, j][:, None], ranks[:, j][None, :]]
-        total += eff @ M @ eff
-    return float(total)
+    combos = np.array(index_tuples(n, 2 * k), dtype=np.intp)
+    sigma, sigma_sign, tau, tau_sign = _pair_orbits(2 * k)
+
+    def pair_ranks(perms):
+        elems = combos[:, perms]  # (combinations, permutations, 2k)
+        return rank2[elems[..., 0::2], elems[..., 1::2]]
+
+    rs, rt = pair_ranks(sigma), pair_ranks(tau)
+    terms = R.coeffs[rs[:, :, None, :], rt[:, None, :, :]].prod(axis=-1)
+    return float(4**k * math.factorial(k) * (sigma_sign @ terms.sum(axis=0) @ tau_sign))
 
 
 def gauss_bonnet_kronecker(R: DoubleForm, k: int, c_nk: float) -> float:
@@ -323,7 +378,7 @@ def calibration_info(n: int, k: int, samples: int = 6, seed: int = 0) -> Calibra
 def calibrate_kronecker_constant(n: int, k: int, samples: int = 6, seed: int = 0, tensors=None) -> float:
     """Measure the Kronecker proportionality constant on random inputs.
 
-    The ratio contraction-invariant / raw-sum is taken over `samples`
+    The ratio gauss_bonnet / raw sum is taken over `samples`
     non-degenerate random symmetric tensors (near-zero raw sums are skipped)
     and must be constant to 1e-10 relative, else CalibrationError. Results
     are cached per (n, k, samples, seed); passing an explicit `tensors`

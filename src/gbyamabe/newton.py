@@ -56,6 +56,7 @@ __all__ = [
 
 _SUP_NORM_LIMIT = 0.3
 _FD_STEP = 1e-6  # central-difference step of the Jacobian
+_LINE_SEARCH_TRIALS = 12  # step fractions tried per Newton step, each half the last
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,8 @@ class SolverConfig:
 
     mode_cutoff is the highest retained mode of the correction; nnodes
     overrides the collocation count (default 2 * mode_cutoff + 16). damping
-    is the initial step fraction, halved on sup-residual increase.
+    is the initial step fraction, halved until the sup norm of the residual
+    decreases enough.
     """
 
     mode_cutoff: int = 16
@@ -97,7 +99,20 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class SolverReport:
-    status: str  # "converged" | "max_iterations" | "singular_jacobian"
+    """Outcome of a solve. status is one of
+
+    - "converged": residual and volume drift below their tolerances;
+    - "max_iterations": the iteration budget ran out first;
+    - "singular_jacobian": a projective Jacobian lost numerical rank;
+    - "line_search_failed": none of the 12 step fractions damping,
+      damping/2, ..., damping/2^11 along the last Newton direction decreased
+      the residual enough, so the solve stopped at the last accepted iterate
+      instead of taking a step that makes things worse.
+
+    w and achieved_constant are always the last accepted iterate.
+    """
+
+    status: str
     iterations: tuple[IterationRecord, ...]
     achieved_constant: float
     w: LatitudeField
@@ -237,18 +252,21 @@ def _solve_core(sf, psi, weights, config, w0, c0):
 
         lam = cfg.damping
         old_norm = float(np.abs(F).max())
-        chosen = None
-        for _ in range(12):
+        accepted = None
+        for _ in range(_LINE_SEARCH_TRIALS):
             wm_t = wm.copy()
             wm_t[sel] -= lam * delta[:-1]
             c_t = c - lam * delta[-1]
             F_t, S_t, vol_t = _evaluate(sf, weights, basis, sel, psi_b.modes + wm_t, c_t)
-            chosen = (wm_t, c_t, F_t, S_t, vol_t, lam)
             new_norm = float(np.abs(F_t).max())
             if new_norm <= (1.0 - 1e-4 * lam) * old_norm or new_norm <= cfg.tol_residual:
+                accepted = (wm_t, c_t, F_t, S_t, vol_t, lam)
                 break
             lam *= 0.5
-        wm, c, F, S, vol, lam_used = chosen
+        if accepted is None:
+            status = "line_search_failed"  # keep the last accepted iterate
+            break
+        wm, c, F, S, vol, lam_used = accepted
         records.append(
             IterationRecord(
                 residual=float(np.abs(S - c).max()),

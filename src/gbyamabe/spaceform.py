@@ -35,9 +35,9 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import eval_gegenbauer, roots_gegenbauer
 
-from .forms import DoubleForm, double_form, product_coeffs
-from .indexing import num_indices, split_tables
-from .invariants import check_problem_order, gauss_bonnet_coeffs
+from .forms import DoubleForm, double_form, product_coeffs, product_gather_entries
+from .indexing import num_indices
+from .invariants import check_problem_order, gauss_bonnet_coeffs, gauss_bonnet_gather_entries
 
 __all__ = [
     "REAL_PROJECTIVE",
@@ -438,12 +438,12 @@ _GATHER_BUDGET = 4_000_000
 
 def _gather_entries(n, k, pipeline):
     """Entries of the largest per-node array one evaluation gathers: the
-    curvature stack, the product of g and T on the conformal pipeline, and
-    the k - 1 curvature products (sized from their split tables)."""
-    splits = [(2 * j, 2) for j in range(1, k)]
+    curvature stack, the product of g and T on the conformal pipeline, or
+    one of the invariant kernel's own gathers."""
+    sizes = [num_indices(n, 2) ** 2, gauss_bonnet_gather_entries(n, k)]
     if pipeline == "conformal":
-        splits.append((1, 1))
-    return max([num_indices(n, 2) ** 2] + [split_tables(n, p, r)[0].size ** 2 for p, r in splits])
+        sizes.append(product_gather_entries(n, 1, 1, 1, 1))
+    return max(sizes)
 
 
 def _gb_chunk(n, mu, k, x, sin_t, vals, dv, ddv, pipeline):

@@ -2,11 +2,14 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import gbyamabe
 from gbyamabe.cli import main
 
 
@@ -109,6 +112,24 @@ def test_solve_exit_code_on_stall(capsys):
     )
     assert code == 3
     assert report["results"]["status"] == "max_iterations"
+
+
+def test_solve_exit_code_on_line_search_failure(capsys, monkeypatch):
+    import gbyamabe.newton as newton
+
+    real = newton._evaluate
+    calls = []
+
+    def growing(*args):
+        F, S, vol = real(*args)
+        calls.append(args)
+        return (F if len(calls) == 1 else F + 1e6), S, vol
+
+    monkeypatch.setattr(newton, "_evaluate", growing)
+    code, report = run_cli(capsys, ["solve"])
+    assert code == 3
+    assert report["results"]["status"] == "line_search_failed"
+    assert "certificate" not in report["results"]
 
 
 def test_solve_explicit_profile(capsys):
@@ -216,10 +237,15 @@ def test_unknown_command_exits_via_argparse(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the package from where this process did, which pytest
+    # may have put on sys.path without touching PYTHONPATH
+    src = str(Path(gbyamabe.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, "-m", "gbyamabe.cli", "invariants", "--n", "5", "--k", "2"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     report = json.loads(proc.stdout)

@@ -1,7 +1,15 @@
 """Double-form algebra against the dense-tensor reference implementation."""
 
+import math
+import threading
+
 import numpy as np
 import pytest
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 from gbyamabe import (
     DoubleForm,
@@ -17,7 +25,9 @@ from gbyamabe import (
     standard_metric,
     symmetric_bilinear,
 )
+from gbyamabe import forms
 from gbyamabe.forms import contract_coeffs, product_coeffs
+from gbyamabe.indexing import split_tables
 
 from reference_forms import (
     dense_contract,
@@ -243,6 +253,83 @@ def test_batched_kernels_match_single_evaluations():
         expected_ctr = contract(standard_metric(n), form).coeffs
         np.testing.assert_allclose(prod[i], expected_prod, atol=1e-13)
         np.testing.assert_allclose(ctr[i], expected_ctr, atol=1e-13)
+
+
+def _split_product(n, p, q, w1, r, s, w2):
+    # the product as one fancy-indexed gather per factor, with no work buffers
+    A1, B1, E1 = split_tables(n, p, r)
+    A2, B2, E2 = split_tables(n, q, s)
+    W = w1[..., A1[:, None], A2[None, :]] * w2[..., B1[:, None], B2[None, :]]
+    return E1 @ (W @ E2.T)
+
+
+@pytest.mark.parametrize(
+    "n, degrees, shapes",
+    [
+        (5, (2, 2, 2, 2), ((3, 4), (4,))),
+        (6, (4, 4, 2, 2), ((4,), ())),
+        (7, (2, 2, 1, 1), ((), (5,))),
+        (8, (2, 2, 2, 2), ((3, 1), (1, 2))),
+        (8, (6, 6, 2, 2), ((2,), (2,))),
+    ],
+)
+def test_product_coeffs_on_broadcast_batches(n, degrees, shapes):
+    p, q, r, s = degrees
+    rng = np.random.default_rng(n + p)
+    w1 = rng.standard_normal(shapes[0] + (math.comb(n, p), math.comb(n, q)))
+    w2 = rng.standard_normal(shapes[1] + (math.comb(n, r), math.comb(n, s)))
+    out = product_coeffs(n, p, q, w1, r, s, w2)
+    expected = _split_product(n, p, q, w1, r, s, w2)
+    assert out.shape == expected.shape
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
+    # each matrix's product is computed as if it were alone
+    b1, b2 = np.broadcast_to(w1, out.shape[:-2] + w1.shape[-2:]), np.broadcast_to(w2, out.shape[:-2] + w2.shape[-2:])
+    for idx in np.ndindex(out.shape[:-2]):
+        assert np.array_equal(out[idx], product_coeffs(n, p, q, b1[idx], r, s, b2[idx]))
+
+
+def test_product_coeffs_accepts_integer_coefficients():
+    g = np.eye(4, dtype=int)
+    assert np.array_equal(product_coeffs(4, 1, 1, g, 1, 1, g), product(standard_metric(4), standard_metric(4)).coeffs)
+
+
+def test_product_coeffs_reuses_its_work_buffers():
+    rng = np.random.default_rng(5)
+    w = rng.standard_normal((4, 28, 28))
+    first = product_coeffs(8, 2, 2, w, 2, 2, w)
+    kept = first.copy()
+    buffers = dict(forms._work.buffers)
+    second = product_coeffs(8, 2, 2, w[::-1], 2, 2, w[::-1])
+    assert all(forms._work.buffers[slot] is buf for slot, buf in buffers.items())
+    assert not any(np.shares_memory(out, buf) for out in (first, second) for buf in buffers.values())
+    assert np.array_equal(first, kept)
+    assert np.array_equal(second, kept[::-1])
+
+
+@pytest.mark.skipif(resource is None, reason="needs getrusage")
+def test_repeated_products_fault_in_no_fresh_pages():
+    # one n = 8 (2,2) x (2,2) product gathers two 420 x 420 arrays (1.4 MB
+    # each); freshly allocated per call, ten calls would fault in thousands
+    # of pages
+    w = np.random.default_rng(6).standard_normal((28, 28))
+    product_coeffs(8, 2, 2, w, 2, 2, w)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(10):
+        product_coeffs(8, 2, 2, w, 2, 2, w)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 420 * 420 * 8 // 4096
+
+
+def test_work_arrays_are_per_thread_and_bounded(monkeypatch):
+    mine = forms._work_array(0, (3, 5))
+    theirs = []
+    worker = threading.Thread(target=lambda: theirs.append(forms._work_array(0, (3, 5))))
+    worker.start()
+    worker.join()
+    assert not np.shares_memory(mine, theirs[0])
+    assert np.shares_memory(mine, forms._work_array(0, (15,)))
+    monkeypatch.setattr(forms, "_WORK_RETAIN", 10)
+    assert not np.shares_memory(forms._work_array(0, (3, 5)), mine)
 
 
 def test_algebra_property_suite_smoke():

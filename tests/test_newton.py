@@ -96,6 +96,27 @@ def test_max_iterations_status():
     assert report.steps == 1
 
 
+def test_line_search_failure_status(monkeypatch):
+    # every trial step makes the residual grow: the solve must stop at the
+    # initial iterate with its own status instead of taking the last trial
+    import gbyamabe.newton as newton
+
+    real = newton._evaluate
+    calls = []
+
+    def growing(*args):
+        F, S, vol = real(*args)
+        calls.append(args)
+        return (F if len(calls) == 1 else F + 1e6), S, vol  # the first call is the initial state
+
+    monkeypatch.setattr(newton, "_evaluate", growing)
+    report = newton_solve(rp5(), default_psi(), 2)
+    assert report.status == "line_search_failed"
+    assert report.steps == 0
+    assert len(calls) == 1 + 12
+    assert np.all(report.w.modes == 0.0)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(mode_cutoff=1)

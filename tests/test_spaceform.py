@@ -325,8 +325,9 @@ def test_gb_values_chunking_does_not_change_results(monkeypatch):
 
 
 def test_gb_values_gathers_stay_within_budget(monkeypatch):
-    # n = 9, k = 3 gathers 1260^2 entries per node in its last product, so
-    # 20 nodes in one chunk would hold 3.2e7 entries
+    # n = 9, k = 3 builds w^2 with one product that gathers 756^2 entries per
+    # node, so 20 nodes in one chunk would hold 1.1e7 entries; the last step
+    # reads only the diagonal blocks of w^2 w (84 * 15^2 entries per node)
     import gbyamabe.invariants as invariants
 
     real = invariants.product_coeffs
@@ -348,6 +349,40 @@ def test_gb_values_gathers_stay_within_budget(monkeypatch):
         R = warped_curvature(cm, node)
         expected = two_block_invariant(n, k, R.coeffs[0, 0], R.coeffs[-1, -1])
         assert field.values[node] == pytest.approx(expected, rel=1e-11)
+
+
+def test_gb_values_diagonal_block_gathers_stay_within_budget(monkeypatch):
+    # n = 5, k = 2 makes no product: the largest per-node arrays are the two
+    # reads of the diagonal blocks and their product, 5 * 6^2 = 180 entries
+    # against 10^2 for the curvature stack, so they alone size the chunks
+    import gbyamabe.invariants as invariants
+
+    taken, products = [], []
+    real_take, real_product = np.take, invariants.product_coeffs
+
+    def recording_take(a, indices, axis=None, **kwargs):
+        out = real_take(a, indices, axis=axis, **kwargs)
+        taken.append(out.size)
+        return out
+
+    def recording_product(*args):
+        products.append(args)
+        return real_product(*args)
+
+    basis = zonal_basis(5, 16)
+    f = mode_field(basis, 2, 0.05)
+    vals = np.stack([f.values * scale for scale in (0.5, 1.0, 1.5)])
+    dv, ddv = (np.stack([a * scale for scale in (0.5, 1.0, 1.5)]) for a in (f.dvalues, f.ddvalues))
+    whole = _gb_values(5, 1.0, 2, basis, vals, dv, ddv)
+    budget = 1000
+    monkeypatch.setattr(spaceform, "_GATHER_BUDGET", budget)
+    monkeypatch.setattr(np, "take", recording_take)
+    monkeypatch.setattr(invariants, "product_coeffs", recording_product)
+    chunked = _gb_values(5, 1.0, 2, basis, vals, dv, ddv)
+    assert vals.size == 144 and len(taken) == 2 * math.ceil(144 / (budget // 180))
+    assert budget // 2 < max(taken) <= budget
+    assert products == []
+    assert np.array_equal(chunked, whole)
 
 
 # ---------------------------------------------------------------------------
