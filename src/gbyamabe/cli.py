@@ -90,15 +90,22 @@ def _field_payload(field) -> dict:
     }
 
 
-def _parse_floats(text: str) -> list[float]:
+def _list_items(text: str) -> list[str]:
     items = [piece.strip() for piece in text.split(",") if piece.strip()]
     if not items:
         raise ValueError(f"no values in {text!r}")
-    return [float(piece) for piece in items]
+    return items
+
+
+def _parse_floats(text: str) -> list[float]:
+    return [float(piece) for piece in _list_items(text)]
 
 
 def _parse_ints(text: str) -> list[int]:
-    return [int(round(v)) for v in _parse_floats(text)]
+    try:
+        return [int(piece) for piece in _list_items(text)]
+    except ValueError:
+        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _parse_mode_coeffs(text: str) -> dict[int, float]:

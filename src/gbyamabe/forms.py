@@ -22,9 +22,12 @@ Conventions (fixed once, relied on everywhere):
 
 The *_coeffs functions at the bottom operate on raw coefficient arrays with
 arbitrary leading batch dimensions; the geometry modules use them to evaluate
-whole grids of curvature tensors in single numpy calls. product_coeffs
-writes its large intermediates into buffers kept per thread (_work_array), so
-that repeated calls fault in no fresh memory pages.
+whole grids of curvature tensors in single numpy calls. product_coeffs sums
+each combination's runs of signed splits (indexing.split_tables) in one
+einsum, with no sign matrix and no matmul. It writes its gathers into
+buffers kept per thread (_work_array), so that repeated calls fault in no
+fresh memory pages; spaceform sizes its grid chunks so that every gather
+fits one.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -225,7 +229,9 @@ def random_form(n: int, p: int, q: int, rng: np.random.Generator) -> DoubleForm:
 
 # Entries above which _work_array allocates per call instead of keeping the
 # buffer (16 MB): a rare huge call then leaves nothing behind, and in calls
-# that large the page faults are a small share of the work.
+# that large the page faults are a small share of the work. spaceform's
+# grid chunks are sized to this (its _GATHER_BUDGET), so no chunk of a grid
+# evaluation takes the per-call branch.
 _WORK_RETAIN = 2**21
 _work = threading.local()
 
@@ -254,15 +260,25 @@ def _work_array(slot: int, shape: tuple[int, ...]) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
-def _gather(a: np.ndarray, rows: np.ndarray, cols: np.ndarray, slot: int) -> np.ndarray:
-    """a[..., rows[:, None], cols[None, :]] as float64 in C order, written
-    into _work_array(slot) through a row gather in _work_array(3)."""
-    a = np.asarray(a, dtype=float)
-    shape = a.shape[:-2]
-    # mode="clip" writes straight into out (mode="raise" buffers it); the
-    # ranks are in range by construction
-    picked = np.take(a, rows, axis=-2, out=_work_array(3, shape + (rows.size, a.shape[-1])), mode="clip")
-    return np.take(picked, cols, axis=-1, out=_work_array(slot, shape + (rows.size, cols.size)), mode="clip")
+@lru_cache(maxsize=None)
+def _product_plan(n, p, q, r, s):
+    """Index tables of product_coeffs for one bidegree signature.
+
+    Returns the row ranks into w1 stacked over -w1 (a negative split takes
+    its row from the second half), the row ranks into w2, the column ranks
+    into w1 and w2 and the column signs ordered split by split, shaped
+    (C(q+s,q), C(n,q+s)), and the run shape (C(n,p+r), C(p+r,p),
+    C(q+s,q), C(n,q+s)) of the expanded operands.
+    """
+    A1, B1, s1 = split_tables(n, p, r)
+    A2, B2, s2 = split_tables(n, q, s)
+    c1, c2 = math.comb(p + r, p), math.comb(q + s, q)
+    m1, m2 = A1.size // c1, A2.size // c2
+    signed_rows = A1 + num_indices(n, p) * (s1 < 0)
+    by_split = tuple(np.ascontiguousarray(table.reshape(m2, c2).T) for table in (A2, B2, s2))
+    for arr in (signed_rows,) + by_split:
+        arr.flags.writeable = False
+    return (signed_rows, B1) + by_split + ((m1, c1, c2, m2),)
 
 
 def product_coeffs(n, p, q, w1, r, s, w2) -> np.ndarray:
@@ -270,16 +286,33 @@ def product_coeffs(n, p, q, w1, r, s, w2) -> np.ndarray:
 
     w1, w2: arrays shaped (..., C(n,p), C(n,q)) and (..., C(n,r), C(n,s));
     batch dimensions broadcast. Returns (..., C(n,p+r), C(n,q+s)).
+
+    Entry (M, N) sums w1[A1, A2] w2[B1, B2], times the signs of both
+    splits, over the row splits (A1, B1) of M and the column splits
+    (A2, B2) of N (split_tables). The signs go into small gathers: the row
+    signs pick rows of w1 or of -w1, and the column signs multiply the
+    gather of w2's columns. Both operands are then expanded to every pair
+    of splits in _work_array buffers, with the column splits ordered split
+    by split, so that one einsum multiplies them and sums each run of
+    C(p+r,p) rows and of C(q+s,q) columns.
     """
-    A1, B1, E1 = split_tables(n, p, r)
-    A2, B2, E2 = split_tables(n, q, s)
-    g1, g2 = _gather(w1, A1, A2, 0), _gather(w2, B1, B2, 1)
-    batch = np.broadcast_shapes(g1.shape[:-2], g2.shape[:-2])
-    W = g1 if g1.shape[:-2] == batch else g2 if g2.shape[:-2] == batch else None
-    W = np.multiply(g1, g2, out=W)
-    # two-step matmul keeps the contraction order sane (sum splits per factor)
-    half = np.matmul(W, E2.T, out=_work_array(2, batch + (A1.size, E2.shape[0])))
-    return np.matmul(E1, half)
+    rows_1, rows_2, cols_1, cols_2, col_signs, runs = _product_plan(n, p, q, r, s)
+    splits = runs[2:]
+    w1 = np.asarray(w1, dtype=float)
+    w2 = np.asarray(w2, dtype=float)
+    batch1, batch2 = w1.shape[:-2], w2.shape[:-2]
+    nrows = w1.shape[-2]
+    signed = _work_array(2, batch1 + (2 * nrows, w1.shape[-1]))
+    signed[..., :nrows, :] = w1
+    np.negative(w1, out=signed[..., nrows:, :])
+    # mode="clip" writes straight into out (mode="raise" buffers it); the
+    # ranks are in range by construction
+    x1 = np.take(signed, cols_1, axis=-1, out=_work_array(3, batch1 + (2 * nrows,) + splits), mode="clip")
+    x2 = np.take(w2, cols_2, axis=-1, out=_work_array(4, batch2 + (w2.shape[-2],) + splits), mode="clip")
+    np.multiply(x2, col_signs, out=x2)
+    g1 = np.take(x1, rows_1, axis=-3, out=_work_array(0, batch1 + rows_1.shape + splits), mode="clip")
+    g2 = np.take(x2, rows_2, axis=-3, out=_work_array(1, batch2 + rows_2.shape + splits), mode="clip")
+    return np.einsum("...ijt,...ijt->...t", g1.reshape(batch1 + runs), g2.reshape(batch2 + runs))
 
 
 def product_gather_entries(n, p, q, r, s) -> int:
@@ -322,6 +355,12 @@ def _rel(err: float, scale: float) -> float:
     return err / max(scale, 1e-30)
 
 
+# Dimensions the property suite samples: its symmetry check multiplies a
+# (2,2) by a (1,1) form, so n >= 3; its largest product, (4,4) by (2,2),
+# gathers 9.9M entries per operand at n = 10 and 48M at n = 11.
+SUITE_DIMS = range(3, 11)
+
+
 def algebra_property_suite(cases: int = 200, seed: int = 0, dims=(3, 4, 5, 6), tol: float = 1e-12) -> dict:
     """Randomized checks of the core algebra identities.
 
@@ -329,8 +368,18 @@ def algebra_property_suite(cases: int = 200, seed: int = 0, dims=(3, 4, 5, 6), t
     dimensions and returns, per property, the maximum relative error and a
     pass flag at `tol`. Properties: adjointness of metric multiplication and
     contraction, associativity, graded commutativity, frame independence of
-    contraction, trace of the metric, and symmetry-class closure.
+    contraction, trace of the metric, and symmetry-class closure. Raises
+    ValueError unless cases >= 1 and every dimension is an integer in
+    SUITE_DIMS, so a report never passes with nothing checked.
     """
+    if cases < 1:
+        raise ValueError(f"cases must be at least 1, got {cases}")
+    dims = tuple(dims)
+    bad = [d for d in dims if not isinstance(d, (int, np.integer)) or d not in SUITE_DIMS]
+    if not dims or bad:
+        raise ValueError(
+            f"dims must be integers from {SUITE_DIMS.start} to {SUITE_DIMS.stop - 1}, got {list(dims)}"
+        )
     rng = np.random.default_rng(seed)
     results: dict[str, dict] = {}
 

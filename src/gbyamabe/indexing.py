@@ -6,12 +6,12 @@ module owns the combinatorial plumbing: rank/unrank maps, the signed split
 tables behind the wedge-type product, the insertion tables behind contraction,
 and compound (minor-determinant) matrices for frame changes.
 
-All tables are cached per (n, degree) signature. The largest is the dense
-sign matrix E of split_tables, C(n, p+r) rows by C(n, p+r) C(p+r, p)
-columns: under 1 MB for every table the invariants and the solver build up
-to n = 9 (84 by 1260 for the (4,2) split at n = 9). What grows with n and k
-is the arrays the products gather through these tables, which spaceform
-bounds by chunking.
+All tables are cached per (n, degree) signature. split_tables lists the
+splits of each (p+r)-combination as one contiguous run, so a product sums
+runs instead of multiplying by a sign matrix; its three arrays hold
+C(n, p+r) C(p+r, p) entries each (1260 for the (4,2) split at n = 9). What
+grows with n and k is the arrays the products gather through these tables,
+which spaceform bounds by chunking.
 """
 
 from functools import lru_cache
@@ -54,24 +54,24 @@ def split_tables(n: int, p: int, r: int) -> tuple[np.ndarray, np.ndarray, np.nda
     """Signed split data for multiplying a p-form by an r-form.
 
     For every (p+r)-combination M, enumerate the ways to split M into an
-    increasing p-part A and r-part B. Returns (A, B, E):
+    increasing p-part A and r-part B. Returns (A, B, signs), flat arrays of
+    length C(n, p+r) C(p+r, p): the ranks of the parts and the sign of each
+    split (the parity of the shuffle restoring increasing order).
 
-    - A, B: flat int arrays of length T with the ranks of the parts,
-    - E: a (C(n,p+r), T) matrix with E[m, t] = sign of split t of combination
-      m (the parity of the shuffle restoring increasing order) and 0 for
-      splits belonging to other combinations.
-
-    The product of coefficient matrices w1 (p,*) and w2 (r,*) along the row
-    factor is then E @ (w1[A] * w2[B]) row-wise; see forms.product.
+    Layout: the C(p+r, p) splits of combination m are the contiguous run
+    m C(p+r, p), ..., (m+1) C(p+r, p) - 1, in the lexicographic order of
+    their p-parts, with m in rank order. Reshaped to (C(n, p+r), C(p+r, p)),
+    each array has one row per combination. The product of coefficient
+    matrices w1 (p,*) and w2 (r,*) along the row factor is then the signed
+    sum of w1[A] * w2[B] over each run; see forms.product_coeffs.
     """
     big = index_tuples(n, p + r)
     rank_a = rank_map(n, p)
     rank_b = rank_map(n, r)
     rows_a: list[int] = []
     rows_b: list[int] = []
-    owners: list[int] = []
     signs: list[float] = []
-    for m, combo in enumerate(big):
+    for combo in big:
         for part in combinations(combo, p):
             rest = tuple(i for i in combo if i not in part)
             # parity of moving the chosen p elements to the front
@@ -79,15 +79,11 @@ def split_tables(n: int, p: int, r: int) -> tuple[np.ndarray, np.ndarray, np.nda
             swaps = sum(pos[j] - j for j in range(p))
             rows_a.append(rank_a[part])
             rows_b.append(rank_b[rest])
-            owners.append(m)
             signs.append(-1.0 if swaps % 2 else 1.0)
-    A = np.array(rows_a, dtype=np.intp)
-    B = np.array(rows_b, dtype=np.intp)
-    E = np.zeros((len(big), len(A)))
-    E[owners, np.arange(len(A))] = signs
-    for arr in (A, B, E):
+    out = (np.array(rows_a, dtype=np.intp), np.array(rows_b, dtype=np.intp), np.array(signs))
+    for arr in out:
         arr.flags.writeable = False
-    return A, B, E
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -166,12 +166,10 @@ def _trace_blocks(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a C(n, 2k-2)^2 matrix, that of w[B_a, B_b] in a C(n, 2)^2 matrix, and
     the sign s_a s_b; the diagonal entry of w^k at M is then the signed sum
     of P[A_a, A_b] w[B_a, B_b] over its block. Read from split_tables,
-    which lists each combination's splits contiguously with one nonzero
-    sign per column of E.
+    which lists each combination's splits as one contiguous run.
     """
-    A, B, E = split_tables(n, 2 * k - 2, 2)
     shape = (num_indices(n, 2 * k), math.comb(2 * k, 2))
-    A, B, s = A.reshape(shape), B.reshape(shape), E.sum(axis=0).reshape(shape)
+    A, B, s = (arr.reshape(shape) for arr in split_tables(n, 2 * k - 2, 2))
     rows_p, rows_w = num_indices(n, 2 * k - 2), num_indices(n, 2)
     flat_p = (A[:, :, None] * rows_p + A[:, None, :]).ravel()
     flat_w = (B[:, :, None] * rows_w + B[:, None, :]).ravel()

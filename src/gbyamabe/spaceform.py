@@ -24,6 +24,11 @@ Both pipelines are rational in mu and in the grid quantities, so evaluating
 them at mu < 0 on the same grid is a legitimate analytic continuation; that
 is what the finite-difference checks at negative curvature use. Volume and
 the Newton solver, by contrast, insist on spherical (mu > 0) bases.
+
+The invariant on a whole grid (gb_field, and the solver through _gb_values)
+runs in chunks of nodes whose largest gather fits one retained work buffer
+of the forms kernels (_GATHER_BUDGET is forms._WORK_RETAIN), so no chunk
+maps fresh memory.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import eval_gegenbauer, roots_gegenbauer
 
-from .forms import DoubleForm, double_form, product_coeffs, product_gather_entries
+from .forms import _WORK_RETAIN, DoubleForm, double_form, product_coeffs, product_gather_entries
 from .indexing import num_indices
 from .invariants import check_problem_order, gauss_bonnet_coeffs, gauss_bonnet_gather_entries
 
@@ -156,13 +161,23 @@ class ZonalBasis:
     norms: np.ndarray
 
 
-@lru_cache(maxsize=32)
 def zonal_basis(n: int, max_mode: int, nnodes: int | None = None) -> ZonalBasis:
-    """Build (and cache) the basis for dimension n with modes 0..max_mode."""
-    if max_mode < 1:
-        raise ValueError("max_mode must be at least 1")
+    """Build (and cache) the basis for dimension n with modes 0..max_mode on
+    nnodes Gauss nodes (default 2 max_mode + 16).
+
+    The default is resolved before the cache, so every spelling of one grid
+    returns the same object and the solver, which compares bases by
+    identity, never resamples a profile onto a copy of its own basis.
+    """
     if nnodes is None:
         nnodes = 2 * max_mode + 16
+    return _zonal_basis(n, max_mode, nnodes)
+
+
+@lru_cache(maxsize=32)
+def _zonal_basis(n: int, max_mode: int, nnodes: int) -> ZonalBasis:
+    if max_mode < 1:
+        raise ValueError("max_mode must be at least 1")
     if nnodes < max_mode + 1:
         raise ValueError("need at least max_mode + 1 nodes for a faithful projection")
     alpha = (n - 1) / 2.0
@@ -198,6 +213,10 @@ def zonal_basis(n: int, max_mode: int, nnodes: int | None = None) -> ZonalBasis:
     for arr in arrays:
         arr.flags.writeable = False
     return ZonalBasis(n, max_mode, x, w, theta, sin_t, V, Vt, Vtt, P, norms)
+
+
+zonal_basis.cache_info = _zonal_basis.cache_info
+zonal_basis.cache_clear = _zonal_basis.cache_clear
 
 
 @dataclass(frozen=True)
@@ -432,8 +451,10 @@ def conformal_curvature(cm: ConformalMetric, node: int) -> DoubleForm:
     return double_form(cm.base.n, 2, 2, stack[0])
 
 
-# Float64 entries one product gather may hold: about 32 MB per gathered operand.
-_GATHER_BUDGET = 4_000_000
+# Float64 entries one product gather may hold: the size of one buffer the
+# forms kernels keep (16 MB), so a chunk's gathers reuse memory instead of
+# mapping fresh arrays on every call.
+_GATHER_BUDGET = _WORK_RETAIN
 
 
 def _gather_entries(n, k, pipeline):
@@ -444,6 +465,12 @@ def _gather_entries(n, k, pipeline):
     if pipeline == "conformal":
         sizes.append(product_gather_entries(n, 1, 1, 1, 1))
     return max(sizes)
+
+
+def _chunk_nodes(n, k, pipeline):
+    """Evaluations per chunk of _gb_values: as many as keep every gather
+    within _GATHER_BUDGET entries, and at least one."""
+    return max(1, _GATHER_BUDGET // _gather_entries(n, k, pipeline))
 
 
 def _gb_chunk(n, mu, k, x, sin_t, vals, dv, ddv, pipeline):
@@ -462,12 +489,13 @@ def _gb_values(n, mu, k, basis: ZonalBasis, vals, dv, ddv, pipeline="warped"):
 
     vals/dv/ddv may carry leading batch dimensions in front of the node
     axis. Work runs in chunks sized so that no gather exceeds
-    _GATHER_BUDGET entries. Chunking does not change results: outputs are
-    concatenated, never reduced across chunks.
+    _GATHER_BUDGET entries, which is the size of a retained forms work
+    buffer: every chunk's gathers reuse memory. Chunking does not change
+    results: outputs are concatenated, never reduced across chunks.
     """
     batch = np.shape(vals)
     grid = np.stack([np.broadcast_to(a, batch).reshape(-1) for a in (basis.x, basis.sin_theta, vals, dv, ddv)])
-    chunk = max(1, _GATHER_BUDGET // _gather_entries(n, k, pipeline))
+    chunk = _chunk_nodes(n, k, pipeline)
     parts = [_gb_chunk(n, mu, k, *grid[:, s : s + chunk], pipeline) for s in range(0, grid.shape[1], chunk)]
     return np.concatenate(parts).reshape(batch)
 

@@ -46,6 +46,23 @@ def test_verify_algebra_command(capsys):
     assert set(report["results"]["properties"]) >= {"adjointness", "associativity"}
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--cases", "0"], "cases must be at least 1"),
+        (["--dims", "4.5"], "integers"),
+        (["--dims", "2"], "dims must be integers from 3 to 10"),
+        (["--dims", "3,11"], "dims must be integers from 3 to 10"),
+    ],
+)
+def test_verify_algebra_rejects_input_that_checks_nothing_or_cannot_run(capsys, flags, message):
+    code, report = run_cli(capsys, ["verify-algebra", *flags])
+    assert code == 2
+    assert "results" not in report
+    assert report["error"]["type"] == "ValueError"
+    assert message in report["error"]["message"]
+
+
 def test_verify_linearization_command(capsys):
     code, report = run_cli(capsys, ["verify-linearization", "--n", "5", "--k", "2"])
     assert code == 0

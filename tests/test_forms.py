@@ -25,9 +25,9 @@ from gbyamabe import (
     standard_metric,
     symmetric_bilinear,
 )
-from gbyamabe import forms
+from gbyamabe import forms, spaceform
 from gbyamabe.forms import contract_coeffs, product_coeffs
-from gbyamabe.indexing import split_tables
+from gbyamabe.indexing import index_tuples, rank_map, split_tables
 
 from reference_forms import (
     dense_contract,
@@ -255,24 +255,47 @@ def test_batched_kernels_match_single_evaluations():
         np.testing.assert_allclose(ctr[i], expected_ctr, atol=1e-13)
 
 
+def _sign_matrix(n, p, r):
+    # dense E[m, t]: the sign of split t in the row of the combination its two
+    # parts make up, found from the ranks alone (not from the run layout)
+    A, B, signs = split_tables(n, p, r)
+    union = rank_map(n, p + r)
+    owners = [union[tuple(sorted(index_tuples(n, p)[a] + index_tuples(n, r)[b]))] for a, b in zip(A, B)]
+    E = np.zeros((len(union), A.size))
+    E[owners, np.arange(A.size)] = signs
+    return A, B, E
+
+
 def _split_product(n, p, q, w1, r, s, w2):
-    # the product as one fancy-indexed gather per factor, with no work buffers
-    A1, B1, E1 = split_tables(n, p, r)
-    A2, B2, E2 = split_tables(n, q, s)
+    # the product as one fancy-indexed gather per factor and two matmuls
+    # against dense sign matrices, with no work buffers
+    A1, B1, E1 = _sign_matrix(n, p, r)
+    A2, B2, E2 = _sign_matrix(n, q, s)
     W = w1[..., A1[:, None], A2[None, :]] * w2[..., B1[:, None], B2[None, :]]
     return E1 @ (W @ E2.T)
 
 
-@pytest.mark.parametrize(
-    "n, degrees, shapes",
-    [
-        (5, (2, 2, 2, 2), ((3, 4), (4,))),
-        (6, (4, 4, 2, 2), ((4,), ())),
-        (7, (2, 2, 1, 1), ((), (5,))),
-        (8, (2, 2, 2, 2), ((3, 1), (1, 2))),
-        (8, (6, 6, 2, 2), ((2,), (2,))),
-    ],
-)
+_BROADCAST_CASES = [
+    (5, (2, 2, 2, 2), ((3, 4), (4,))),
+    (6, (4, 4, 2, 2), ((4,), ())),
+    (7, (2, 2, 1, 1), ((), (5,))),
+    (8, (2, 2, 2, 2), ((3, 1), (1, 2))),
+    (8, (6, 6, 2, 2), ((2,), (2,))),
+]
+# every other bidegree pair the package multiplies for n <= 8: the powers
+# (2j,2j).(2,2), g.g and g.T, and R.h; plus one factor of degree (0,q)
+_COVERED = {(n, degrees) for n, degrees, _ in _BROADCAST_CASES}
+_BROADCAST_CASES += [
+    (n, degrees, shapes)
+    for n in range(3, 9)
+    for degrees, shapes in [((1, 1, 1, 1), ((3,), ())), ((2, 2, 1, 1), ((2, 1), (3,)))]
+    + [((2 * j, 2 * j, 2, 2), ((), (3,))) for j in range(1, n // 2)]
+    if (n, degrees) not in _COVERED
+]
+_BROADCAST_CASES.append((5, (0, 2, 2, 1), ((2, 1), (3,))))
+
+
+@pytest.mark.parametrize("n, degrees, shapes", _BROADCAST_CASES)
 def test_product_coeffs_on_broadcast_batches(n, degrees, shapes):
     p, q, r, s = degrees
     rng = np.random.default_rng(n + p)
@@ -320,6 +343,22 @@ def test_repeated_products_fault_in_no_fresh_pages():
     assert faults < 420 * 420 * 8 // 4096
 
 
+@pytest.mark.skipif(resource is None, reason="needs getrusage")
+def test_grid_chunk_products_fault_in_no_fresh_pages():
+    # the RP^7 k = 3 grid chunk: its (2,2).(2,2) gathers must fit the
+    # retained buffers; a 90-node chunk (4M entries per gather) would map
+    # fresh 32 MB arrays on every call
+    nodes = spaceform._chunk_nodes(7, 3, "warped")
+    assert nodes * forms.product_gather_entries(7, 2, 2, 2, 2) <= forms._WORK_RETAIN
+    w = np.random.default_rng(7).standard_normal((nodes, 21, 21))
+    product_coeffs(7, 2, 2, w, 2, 2, w)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(10):
+        product_coeffs(7, 2, 2, w, 2, 2, w)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < forms._WORK_RETAIN * 8 // 4096
+
+
 def test_work_arrays_are_per_thread_and_bounded(monkeypatch):
     mine = forms._work_array(0, (3, 5))
     theirs = []
@@ -345,6 +384,12 @@ def test_algebra_property_suite_smoke():
     for name, entry in report.items():
         assert entry["passed"], f"{name}: max error {entry['max_error']:.3e}"
         assert entry["cases"] >= 40
+
+
+@pytest.mark.parametrize("kwargs", [{"cases": 0}, {"dims": ()}, {"dims": (2,)}, {"dims": (4.5,)}, {"dims": (11,)}])
+def test_algebra_property_suite_rejects_empty_or_unsupported_input(kwargs):
+    with pytest.raises(ValueError):
+        algebra_property_suite(**kwargs)
 
 
 def test_algebra_property_suite_adjointness_survives_cancellation():

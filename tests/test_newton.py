@@ -53,6 +53,17 @@ def test_projective_solve_converges_to_exact_correction():
     assert report.jacobian_min_singular_value > 1e-3
 
 
+def test_solve_uses_the_profile_basis_without_resampling(monkeypatch):
+    from gbyamabe import newton
+
+    calls = []
+    resample = newton.resample
+    monkeypatch.setattr(newton, "resample", lambda *args: calls.append(args) or resample(*args))
+    report = newton_solve(rp5(), default_psi(), 2)
+    assert report.status == "converged"
+    assert calls == []
+
+
 def test_warm_start_skips_iteration():
     sf = rp5()
     psi = default_psi()

@@ -94,6 +94,12 @@ def test_weights_integrate_sine_power():
         assert float(basis.weights.sum()) == pytest.approx(exact, rel=1e-14)
 
 
+def test_basis_cache_resolves_the_default_node_count():
+    # one grid, one object, however the call spells its node count
+    assert zonal_basis(5, 16) is zonal_basis(5, 16, None) is zonal_basis(5, 16, 48)
+    assert zonal_basis(5, 16, 50) is not zonal_basis(5, 16)
+
+
 def test_basis_validation():
     with pytest.raises(ValueError):
         zonal_basis(5, 0)
