@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .forms import algebra_property_suite, standard_metric
+from .forms import DENSE_DIM_LIMIT, algebra_property_suite, standard_metric
 from .invariants import (
     CalibrationError,
     calibration_info,
@@ -199,6 +199,8 @@ def _certificate_results(cert) -> dict:
 
 
 def _cmd_invariants(args, calibration):
+    if args.n > DENSE_DIM_LIMIT:
+        raise ValueError(f"--n must be at most {DENSE_DIM_LIMIT} (the dense oracles' memory bound), got {args.n}")
     g = standard_metric(args.n)
     R = space_form_curvature(args.n, args.mu)
     measured = gauss_bonnet(R, g, args.k)

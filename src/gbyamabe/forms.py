@@ -24,10 +24,14 @@ The *_coeffs functions at the bottom operate on raw coefficient arrays with
 arbitrary leading batch dimensions; the geometry modules use them to evaluate
 whole grids of curvature tensors in single numpy calls. product_coeffs sums
 each combination's runs of signed splits (indexing.split_tables) in one
-einsum, with no sign matrix and no matmul. It writes its gathers into
-buffers kept per thread (_work_array), so that repeated calls fault in no
-fresh memory pages; spaceform sizes its grid chunks so that every gather
-fits one.
+einsum, with no sign matrix and no matmul. contract_coeffs reads every
+signed term of the contraction in one gather through a table cached per
+bidegree (_contract_plan, from indexing.insertion_tables) and sums over
+the n directions in one reduction. Both write their gathers into buffers
+kept per thread (_work_array), so that repeated calls fault in no fresh
+memory pages; spaceform sizes its grid chunks so that every product
+gather fits one. is_in_symmetry_class and symmetric_bilinear share one
+symmetry rule (_is_symmetric).
 """
 
 from __future__ import annotations
@@ -118,11 +122,19 @@ def symmetric_bilinear(coeffs, positive_definite: bool = False) -> DoubleForm:
     arr = np.array(coeffs, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("symmetric bilinear form needs a square matrix")
-    if not np.allclose(arr, arr.T, rtol=0, atol=1e-12 * max(1.0, np.abs(arr).max())):
+    form = double_form(arr.shape[0], 1, 1, arr)
+    if not _is_symmetric(form.coeffs, 1e-12):
         raise ValueError("matrix is not symmetric")
     if positive_definite and np.linalg.eigvalsh(arr).min() <= 0:
         raise ValueError("matrix is not positive definite")
-    return double_form(arr.shape[0], 1, 1, arr)
+    return form
+
+
+def _is_symmetric(c: np.ndarray, tol: float) -> bool:
+    """The one symmetry rule: the finite square matrix c equals its
+    transpose up to tol times max(1, max |c|)."""
+    scale = max(1.0, float(np.abs(c).max()))
+    return bool(np.abs(c - c.T).max() <= tol * scale)
 
 
 def _check_same_dim(a: DoubleForm, b: DoubleForm):
@@ -211,8 +223,7 @@ def is_in_symmetry_class(a: DoubleForm, tol: float = 1e-12) -> bool:
     i.e. the coefficient matrix is symmetric up to tol (relative)."""
     if a.p != a.q:
         raise ValueError(f"symmetry class needs square bidegree, got {(a.p, a.q)}")
-    scale = max(1.0, float(np.abs(a.coeffs).max()))
-    return bool(np.allclose(a.coeffs, a.coeffs.T, rtol=0, atol=tol * scale))
+    return _is_symmetric(a.coeffs, tol)
 
 
 def random_form(n: int, p: int, q: int, rng: np.random.Generator) -> DoubleForm:
@@ -321,18 +332,48 @@ def product_gather_entries(n, p, q, r, s) -> int:
     return split_tables(n, p, r)[0].size * split_tables(n, q, s)[0].size
 
 
+@lru_cache(maxsize=None)
+def _contract_plan(n, p, q):
+    """Gather ranks of contract_coeffs for one bidegree, shaped
+    (n, C(n,p-1), C(n,q-1)).
+
+    Entry [i, r, c] is the term direction i adds to entry (r, c) of the
+    contraction, as a rank into the flattened (C(n,p), C(n,q)) matrix w
+    followed by -w and one zero: a term of sign -1 reads -w, and the zero
+    stands in where i lies in row r or column c (insertion_tables).
+    """
+    Rr, Sr = insertion_tables(n, p - 1)
+    Rc, Sc = insertion_tables(n, q - 1)
+    size = num_indices(n, p) * num_indices(n, q)
+    flat = Rr.T[:, :, None] * num_indices(n, q) + Rc.T[:, None, :]
+    sign = Sr.T[:, :, None] * Sc.T[:, None, :]
+    ranks = np.ascontiguousarray(np.where(sign < 0, flat + size, flat))
+    ranks[sign == 0] = 2 * size
+    # C-contiguous and left writeable: np.take copies any other index array
+    # on every call
+    return ranks
+
+
 def contract_coeffs(n, p, q, w) -> np.ndarray:
     """Coefficients of the standard-metric contraction of a (p,q) form.
 
     w: array shaped (..., C(n,p), C(n,q)); returns the (p-1, q-1) batch.
+    Entry (r, c) is the sum over directions i of w at the row and column
+    with i inserted, times both insertion signs. One gather through
+    _contract_plan reads every signed term into a _work_array buffer, and
+    one reduction over the direction axis sums them.
     """
-    Rr, Sr = insertion_tables(n, p - 1)
-    Rc, Sc = insertion_tables(n, q - 1)
-    out = np.zeros(w.shape[:-2] + (Rr.shape[0], Rc.shape[0]))
-    for i in range(n):
-        coef = Sr[:, i][:, None] * Sc[:, i][None, :]
-        out += coef * w[..., Rr[:, i][:, None], Rc[:, i][None, :]]
-    return out
+    ranks = _contract_plan(n, p, q)
+    w = np.asarray(w, dtype=float)
+    batch = w.shape[:-2]
+    size = w.shape[-2] * w.shape[-1]
+    signed = _work_array(5, batch + (2 * size + 1,))
+    signed[..., :size] = w.reshape(batch + (size,))
+    np.negative(signed[..., :size], out=signed[..., size:-1])
+    signed[..., -1] = 0.0
+    terms = np.take(signed, ranks, axis=-1, out=_work_array(6, batch + ranks.shape), mode="clip")
+    # from +0.0, so that a sum of signed zeros is +0.0, never -0.0
+    return np.add.reduce(terms, axis=-3, initial=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +396,15 @@ def _rel(err: float, scale: float) -> float:
     return err / max(scale, 1e-30)
 
 
+# Largest dimension the dense algebra is run in: a product of a (4,4) by a
+# (2,2) form, which the property suite and the order k >= 3 oracles make,
+# gathers 9.9M entries per operand at n = 10 (76 MB), 48M at n = 11
+# (366 MB) and 192M at n = 12 (1.47 GB).
+DENSE_DIM_LIMIT = 10
+
 # Dimensions the property suite samples: its symmetry check multiplies a
-# (2,2) by a (1,1) form, so n >= 3; its largest product, (4,4) by (2,2),
-# gathers 9.9M entries per operand at n = 10 and 48M at n = 11.
-SUITE_DIMS = range(3, 11)
+# (2,2) by a (1,1) form, so n >= 3.
+SUITE_DIMS = range(3, DENSE_DIM_LIMIT + 1)
 
 
 def algebra_property_suite(cases: int = 200, seed: int = 0, dims=(3, 4, 5, 6), tol: float = 1e-12) -> dict:

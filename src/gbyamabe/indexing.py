@@ -8,10 +8,15 @@ and compound (minor-determinant) matrices for frame changes.
 
 All tables are cached per (n, degree) signature. split_tables lists the
 splits of each (p+r)-combination as one contiguous run, so a product sums
-runs instead of multiplying by a sign matrix; its three arrays hold
-C(n, p+r) C(p+r, p) entries each (1260 for the (4,2) split at n = 9). What
-grows with n and k is the arrays the products gather through these tables,
-which spaceform bounds by chunking.
+runs instead of multiplying by a sign matrix, and the invariant's trace
+reads the diagonal blocks of a product from the same runs; its three
+arrays hold C(n, p+r) C(p+r, p) entries each (1260 for the (4,2) split at
+n = 9). insertion_tables holds C(n, p) n entries per array;
+forms.contract_coeffs expands a pair of them into one cached gather table
+of n entries per coefficient of the contraction. What grows with n and k
+is the arrays the kernels gather through these tables, which spaceform
+bounds by chunking and the forms work buffers keep from faulting in fresh
+pages.
 """
 
 from functools import lru_cache

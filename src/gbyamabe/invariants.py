@@ -3,11 +3,12 @@
 Two independent evaluation routes are kept deliberately separate:
 
 - the trace route: 2k contractions of a (2k,2k) form give (2k)! times its
-  trace, so the invariant is tr(R^k), read off the diagonal blocks of the
-  last of the k-1 double-form products without forming that product
-  (polynomial cost, the production path). ricci_2k keeps the full chain of
-  products and contractions, so tr ricci_2k = (2k)! gauss_bonnet compares
-  two code paths; and
+  trace, so the invariant is tr(R^k) = tr(R^a R^b) with a = ceil(k/2) and
+  b = floor(k/2), read off the diagonal blocks of the product R^a R^b
+  without forming it (polynomial cost, the production path; R^a is R^b or
+  R^b R, so at most ceil(k/2) - 1 products are built). ricci_2k keeps the
+  full chain of products and contractions, so tr ricci_2k = (2k)!
+  gauss_bonnet compares two code paths; and
 - the generalized-Kronecker-delta route: enumeration of index tuples with
   antisymmetrized signs, summing each orbit of 4^k k! equal terms once
   (factorial cost, the oracle path, guarded to n <= 7).
@@ -158,25 +159,27 @@ def _power_contract(n: int, k: int, w: np.ndarray, contractions: int) -> np.ndar
 
 
 @lru_cache(maxsize=None)
-def _trace_blocks(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Signed diagonal blocks of the product w^(k-1) w, for k >= 2.
+def _trace_blocks(n: int, a: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Signed diagonal blocks of the product P Q of a (2a,2a) form P and a
+    (2b,2b) form Q.
 
-    For every 2k-combination M and every pair (a, b) of its C(2k, 2) splits
-    into a (2k-2)-part A and a 2-part B, the flat position of P[A_a, A_b] in
-    a C(n, 2k-2)^2 matrix, that of w[B_a, B_b] in a C(n, 2)^2 matrix, and
-    the sign s_a s_b; the diagonal entry of w^k at M is then the signed sum
-    of P[A_a, A_b] w[B_a, B_b] over its block. Read from split_tables,
-    which lists each combination's splits as one contiguous run.
+    For every 2(a+b)-combination M and every pair (i, j) of its
+    C(2a+2b, 2a) splits into a 2a-part A and a 2b-part B, the flat position
+    of P[A_i, A_j] in a C(n, 2a)^2 matrix, that of Q[B_i, B_j] in a
+    C(n, 2b)^2 matrix, and the sign s_i s_j; the diagonal entry of P Q at M
+    is then the signed sum of P[A_i, A_j] Q[B_i, B_j] over its block. Read
+    from split_tables, which lists each combination's splits as one
+    contiguous run.
     """
-    shape = (num_indices(n, 2 * k), math.comb(2 * k, 2))
-    A, B, s = (arr.reshape(shape) for arr in split_tables(n, 2 * k - 2, 2))
-    rows_p, rows_w = num_indices(n, 2 * k - 2), num_indices(n, 2)
+    shape = (num_indices(n, 2 * (a + b)), math.comb(2 * (a + b), 2 * a))
+    A, B, s = (arr.reshape(shape) for arr in split_tables(n, 2 * a, 2 * b))
+    rows_p, rows_q = num_indices(n, 2 * a), num_indices(n, 2 * b)
     flat_p = (A[:, :, None] * rows_p + A[:, None, :]).ravel()
-    flat_w = (B[:, :, None] * rows_w + B[:, None, :]).ravel()
+    flat_q = (B[:, :, None] * rows_q + B[:, None, :]).ravel()
     signs = (s[:, :, None] * s[:, None, :]).ravel()
-    for arr in (flat_p, flat_w, signs):
+    for arr in (flat_p, flat_q, signs):
         arr.flags.writeable = False
-    return flat_p, flat_w, signs
+    return flat_p, flat_q, signs
 
 
 def gauss_bonnet_coeffs(n: int, k: int, w: np.ndarray) -> np.ndarray:
@@ -185,27 +188,32 @@ def gauss_bonnet_coeffs(n: int, k: int, w: np.ndarray) -> np.ndarray:
 
     2k contractions of a (2k,2k) form give (2k)! times its trace, so the
     invariant is tr(w^k): the plain trace at k = 1, else the diagonal
-    blocks of the last product P w with P = w^(k-1) (_trace_blocks), which
-    is never formed in full.
+    blocks of the product P Q with Q = w^b and P = w^a, a = ceil(k/2) and
+    b = floor(k/2) (_trace_blocks), which is never formed in full. P is Q
+    itself or Q w, so the largest power built is w^a.
     """
     if k == 1:
         return np.trace(w, axis1=-2, axis2=-1)
-    flat_p, flat_w, signs = _trace_blocks(n, k)
+    a, b = (k + 1) // 2, k // 2
+    flat_p, flat_q, signs = _trace_blocks(n, a, b)
     batch = w.shape[:-2]
-    P = _power_contract(n, k - 1, w, 0).reshape(batch + (-1,))
-    terms = np.take(P, flat_p, axis=-1) * np.take(w.reshape(batch + (-1,)), flat_w, axis=-1)
+    Q = _power_contract(n, b, w, 0)
+    P = Q if a == b else product_coeffs(n, 2 * b, 2 * b, Q, 2, 2, w)
+    terms = np.take(P.reshape(batch + (-1,)), flat_p, axis=-1) * np.take(Q.reshape(batch + (-1,)), flat_q, axis=-1)
     # one dot product per matrix, so a matrix's value never depends on its batch
     return (terms[..., None, :] @ signs[:, None])[..., 0, 0]
 
 
 def gauss_bonnet_gather_entries(n: int, k: int) -> int:
     """Entries of the largest array gauss_bonnet_coeffs gathers per matrix:
-    one of the k - 2 products that build w^(k-1), or the diagonal-block
-    terms of the last product (0 at k = 1, which gathers nothing)."""
-    sizes = [product_gather_entries(n, 2 * j, 2 * j, 2, 2) for j in range(1, k - 1)]
-    if k > 1:
-        sizes.append(_trace_blocks(n, k)[0].size)
-    return max(sizes, default=0)
+    one of the ceil(k/2) - 1 products that build w^2, ..., w^ceil(k/2), or
+    the C(n, 2k) C(2k, 2 ceil(k/2))^2 diagonal-block terms of the last
+    product (0 at k = 1, which gathers nothing)."""
+    if k == 1:
+        return 0
+    a, b = (k + 1) // 2, k // 2
+    sizes = [product_gather_entries(n, 2 * j, 2 * j, 2, 2) for j in range(1, a)]
+    return max(sizes + [_trace_blocks(n, a, b)[0].size])
 
 
 def gauss_bonnet(R: DoubleForm, g: DoubleForm, k: int) -> float:

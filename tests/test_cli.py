@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import gbyamabe
+from gbyamabe import forms, invariants, spaceform
 from gbyamabe.cli import main
 
 
@@ -61,6 +62,27 @@ def test_verify_algebra_rejects_input_that_checks_nothing_or_cannot_run(capsys, 
     assert "results" not in report
     assert report["error"]["type"] == "ValueError"
     assert message in report["error"]["message"]
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_invariants_rejects_dimensions_above_the_dense_limit(capsys, monkeypatch, n):
+    # refused before any product: one gathers 366 MB per operand at n = 11
+    def refuse(*args):
+        raise AssertionError("product_coeffs was called")
+
+    for module in (forms, invariants, spaceform):
+        monkeypatch.setattr(module, "product_coeffs", refuse)
+    code, report = run_cli(capsys, ["invariants", "--n", str(n), "--k", "1"])
+    assert code == 2
+    assert "results" not in report
+    assert report["error"]["type"] == "ValueError"
+    assert "at most 10" in report["error"]["message"]
+
+
+def test_invariants_accepts_the_dense_limit(capsys):
+    code, report = run_cli(capsys, ["invariants", "--n", "10", "--k", "1"])
+    assert code == 0
+    assert report["results"]["gauss_bonnet"] == pytest.approx(45.0, rel=1e-12)
 
 
 def test_verify_linearization_command(capsys):

@@ -1,7 +1,11 @@
 """Double-form algebra against the dense-tensor reference implementation."""
 
 import math
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +31,7 @@ from gbyamabe import (
 )
 from gbyamabe import forms, spaceform
 from gbyamabe.forms import contract_coeffs, product_coeffs
-from gbyamabe.indexing import index_tuples, rank_map, split_tables
+from gbyamabe.indexing import index_tuples, insertion_tables, rank_map, split_tables
 
 from reference_forms import (
     dense_contract,
@@ -95,6 +99,65 @@ def test_contract_identity_metric_against_dense_oracle():
             got = contract(g, a)
             expected = from_dense(n, p - 1, q - 1, dense_contract(p, q, to_dense(n, p, q, a.coeffs)))
             np.testing.assert_allclose(got.coeffs, expected, atol=1e-12)
+
+
+# every bidegree (p, q), p != q too, whose dense tensor holds at most 1e6
+# entries: all of them for n <= 4, p + q <= 8 at n = 5 and p + q <= 7 at n = 6
+_CONTRACT_CASES = [
+    (n, p, q) for n in range(1, 7) for p in range(1, n + 1) for q in range(1, n + 1) if n ** (p + q) <= 10**6
+]
+
+
+@pytest.mark.parametrize("n, p, q", _CONTRACT_CASES)
+def test_contract_coeffs_against_dense_oracle(n, p, q):
+    rng = np.random.default_rng([n, p, q])
+    w = rng.standard_normal((math.comb(n, p), math.comb(n, q)))
+    got = contract_coeffs(n, p, q, w)
+    expected = from_dense(n, p - 1, q - 1, dense_contract(p, q, to_dense(n, p, q, w)))
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13 * max(1.0, np.abs(expected).max()))
+
+
+def _loop_contract(n, p, q, w):
+    # the contraction as a loop over the n directions, one fancy-indexed
+    # signed accumulate each
+    Rr, Sr = insertion_tables(n, p - 1)
+    Rc, Sc = insertion_tables(n, q - 1)
+    out = np.zeros(w.shape[:-2] + (Rr.shape[0], Rc.shape[0]))
+    for i in range(n):
+        out += np.outer(Sr[:, i], Sc[:, i]) * w[..., Rr[:, i][:, None], Rc[:, i][None, :]]
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_contract_coeffs_sums_like_the_direction_loop(n):
+    # the same terms added in the same order, so bit for bit; only a
+    # contraction down to one entry at n >= 8 is summed pairwise by numpy,
+    # within n rounding errors of the summed sizes
+    rng = np.random.default_rng(n)
+    for p in range(1, n + 1):
+        for q in range(1, n + 1):
+            if math.comb(n, p) * math.comb(n, q) > 5000:
+                continue
+            w = rng.standard_normal((2, math.comb(n, p), math.comb(n, q)))
+            w[0, ::2] = 0.0
+            got, expected = contract_coeffs(n, p, q, w), _loop_contract(n, p, q, w)
+            if p == q == 1 and n >= 8:
+                bound = n * np.finfo(float).eps * np.abs(np.diagonal(w, axis1=1, axis2=2)).sum(axis=-1)
+                assert np.all(np.abs(got - expected)[:, 0, 0] <= bound)
+            else:
+                assert np.array_equal(got, expected)
+                assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+@pytest.mark.parametrize("n", [3, 5, 8, 9])
+def test_batched_contractions_equal_single_calls_bitwise(n):
+    rng = np.random.default_rng(n)
+    for p, q in [(1, 1), (2, 2), (3, 2), (1, n), (n, n)]:
+        w = rng.standard_normal((2, 3, math.comb(n, p), math.comb(n, q)))
+        out = contract_coeffs(n, p, q, w)
+        assert out.shape == (2, 3, math.comb(n, p - 1), math.comb(n, q - 1))
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(out[idx], contract_coeffs(n, p, q, w[idx]))
 
 
 def test_contract_general_metric_against_dense_oracle():
@@ -209,6 +272,21 @@ def test_symmetry_class_detection():
         assert not is_in_symmetry_class(asym)
     with pytest.raises(ValueError):
         is_in_symmetry_class(random_form(n, 2, 1, rng))
+
+
+def test_symmetry_rule_is_relative_and_shared():
+    # tolerance 1e-12 times max(1, max |c|) = 4e-12, for both entry points
+    for gap, symmetric in [(3.9e-12, True), (4.1e-12, False)]:
+        m = np.diag([4.0, 1.0, 1.0])
+        m[0, 1] = gap
+        assert is_in_symmetry_class(double_form(3, 1, 1, m)) is symmetric
+        if symmetric:
+            assert symmetric_bilinear(m).coeffs[0, 1] == gap
+        else:
+            with pytest.raises(ValueError, match="not symmetric"):
+                symmetric_bilinear(m)
+    with pytest.raises(ValueError, match="finite"):
+        symmetric_bilinear(np.full((3, 3), np.inf))
 
 
 def test_scalar_form_and_zero_degree_products():
@@ -341,6 +419,38 @@ def test_repeated_products_fault_in_no_fresh_pages():
         product_coeffs(8, 2, 2, w, 2, 2, w)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults < 420 * 420 * 8 // 4096
+
+
+_CONTRACT_FAULTS = """
+import resource
+import numpy as np
+from gbyamabe.forms import contract_coeffs
+w = np.random.default_rng(8).standard_normal((56, 56))
+contract_coeffs(8, 5, 5, w)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    contract_coeffs(8, 5, 5, w)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(resource is None, reason="needs getrusage")
+def test_repeated_contractions_fault_in_no_fresh_pages():
+    # the n = 8 (5,5) -> (4,4) contraction gathers 8 x 70 x 70 = 39,200
+    # entries (314 KB), above glibc's default mmap threshold of 128 KB.
+    # Freshly allocated per call, ten calls would fault in hundreds of
+    # pages, but only while that threshold holds: frees of larger arrays
+    # raise it, so this process's history can hide the faults. The calls
+    # therefore run in a child with the threshold pinned (other allocators
+    # ignore the variable).
+    src = str(Path(forms.__file__).resolve().parents[1])
+    env = dict(
+        os.environ,
+        MALLOC_MMAP_THRESHOLD_="131072",
+        PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+    )
+    proc = subprocess.run([sys.executable, "-c", _CONTRACT_FAULTS], capture_output=True, text=True, env=env, check=True)
+    assert int(proc.stdout) < 8 * 70 * 70 * 8 // 4096
 
 
 @pytest.mark.skipif(resource is None, reason="needs getrusage")

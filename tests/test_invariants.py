@@ -21,8 +21,10 @@ from gbyamabe import (
     standard_metric,
     symmetric_bilinear,
 )
+from gbyamabe import spaceform
 from gbyamabe.forms import double_form
-from gbyamabe.invariants import _power_contract, gauss_bonnet_coeffs
+from gbyamabe.indexing import split_tables
+from gbyamabe.invariants import _power_contract, gauss_bonnet_coeffs, gauss_bonnet_gather_entries
 
 from reference_forms import brute_kronecker_sum, classical_ricci, classical_scalar, two_block_invariant
 
@@ -68,18 +70,64 @@ def test_ricci_2k_k1_is_classical_ricci():
             np.testing.assert_allclose(got.coeffs, classical_ricci(n, R.coeffs), atol=1e-12)
 
 
+def _random_stack(n, batch, rng):
+    m = math.comb(n, 2)
+    raw = rng.standard_normal(batch + (m, m))
+    return (raw + np.swapaxes(raw, -1, -2)) / 2
+
+
 def test_trace_route_matches_power_and_contraction():
-    # tr(w^k) from the last product's diagonal blocks against the full power
-    # contracted 2k times, on stacks with two batch axes
+    # tr(w^k) from the diagonal blocks of w^ceil(k/2) w^floor(k/2) against
+    # the full power contracted 2k times, on stacks with two batch axes
     rng = np.random.default_rng(41)
     for n, k in algebra_orders(8):
-        m = math.comb(n, 2)
-        raw = rng.standard_normal((2, 3, m, m))
-        w = (raw + np.swapaxes(raw, -1, -2)) / 2
+        w = _random_stack(n, (2, 3), rng)
         got = gauss_bonnet_coeffs(n, k, w)
         expected = _power_contract(n, k, w, 2 * k)[..., 0, 0] / math.factorial(2 * k)
         assert got.shape == (2, 3)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+
+def _last_product_trace(n, k, w):
+    # tr(w^k) from the diagonal blocks of w^(k-1) w, the route that reads
+    # only (2k-2, 2) splits (k >= 2)
+    shape = (math.comb(n, 2 * k), math.comb(2 * k, 2))
+    A, B, s = (arr.reshape(shape) for arr in split_tables(n, 2 * k - 2, 2))
+    flat_p = (A[:, :, None] * math.comb(n, 2 * k - 2) + A[:, None, :]).ravel()
+    flat_w = (B[:, :, None] * math.comb(n, 2) + B[:, None, :]).ravel()
+    signs = (s[:, :, None] * s[:, None, :]).ravel()
+    batch = w.shape[:-2]
+    P = _power_contract(n, k - 1, w, 0).reshape(batch + (-1,))
+    terms = np.take(P, flat_p, axis=-1) * np.take(w.reshape(batch + (-1,)), flat_w, axis=-1)
+    return (terms[..., None, :] @ signs[:, None])[..., 0, 0]
+
+
+def test_balanced_trace_is_the_last_product_trace_bitwise_for_k_up_to_3():
+    # (a, b) = (1, 1) at k = 2 and (2, 1) at k = 3 read the same blocks of
+    # the same products as w^(k-1) w
+    rng = np.random.default_rng(43)
+    for n, k in algebra_orders(9):
+        if 2 <= k <= 3:
+            w = _random_stack(n, (2, 3), rng)
+            assert np.array_equal(gauss_bonnet_coeffs(n, k, w), _last_product_trace(n, k, w))
+
+
+@pytest.mark.parametrize("n, k, batch", [(8, 4, (2, 3)), (9, 4, (2, 2)), (10, 4, (2, 1)), (10, 5, (1, 1))])
+def test_balanced_trace_matches_the_last_product_trace(n, k, batch):
+    # n = 10 builds a (4,4).(2,2) product of 9.9M entries per matrix on the
+    # reference route (and at k = 5 on both), so those stacks stay small
+    w = _random_stack(n, batch, np.random.default_rng([n, k]))
+    got = gauss_bonnet_coeffs(n, k, w)
+    expected = np.array([_last_product_trace(n, k, w[idx]) for idx in np.ndindex(batch)]).reshape(batch)
+    assert got.shape == batch
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+
+def test_balanced_trace_gathers_less_at_k_4():
+    # the largest gather is the product that builds w^2; w^3 w would need
+    # the (4,4).(2,2) product, 1,587,600 entries
+    assert gauss_bonnet_gather_entries(9, 4) == 571536
+    assert spaceform._chunk_nodes(9, 4, "warped") == 3
 
 
 def test_trace_route_matches_two_block_closed_form():
