@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -27,17 +28,12 @@ from .invariants import (
     gauss_bonnet,
     gauss_bonnet_kronecker,
     invariant_constants,
+    max_order,
     ricci_2k,
     space_form_curvature,
     space_form_invariant,
 )
-from .linearization import (
-    LinearFunctional,
-    NondegeneracyViolated,
-    constants as linearization_constants,
-    fd_verify,
-    max_order,
-)
+from .linearization import LinearFunctional, constants as linearization_constants, fd_verify
 from .newton import (
     SolverConfig,
     continuation_sweep,
@@ -158,39 +154,33 @@ def _iteration_rows(report, amplitude=None):
     return rows
 
 
-def _report_results(report) -> dict:
+def _report_summary(report) -> dict:
     return {
         "status": report.status,
         "steps": report.steps,
         "achieved_constant": report.achieved_constant,
         "final_residual": report.final_residual,
         "final_volume_drift": report.final_volume_drift,
+    }
+
+
+def _report_results(report) -> dict:
+    return {
+        **_report_summary(report),
         "jacobian_min_singular_value": report.jacobian_min_singular_value,
         "quadratic_tail": quadratic_tail(report),
-        "iterations": [
-            {
-                "iteration": i,
-                "residual": rec.residual,
-                "volume_drift": rec.volume_drift,
-                "step_norm": rec.step_norm,
-                "damping": rec.damping,
-            }
-            for i, rec in enumerate(report.iterations)
-        ],
+        "iterations": [{"iteration": i, **asdict(rec)} for i, rec in enumerate(report.iterations)],
         "w": _field_payload(report.w),
     }
 
 
-def _certificate_results(cert) -> dict:
-    return {
-        "variation": cert.variation,
-        "sup_deviation": cert.sup_deviation,
-        "volume_drift": cert.volume_drift,
-        "threshold": cert.threshold,
-        "max_mode": cert.max_mode,
-        "nnodes": cert.nnodes,
-        "passed": cert.passed,
-    }
+def _calibrate(calibration, n, k, samples, seed) -> dict:
+    """Calibrate the Kronecker constant of (n, k) and enter its record in
+    the report's calibration section."""
+    info = calibration_info(n, k, samples=samples, seed=seed)
+    record = {key: val for key, val in asdict(info).items() if key not in ("n", "k")}
+    calibration[f"{n},{k}"] = record
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +217,8 @@ def _cmd_invariants(args, calibration):
         1.0, abs(ricci_closed)
     )
     if args.calibrate:
-        info = calibration_info(args.n, args.k, samples=args.calibrate_samples, seed=args.seed)
-        calibration[f"{args.n},{args.k}"] = {
-            "constant": info.constant,
-            "relative_spread": info.relative_spread,
-            "samples": info.samples,
-        }
-        kron = gauss_bonnet_kronecker(R, args.k, info.constant)
+        record = _calibrate(calibration, args.n, args.k, args.calibrate_samples, args.seed)
+        kron = gauss_bonnet_kronecker(R, args.k, record["constant"])
         results["kronecker"] = kron
         results["kronecker_difference"] = kron - closed
         ok = ok and abs(kron - closed) <= args.tol * scale
@@ -279,18 +264,7 @@ def _cmd_spectrum(args, calibration):
 
 
 def _cmd_calibrate(args, calibration):
-    info = calibration_info(args.n, args.k, samples=args.samples, seed=args.seed)
-    calibration[f"{args.n},{args.k}"] = {
-        "constant": info.constant,
-        "relative_spread": info.relative_spread,
-        "samples": info.samples,
-    }
-    results = {
-        "constant": info.constant,
-        "relative_spread": info.relative_spread,
-        "samples": info.samples,
-    }
-    return results, None, 0
+    return _calibrate(calibration, args.n, args.k, args.samples, args.seed), None, 0
 
 
 def _finish_solve(args, sf, psi, report, weights):
@@ -299,7 +273,7 @@ def _finish_solve(args, sf, psi, report, weights):
     code = 0 if report.status == "converged" else 3
     if args.certify and report.status == "converged":
         cert = fixed_point_certificate(sf, psi, report, weights=weights, threshold=args.certificate_threshold)
-        results["certificate"] = _certificate_results(cert)
+        results["certificate"] = asdict(cert)
         if not cert.passed:
             code = 4
     rows = _iteration_rows(report)
@@ -322,8 +296,7 @@ def _cmd_solve_g(args, calibration):
     basis = zonal_basis(args.n, cfg.mode_cutoff, cfg.nnodes)
     psi = _profile_field(args, basis)
     report = generalized_solve(sf, psi, functional, cfg)
-    weights = {k: c for k, c in zip(functional.orders, functional.coefficients) if c != 0.0}
-    results, rows, code = _finish_solve(args, sf, psi, report, weights)
+    results, rows, code = _finish_solve(args, sf, psi, report, functional.weights)
     results["functional"] = list(functional.coefficients)
     return results, rows, code
 
@@ -349,16 +322,7 @@ def _cmd_sweep(args, calibration):
     entries = []
     rows = [["amplitude", "iteration", "residual", "volume_drift", "step_norm"]]
     for amp, report in runs:
-        entries.append(
-            {
-                "amplitude": amp,
-                "status": report.status,
-                "steps": report.steps,
-                "achieved_constant": report.achieved_constant,
-                "final_residual": report.final_residual,
-                "final_volume_drift": report.final_volume_drift,
-            }
-        )
+        entries.append({"amplitude": amp, **_report_summary(report)})
         rows.extend(_iteration_rows(report, amplitude=amp))
     converged = all(e["status"] == "converged" for e in entries)
     return {"runs": entries, "all_converged": converged}, rows, 0 if converged else 3
@@ -392,6 +356,11 @@ def _add_background_flags(sub):
     sub.add_argument("--n", type=int, default=5)
     sub.add_argument("--mu", type=float, default=1.0)
     sub.add_argument("--quotient", choices=("rp", "sphere"), default="rp")
+
+
+def _add_certificate_flags(sub):
+    sub.add_argument("--certify", action=argparse.BooleanOptionalAction, default=True)
+    sub.add_argument("--certificate-threshold", type=float, default=1e-9)
 
 
 def _add_profile_flags(sub):
@@ -459,8 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=2)
     _add_profile_flags(p)
     _add_solver_flags(p)
-    p.add_argument("--certify", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--certificate-threshold", type=float, default=1e-9)
+    _add_certificate_flags(p)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_solve)
 
@@ -469,8 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g-coeffs", required=True, help="functional coefficients by order, e.g. '1,0.1'")
     _add_profile_flags(p)
     _add_solver_flags(p)
-    p.add_argument("--certify", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--certificate-threshold", type=float, default=1e-9)
+    _add_certificate_flags(p)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_solve_g)
 

@@ -16,9 +16,12 @@ Conventions (fixed once, relied on everywhere):
   orthonormal, i.e. it is the Frobenius pairing of coefficient matrices.
   Under these two choices, multiplication by the metric and contraction are
   exact adjoints; the test suite checks this rather than assuming it.
-- Contraction against a non-identity metric goes through an explicit
-  g-orthonormal frame (Cholesky by default): transform in, insert, transform
-  back. The result is frame independent and the tests exercise that too.
+- Every metric argument (contract here, gauss_bonnet and ricci_2k in
+  invariants) obeys one rule, _metric_frame: a symmetric positive definite
+  (1,1) form in the dimension of the other argument. A non-identity metric
+  goes through an explicit g-orthonormal frame (Cholesky by default):
+  transform in, work there, transform back. The result is frame
+  independent and the tests exercise that too.
 
 The *_coeffs functions at the bottom operate on raw coefficient arrays with
 arbitrary leading batch dimensions; the geometry modules use them to evaluate
@@ -108,8 +111,10 @@ def scalar_form(dim: int, value: float) -> DoubleForm:
     return double_form(dim, 0, 0, [[float(value)]])
 
 
+@lru_cache(maxsize=None)
 def standard_metric(dim: int) -> DoubleForm:
-    """The Euclidean metric as a (1,1) form: the identity matrix."""
+    """The Euclidean metric as a (1,1) form: the identity matrix (one
+    immutable instance per dimension)."""
     return double_form(dim, 1, 1, np.eye(dim))
 
 
@@ -166,17 +171,37 @@ def metric_multiply(g: DoubleForm, a: DoubleForm) -> DoubleForm:
     return product(g, a)
 
 
-def _frame_for(g: np.ndarray) -> np.ndarray:
-    """Columns of a g-orthonormal frame via Cholesky: E^T g E = I."""
-    try:
-        L = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("metric is not positive definite") from exc
-    return np.linalg.inv(L).T
-
-
 def _to_frame(w: np.ndarray, n: int, p: int, q: int, E: np.ndarray) -> np.ndarray:
     return compound_matrix(E, p).T @ w @ compound_matrix(E, q)
+
+
+def _metric_frame(g: DoubleForm, dim: int, frame: np.ndarray | None = None) -> np.ndarray | None:
+    """The metric rule of every metric argument: g is a symmetric positive
+    definite (1,1) form over R^dim.
+
+    Returns None for the standard metric when no frame is given (the
+    coordinate frame is orthonormal); otherwise a g-orthonormal frame E,
+    the explicit `frame` or the Cholesky one, checked to satisfy
+    E^T g E = I. Raises ValueError naming the first rule g breaks.
+    """
+    if g.bidegree != (1, 1):
+        raise ValueError("metric must have bidegree (1,1)")
+    if g.dim != dim:
+        raise ValueError(f"dimension mismatch: {g.dim} vs {dim}")
+    G, eye = g.coeffs, standard_metric(dim).coeffs
+    if frame is None and np.array_equal(G, eye):
+        return None
+    if not _is_symmetric(G, 1e-12):
+        raise ValueError("metric is not symmetric")
+    if frame is None:
+        try:
+            frame = np.linalg.inv(np.linalg.cholesky(G)).T
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("metric is not positive definite") from exc
+    E = np.asarray(frame, dtype=float)
+    if not np.allclose(E.T @ G @ E, eye, rtol=0, atol=1e-10):
+        raise ValueError("frame columns are not g-orthonormal")
+    return E
 
 
 def contract(g: DoubleForm, a: DoubleForm, frame: np.ndarray | None = None) -> DoubleForm:
@@ -188,26 +213,14 @@ def contract(g: DoubleForm, a: DoubleForm, frame: np.ndarray | None = None) -> D
     explicit `frame` argument, whose columns must satisfy E^T g E = I),
     contracted there, and moved back. Requires bidegree at least (1,1).
     """
-    if g.bidegree != (1, 1):
-        raise ValueError("metric must have bidegree (1,1)")
-    _check_same_dim(g, a)
+    n = a.dim
+    E = _metric_frame(g, n, frame)
     if a.p < 1 or a.q < 1:
         raise ValueError(f"cannot contract bidegree {(a.p, a.q)}")
-    n = a.dim
-    G = g.coeffs
-    identity = frame is None and np.array_equal(G, np.eye(n))
-    if identity:
-        out = contract_coeffs(n, a.p, a.q, a.coeffs)
-        return double_form(n, a.p - 1, a.q - 1, out)
-    E = _frame_for(G) if frame is None else np.asarray(frame, dtype=float)
-    gram = E.T @ G @ E
-    if not np.allclose(gram, np.eye(n), rtol=0, atol=1e-10):
-        raise ValueError("frame columns are not g-orthonormal")
-    hat = _to_frame(a.coeffs, n, a.p, a.q, E)
-    hat_c = contract_coeffs(n, a.p, a.q, hat)
-    Einv = np.linalg.inv(E)
-    out = compound_matrix(Einv, a.p - 1).T @ hat_c @ compound_matrix(Einv, a.q - 1)
-    return double_form(n, a.p - 1, a.q - 1, out)
+    if E is None:
+        return double_form(n, a.p - 1, a.q - 1, contract_coeffs(n, a.p, a.q, a.coeffs))
+    hat_c = contract_coeffs(n, a.p, a.q, _to_frame(a.coeffs, n, a.p, a.q, E))
+    return double_form(n, a.p - 1, a.q - 1, _to_frame(hat_c, n, a.p - 1, a.q - 1, np.linalg.inv(E)))
 
 
 def inner(a: DoubleForm, b: DoubleForm) -> float:
@@ -474,7 +487,7 @@ def algebra_property_suite(cases: int = 200, seed: int = 0, dims=(3, 4, 5, 6), t
         # frame independence of contraction for a general metric
         G = symmetric_bilinear(_random_spd(n, rng), positive_definite=True)
         w22 = random_form(n, 2, 2, rng)
-        E0 = _frame_for(G.coeffs)
+        E0 = _metric_frame(G, n)
         E1 = E0 @ _random_orthogonal(n, rng)
         c_default = contract(G, w22)
         c_other = contract(G, w22, frame=E1)

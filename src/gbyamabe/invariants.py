@@ -18,6 +18,10 @@ depends on product normalization conventions, so it is never hardcoded: it is
 measured at runtime on random symmetric (2,2) tensors, checked for
 cross-sample constancy, and cached per (n, k, samples, seed).
 
+Both oracles take their metric argument under the one metric rule of
+forms (_metric_frame), the rule forms.contract applies too, and evaluate
+in a g-orthonormal frame.
+
 The order rule of the conformal problem, 2k < n (max_order,
 check_problem_order), lives here too, as does the batched trace kernel
 (gauss_bonnet_coeffs) that spaceform's grid evaluator shares with the dense
@@ -36,7 +40,8 @@ import numpy as np
 
 from .forms import (
     DoubleForm,
-    contract,
+    _metric_frame,
+    _to_frame,
     contract_coeffs,
     double_form,
     is_in_symmetry_class,
@@ -76,17 +81,15 @@ class CalibrationError(RuntimeError):
 class InvariantConstants:
     """Closed-form constants attached to the order-2k invariant in dimension n.
 
-    base_coefficient is (2k)!(n-3)!/(2^k (n-2k)!), ricci_coefficient is
-    (2k)!(n-1)!/(2^k (n-2k)!), and kronecker_constant is the runtime-measured
-    proportionality constant of the Kronecker-delta formula (None when not
-    calibrated).
+    base_coefficient is (2k)!(n-3)!/(2^k (n-2k)!) and ricci_coefficient is
+    (2k)!(n-1)!/(2^k (n-2k)!). The Kronecker-delta constant is measured, not
+    closed form: calibration_info and calibrate_kronecker_constant give it.
     """
 
     n: int
     k: int
     base_coefficient: float
     ricci_coefficient: float
-    kronecker_constant: float | None = None
 
 
 def _check_order(n: int, k: int):
@@ -115,15 +118,10 @@ def base_coefficient(n: int, k: int) -> float:
     return math.factorial(2 * k) * math.factorial(n - 3) / (2**k * math.factorial(n - 2 * k))
 
 
-def invariant_constants(n: int, k: int, calibrate: bool = False, samples: int = 6, seed: int = 0) -> InvariantConstants:
+def invariant_constants(n: int, k: int) -> InvariantConstants:
     _check_order(n, k)
     ricci = math.factorial(2 * k) * math.factorial(n - 1) / (2**k * math.factorial(n - 2 * k))
-    c_nk = None
-    if calibrate:
-        c_nk = calibrate_kronecker_constant(n, k, samples=samples, seed=seed)
-    return InvariantConstants(
-        n=n, k=k, base_coefficient=base_coefficient(n, k), ricci_coefficient=ricci, kronecker_constant=c_nk
-    )
+    return InvariantConstants(n=n, k=k, base_coefficient=base_coefficient(n, k), ricci_coefficient=ricci)
 
 
 def _validate_curvature(R: DoubleForm):
@@ -133,15 +131,12 @@ def _validate_curvature(R: DoubleForm):
         raise ValueError("curvature input is not block-swap symmetric")
 
 
-def _orthonormal_components(R: DoubleForm, g: DoubleForm) -> np.ndarray:
-    """Components of R in a g-orthonormal frame (identity g: no copy)."""
-    n = R.dim
-    if np.array_equal(g.coeffs, np.eye(n)):
-        return R.coeffs
-    from .forms import _frame_for, _to_frame  # shared frame plumbing
-
-    E = _frame_for(g.coeffs)
-    return _to_frame(R.coeffs, n, 2, 2, E)
+def _orthonormal_components(R: DoubleForm, g: DoubleForm) -> tuple[np.ndarray, np.ndarray | None]:
+    """Components of R in a g-orthonormal frame, and that frame
+    (forms._metric_frame: None for the standard metric, where the components
+    are R's own, not a copy)."""
+    E = _metric_frame(g, R.dim)
+    return (R.coeffs if E is None else _to_frame(R.coeffs, R.dim, 2, 2, E)), E
 
 
 def _power_contract(n: int, k: int, w: np.ndarray, contractions: int) -> np.ndarray:
@@ -225,7 +220,7 @@ def gauss_bonnet(R: DoubleForm, g: DoubleForm, k: int) -> float:
     """
     _check_order(R.dim, k)
     _validate_curvature(R)
-    return float(gauss_bonnet_coeffs(R.dim, k, _orthonormal_components(R, g)))
+    return float(gauss_bonnet_coeffs(R.dim, k, _orthonormal_components(R, g)[0]))
 
 
 def ricci_2k(R: DoubleForm, g: DoubleForm, k: int) -> DoubleForm:
@@ -234,13 +229,10 @@ def ricci_2k(R: DoubleForm, g: DoubleForm, k: int) -> DoubleForm:
     _check_order(R.dim, k)
     _validate_curvature(R)
     n = R.dim
-    identity = np.array_equal(g.coeffs, np.eye(n))
-    out = _power_contract(n, k, _orthonormal_components(R, g), 2 * k - 1)
-    if not identity:
-        from .forms import _frame_for
-
-        Einv = np.linalg.inv(_frame_for(g.coeffs))
-        out = Einv.T @ out @ Einv
+    w, E = _orthonormal_components(R, g)
+    out = _power_contract(n, k, w, 2 * k - 1)
+    if E is not None:
+        out = _to_frame(out, n, 1, 1, np.linalg.inv(E))
     return double_form(n, 1, 1, out)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .invariants import base_coefficient, check_problem_order, max_order
+from .invariants import base_coefficient, check_problem_order
 from .spaceform import (
     ConformalMetric,
     LatitudeField,
@@ -36,7 +36,6 @@ __all__ = [
     "fd_verify",
     "NondegeneracyViolated",
     "LinearFunctional",
-    "max_order",
     "GeneralizedConstants",
     "generalized_constants",
     "generalized_linearization",
@@ -175,6 +174,12 @@ class LinearFunctional:
     @property
     def orders(self) -> tuple[int, ...]:
         return tuple(range(1, len(self.coefficients) + 1))
+
+    @property
+    def weights(self) -> dict[int, float]:
+        """The nonzero coefficients by order, as the solver and
+        fixed_point_certificate take them."""
+        return {k: c for k, c in zip(self.orders, self.coefficients) if c != 0.0}
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ instead. That distinction is the point of sphere_kernel_demo.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,11 @@ _FD_STEP = 1e-6  # central-difference step of the Jacobian
 _LINE_SEARCH_TRIALS = 12  # step fractions tried per Newton step, each half the last
 
 
+def _check_positive(name: str, value: float):
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Discretization and stopping parameters for the Newton iteration.
@@ -82,8 +88,7 @@ class SolverConfig:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
         for name in ("tol_residual", "tol_volume", "damping"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            _check_positive(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -323,8 +328,7 @@ def generalized_solve(
     combined linearization coefficient cancels.
     """
     generalized_constants(sf.n, sf.curvature, functional)
-    weights = {k: c for k, c in zip(functional.orders, functional.coefficients) if c != 0.0}
-    return _solve_core(sf, psi, weights, config, w0, c0)
+    return _solve_core(sf, psi, functional.weights, config, w0, c0)
 
 
 def sphere_kernel_demo(
@@ -406,8 +410,10 @@ def fixed_point_certificate(
     revealing hidden sub-grid variation.
 
     variation is max - min of the re-evaluated invariant, sup_deviation its
-    largest distance from the achieved constant.
+    largest distance from the achieved constant. threshold must be finite
+    and positive.
     """
+    _check_positive("threshold", threshold)
     if weights is None:
         if k is None:
             raise ValueError("pass either an order k or explicit weights")

@@ -106,16 +106,22 @@ def space_form(
     lambda1: float | None = None,
     reference_volume: float | None = None,
 ) -> SpaceForm:
-    """Validated SpaceForm constructor."""
+    """Validated SpaceForm constructor. Every number must be finite; lambda1
+    and reference_volume are declared for the synthetic quotient only."""
     if n < 5:
         raise ValueError(f"dimension must be at least 5, got {n}")
     if quotient not in _QUOTIENTS:
         raise ValueError(f"unknown quotient {quotient!r}, expected one of {_QUOTIENTS}")
+    for name, value in (("curvature", curvature), ("lambda1", lambda1), ("reference_volume", reference_volume)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if curvature == 0:
         raise ValueError("curvature must be nonzero")
     if quotient in (REAL_PROJECTIVE, FULL_SPHERE):
         if curvature <= 0:
             raise ValueError(f"{quotient} requires positive curvature")
+        if lambda1 is not None or reference_volume is not None:
+            raise ValueError(f"{quotient} computes lambda1 and the reference volume; they cannot be declared")
         vol = _round_sphere_volume(n, curvature)
         if quotient == REAL_PROJECTIVE:
             vol /= 2.0

@@ -123,6 +123,37 @@ def test_spectrum_command(capsys):
     assert report["results"]["lambda1"] == 0.75
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--mu", "inf"], "curvature must be finite"),
+        (["spectrum", "--n", "5", "--mu", "nan"], "curvature must be finite"),
+        (["spectrum", "--n", "5", "--mu", "inf"], "curvature must be finite"),
+        (["spectrum", "--n", "5", "--quotient", "rp", "--lambda1", "5"], "cannot be declared"),
+        (["solve", "--tol-residual", "nan", "--max-iterations", "3"], "tol_residual must be finite and positive"),
+        (["solve", "--damping", "nan"], "damping must be finite and positive"),
+        (["solve", "--certificate-threshold", "nan"], "threshold must be finite and positive"),
+        (["solve", "--certificate-threshold", "-1"], "threshold must be finite and positive"),
+    ],
+    ids=[
+        "solve-mu-inf",
+        "spectrum-mu-nan",
+        "spectrum-mu-inf",
+        "spectrum-rp-lambda1",
+        "solve-tol-residual-nan",
+        "solve-damping-nan",
+        "solve-threshold-nan",
+        "solve-threshold-negative",
+    ],
+)
+def test_non_finite_or_undeclarable_parameters_exit_2(capsys, argv, message):
+    code, report = run_cli(capsys, argv)
+    assert code == 2
+    assert "results" not in report
+    assert report["error"]["type"] == "ValueError"
+    assert message in report["error"]["message"]
+
+
 def test_calibrate_command(capsys):
     code, report = run_cli(capsys, ["calibrate", "--n", "5", "--k", "1"])
     assert code == 0

@@ -9,6 +9,7 @@ from gbyamabe import (
     CalibrationError,
     calibrate_kronecker_constant,
     calibration_info,
+    contract,
     gauss_bonnet,
     gauss_bonnet_kronecker,
     hypersurface_sigma_check,
@@ -182,6 +183,31 @@ def test_invariants_with_general_metric_are_invariant_under_pullback():
         assert gauss_bonnet(R_pulled, g_pulled, k) == pytest.approx(base, rel=1e-9)
 
 
+_ORACLES = {
+    "gauss_bonnet": lambda R, g: gauss_bonnet(R, g, 2),
+    "ricci_2k": lambda R, g: ricci_2k(R, g, 2),
+    "contract": lambda R, g: contract(g, R),
+}
+
+
+@pytest.mark.parametrize("oracle", sorted(_ORACLES))
+@pytest.mark.parametrize(
+    "metric, message",
+    [
+        (standard_metric(4), "dimension mismatch: 4 vs 5"),
+        (space_form_curvature(5, 1.0), r"metric must have bidegree \(1,1\)"),
+        (double_form(5, 1, 1, np.triu(np.ones((5, 5))) + 4 * np.eye(5)), "metric is not symmetric"),
+        (symmetric_bilinear(np.diag([1.0, 2.0, 3.0, 4.0, -1.0])), "metric is not positive definite"),
+    ],
+    ids=["wrong_dimension", "bidegree_2_2", "not_symmetric", "not_positive_definite"],
+)
+def test_every_metric_argument_obeys_one_rule(oracle, metric, message):
+    # the oracles refuse the same metrics as contract, with the same message;
+    # a non-symmetric metric was read from its lower triangle alone
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _ORACLES[oracle](space_form_curvature(5, 1.0), metric)
+
+
 def test_raw_kronecker_sum_matches_brute_force():
     rng = np.random.default_rng(25)
     # the brute force takes about 2 s per tensor at (6, 3)
@@ -279,5 +305,3 @@ def test_invariant_constants_values():
     assert c51.base_coefficient == pytest.approx(1.0 / 3.0, rel=1e-15)
     c73 = invariant_constants(7, 3)
     assert c73.base_coefficient == pytest.approx(2160.0, rel=0)
-    with_cal = invariant_constants(5, 1, calibrate=True)
-    assert with_cal.kronecker_constant == pytest.approx(0.25, rel=1e-12)

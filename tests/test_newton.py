@@ -137,6 +137,9 @@ def test_config_validation():
         SolverConfig(tol_residual=0.0)
     with pytest.raises(ValueError):
         SolverConfig(damping=-0.5)
+    for name in ("tol_residual", "tol_volume", "damping"):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            SolverConfig(**{name: float("nan")})
 
 
 def test_solver_input_guards():
@@ -221,6 +224,15 @@ def test_fixed_point_certificate_needs_orders():
     report = newton_solve(sf, psi, 2)
     with pytest.raises(ValueError):
         fixed_point_certificate(sf, psi, report)
+
+
+def test_fixed_point_certificate_needs_a_finite_positive_threshold():
+    sf = rp5()
+    psi = default_psi()
+    report = newton_solve(sf, psi, 2)
+    for threshold in (float("nan"), 0.0, -1.0):
+        with pytest.raises(ValueError, match="threshold must be finite and positive"):
+            fixed_point_certificate(sf, psi, report, k=2, threshold=threshold)
 
 
 def synthetic_report(residuals):
