@@ -202,8 +202,7 @@ _ORACLES = {
     ids=["wrong_dimension", "bidegree_2_2", "not_symmetric", "not_positive_definite"],
 )
 def test_every_metric_argument_obeys_one_rule(oracle, metric, message):
-    # the oracles refuse the same metrics as contract, with the same message;
-    # a non-symmetric metric was read from its lower triangle alone
+    # the oracles refuse the same metrics as contract, with the same message
     with pytest.raises(ValueError, match=f"^{message}$"):
         _ORACLES[oracle](space_form_curvature(5, 1.0), metric)
 

@@ -204,7 +204,7 @@ def test_space_form_factory_validation():
         space_form(6, -1.0, SYNTHETIC_HYPERBOLIC, lambda1=float("nan"))
     with pytest.raises(ValueError, match="reference_volume must be finite"):
         space_form(6, -1.0, SYNTHETIC_HYPERBOLIC, lambda1=0.5, reference_volume=float("inf"))
-    # the spherical quotients compute both; a declared value was dropped
+    # the spherical quotients compute both, so neither may be declared
     with pytest.raises(ValueError, match="cannot be declared"):
         space_form(5, 1.0, REAL_PROJECTIVE, reference_volume=7.0)
     with pytest.raises(ValueError, match="cannot be declared"):
