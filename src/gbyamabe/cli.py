@@ -36,6 +36,7 @@ from .invariants import (
 from .linearization import LinearFunctional, constants as linearization_constants, fd_verify
 from .newton import (
     SolverConfig,
+    _check_positive,
     continuation_sweep,
     fixed_point_certificate,
     generalized_solve,
@@ -128,6 +129,13 @@ def _solver_config(args) -> SolverConfig:
         damping=args.damping,
         nnodes=args.nnodes,
     )
+
+
+def _certified_solver_config(args) -> SolverConfig:
+    """The solver settings of solve and solve-g. Their certificate threshold
+    is checked here, before any solve, also under --no-certify."""
+    _check_positive("threshold", args.certificate_threshold)
+    return _solver_config(args)
 
 
 def _profile_field(args, basis):
@@ -282,7 +290,7 @@ def _finish_solve(args, sf, psi, report, weights):
 
 def _cmd_solve(args, calibration):
     sf = space_form(args.n, args.mu, _QUOTIENTS[args.quotient])
-    cfg = _solver_config(args)
+    cfg = _certified_solver_config(args)
     basis = zonal_basis(args.n, cfg.mode_cutoff, cfg.nnodes)
     psi = _profile_field(args, basis)
     report = newton_solve(sf, psi, args.k, cfg)
@@ -292,7 +300,7 @@ def _cmd_solve(args, calibration):
 def _cmd_solve_g(args, calibration):
     functional = LinearFunctional(tuple(_parse_floats(args.g_coeffs)))
     sf = space_form(args.n, args.mu, _QUOTIENTS[args.quotient])
-    cfg = _solver_config(args)
+    cfg = _certified_solver_config(args)
     basis = zonal_basis(args.n, cfg.mode_cutoff, cfg.nnodes)
     psi = _profile_field(args, basis)
     report = generalized_solve(sf, psi, functional, cfg)

@@ -27,14 +27,22 @@ The *_coeffs functions at the bottom operate on raw coefficient arrays with
 arbitrary leading batch dimensions; the geometry modules use them to evaluate
 whole grids of curvature tensors in single numpy calls. product_coeffs sums
 each combination's runs of signed splits (indexing.split_tables) in one
-einsum, with no sign matrix and no matmul. contract_coeffs reads every
+einsum, with no sign matrix and no matmul. square_coeffs is the product
+of a form of even total degree with itself: swapping both splits of a term
+leaves it unchanged, so it sums the first half of every run of row splits
+and doubles the result, through the same kernel body (_expand_and_sum)
+with half the row gathers; the package builds every w w through it, while
+product_coeffs stays the general product. contract_coeffs reads every
 signed term of the contraction in one gather through a table cached per
 bidegree (_contract_plan, from indexing.insertion_tables) and sums over
-the n directions in one reduction. Both write their gathers into buffers
-kept per thread (_work_array), so that repeated calls fault in no fresh
-memory pages; spaceform sizes its grid chunks so that every product
-gather fits one. is_in_symmetry_class and symmetric_bilinear share one
-symmetry rule (_is_symmetric).
+the n directions in one reduction. The cached plans hold their index
+tables C-contiguous and writeable, so np.take reads them without a copy.
+The kernels write their gathers into buffers kept per thread (_work_array),
+so that repeated calls fault in no fresh memory pages; spaceform sizes
+its grid chunks so that every product gather fits one (a square's gathers
+are half that size, and the chunk rule does not count on it).
+is_in_symmetry_class and symmetric_bilinear share one symmetry rule
+(_is_symmetric).
 """
 
 from __future__ import annotations
@@ -299,28 +307,31 @@ def _product_plan(n, p, q, r, s):
     c1, c2 = math.comb(p + r, p), math.comb(q + s, q)
     m1, m2 = A1.size // c1, A2.size // c2
     signed_rows = A1 + num_indices(n, p) * (s1 < 0)
-    by_split = tuple(np.ascontiguousarray(table.reshape(m2, c2).T) for table in (A2, B2, s2))
-    for arr in (signed_rows,) + by_split:
-        arr.flags.writeable = False
-    return (signed_rows, B1) + by_split + ((m1, c1, c2, m2),)
+    cols_1, cols_2, col_signs = (table.reshape(m2, c2).T.copy() for table in (A2, B2, s2))
+    col_signs.flags.writeable = False
+    # the index tables are C-contiguous copies, left writeable: np.take
+    # copies any other index array on every call
+    return signed_rows, B1.copy(), cols_1, cols_2, col_signs, (m1, c1, c2, m2)
 
 
-def product_coeffs(n, p, q, w1, r, s, w2) -> np.ndarray:
-    """Coefficients of the product of a (p,q) and an (r,s) form.
+@lru_cache(maxsize=None)
+def _square_plan(n, p, q):
+    """Index tables of square_coeffs: those of _product_plan(n, p, q, p, q)
+    with each run of row splits cut to its first half, and the column signs
+    doubled (exact)."""
+    rows_1, rows_2, cols_1, cols_2, col_signs, (m1, c1, c2, m2) = _product_plan(n, p, q, p, q)
+    half = c1 // 2
+    rows_1, rows_2 = (rows.reshape(m1, c1)[:, :half].ravel() for rows in (rows_1, rows_2))
+    col_signs = 2.0 * col_signs
+    col_signs.flags.writeable = False
+    return rows_1, rows_2, cols_1, cols_2, col_signs, (m1, half, c2, m2)
 
-    w1, w2: arrays shaped (..., C(n,p), C(n,q)) and (..., C(n,r), C(n,s));
-    batch dimensions broadcast. Returns (..., C(n,p+r), C(n,q+s)).
 
-    Entry (M, N) sums w1[A1, A2] w2[B1, B2], times the signs of both
-    splits, over the row splits (A1, B1) of M and the column splits
-    (A2, B2) of N (split_tables). The signs go into small gathers: the row
-    signs pick rows of w1 or of -w1, and the column signs multiply the
-    gather of w2's columns. Both operands are then expanded to every pair
-    of splits in _work_array buffers, with the column splits ordered split
-    by split, so that one einsum multiplies them and sums each run of
-    C(p+r,p) rows and of C(q+s,q) columns.
-    """
-    rows_1, rows_2, cols_1, cols_2, col_signs, runs = _product_plan(n, p, q, r, s)
+def _expand_and_sum(plan, w1, w2) -> np.ndarray:
+    """The product kernel on the tables of a plan: both operands expanded
+    to every listed pair of a row split and a column split in _work_array
+    buffers, and each run summed in one einsum."""
+    rows_1, rows_2, cols_1, cols_2, col_signs, runs = plan
     splits = runs[2:]
     w1 = np.asarray(w1, dtype=float)
     w2 = np.asarray(w2, dtype=float)
@@ -339,9 +350,48 @@ def product_coeffs(n, p, q, w1, r, s, w2) -> np.ndarray:
     return np.einsum("...ijt,...ijt->...t", g1.reshape(batch1 + runs), g2.reshape(batch2 + runs))
 
 
+def product_coeffs(n, p, q, w1, r, s, w2) -> np.ndarray:
+    """Coefficients of the product of a (p,q) and an (r,s) form.
+
+    w1, w2: arrays shaped (..., C(n,p), C(n,q)) and (..., C(n,r), C(n,s));
+    batch dimensions broadcast. Returns (..., C(n,p+r), C(n,q+s)).
+
+    Entry (M, N) sums w1[A1, A2] w2[B1, B2], times the signs of both
+    splits, over the row splits (A1, B1) of M and the column splits
+    (A2, B2) of N (split_tables). The signs go into small gathers: the row
+    signs pick rows of w1 or of -w1, and the column signs multiply the
+    gather of w2's columns. Both operands are then expanded to every pair
+    of splits in _work_array buffers, with the column splits ordered split
+    by split, so that one einsum multiplies them and sums each run of
+    C(p+r,p) rows and of C(q+s,q) columns (_expand_and_sum).
+    """
+    return _expand_and_sum(_product_plan(n, p, q, r, s), w1, w2)
+
+
+def square_coeffs(n, p, q, w) -> np.ndarray:
+    """Coefficients of the square w w of a (p,q) form with p >= 1 and
+    p + q even: product_coeffs(n, p, q, w, p, q, w) from half the terms.
+
+    w: array shaped (..., C(n,p), C(n,q)); returns (..., C(n,2p), C(n,2q)).
+    Swapping both splits of a term of entry (M, N), (A, B) to (B, A) in
+    the rows and (A', B') to (B', A') in the columns, maps the terms one
+    to one and changes each sign by (-1)^(p+q) = +1 (double forms of even
+    total degree commute), whether or not w is symmetric. In
+    split_tables(n, p, p) split j of a run has the complement
+    C(2p,p) - 1 - j, so the entry is twice the sum over the first half of
+    each row run (_square_plan). The row gathers hold half the entries of
+    the product's; the result agrees with the product's up to rounding,
+    not bit for bit.
+    """
+    if p < 1 or (p + q) % 2:
+        raise ValueError(f"square_coeffs needs p >= 1 and p + q even, got bidegree {(p, q)}")
+    return _expand_and_sum(_square_plan(n, p, q), w, w)
+
+
 def product_gather_entries(n, p, q, r, s) -> int:
     """Entries product_coeffs gathers per product: one per pair of a row
-    split and a column split."""
+    split and a column split. For a square (square_coeffs) it is an upper
+    bound: that kernel gathers half as many."""
     return split_tables(n, p, r)[0].size * split_tables(n, q, s)[0].size
 
 

@@ -8,7 +8,11 @@ Two independent evaluation routes are kept deliberately separate:
   without forming it (polynomial cost, the production path; R^a is R^b or
   R^b R, so at most ceil(k/2) - 1 products are built). ricci_2k keeps the
   full chain of products and contractions, so tr ricci_2k = (2k)!
-  gauss_bonnet compares two code paths; and
+  gauss_bonnet compares two code paths. Both build R R with the square
+  kernel (forms.square_coeffs, half the terms of the product); gauss_bonnet
+  multiplies nothing at k = 2. Grid chunks keep the size that
+  gauss_bonnet_gather_entries gives, an upper bound where the largest
+  gather is that square; and
 - the generalized-Kronecker-delta route: enumeration of index tuples with
   antisymmetrized signs, summing each orbit of 4^k k! equal terms once
   (factorial cost, the oracle path, guarded to n <= 7).
@@ -47,6 +51,7 @@ from .forms import (
     is_in_symmetry_class,
     product_coeffs,
     product_gather_entries,
+    square_coeffs,
     standard_metric,
 )
 from .indexing import index_tuples, num_indices, split_tables
@@ -139,13 +144,21 @@ def _orthonormal_components(R: DoubleForm, g: DoubleForm) -> tuple[np.ndarray, n
     return (R.coeffs if E is None else _to_frame(R.coeffs, R.dim, 2, 2, E)), E
 
 
+def _times_w(n: int, deg: int, P: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """P w for the (deg,deg) power P of the (2,2) stack w: at deg = 2, where
+    P is w, the square kernel, which sums half the terms of the product."""
+    if deg == 2:
+        return square_coeffs(n, 2, 2, w)
+    return product_coeffs(n, deg, deg, P, 2, 2, w)
+
+
 def _power_contract(n: int, k: int, w: np.ndarray, contractions: int) -> np.ndarray:
     """w^k under the double-form product, then `contractions` standard-metric
     contractions. w may carry leading batch dimensions."""
     out = w
     deg = 2
     for _ in range(k - 1):
-        out = product_coeffs(n, deg, deg, out, 2, 2, w)
+        out = _times_w(n, deg, out, w)
         deg += 2
     for _ in range(contractions):
         out = contract_coeffs(n, deg, deg, out)
@@ -185,7 +198,8 @@ def gauss_bonnet_coeffs(n: int, k: int, w: np.ndarray) -> np.ndarray:
     invariant is tr(w^k): the plain trace at k = 1, else the diagonal
     blocks of the product P Q with Q = w^b and P = w^a, a = ceil(k/2) and
     b = floor(k/2) (_trace_blocks), which is never formed in full. P is Q
-    itself or Q w, so the largest power built is w^a.
+    itself or Q w, so the largest power built is w^a. Every w w (P at
+    k = 3, Q at k = 4) comes from the square kernel.
     """
     if k == 1:
         return np.trace(w, axis1=-2, axis2=-1)
@@ -193,7 +207,7 @@ def gauss_bonnet_coeffs(n: int, k: int, w: np.ndarray) -> np.ndarray:
     flat_p, flat_q, signs = _trace_blocks(n, a, b)
     batch = w.shape[:-2]
     Q = _power_contract(n, b, w, 0)
-    P = Q if a == b else product_coeffs(n, 2 * b, 2 * b, Q, 2, 2, w)
+    P = Q if a == b else _times_w(n, 2 * b, Q, w)
     terms = np.take(P.reshape(batch + (-1,)), flat_p, axis=-1) * np.take(Q.reshape(batch + (-1,)), flat_q, axis=-1)
     # one dot product per matrix, so a matrix's value never depends on its batch
     return (terms[..., None, :] @ signs[:, None])[..., 0, 0]
@@ -203,7 +217,8 @@ def gauss_bonnet_gather_entries(n: int, k: int) -> int:
     """Entries of the largest array gauss_bonnet_coeffs gathers per matrix:
     one of the ceil(k/2) - 1 products that build w^2, ..., w^ceil(k/2), or
     the C(n, 2k) C(2k, 2 ceil(k/2))^2 diagonal-block terms of the last
-    product (0 at k = 1, which gathers nothing)."""
+    product (0 at k = 1, which gathers nothing). An upper bound where the
+    largest is w^2: the square kernel gathers half of product_gather_entries."""
     if k == 1:
         return 0
     a, b = (k + 1) // 2, k // 2
@@ -397,7 +412,7 @@ def calibrate_kronecker_constant(n: int, k: int, samples: int = 6, seed: int = 0
 def space_form_curvature(n: int, mu: float) -> DoubleForm:
     """Curvature operator of constant sectional curvature mu: (mu/2) g^2."""
     g = standard_metric(n)
-    sq = product_coeffs(n, 1, 1, g.coeffs, 1, 1, g.coeffs)
+    sq = square_coeffs(n, 1, 1, g.coeffs)
     return double_form(n, 2, 2, (mu / 2.0) * sq)
 
 

@@ -68,10 +68,12 @@ def test_verify_algebra_rejects_input_that_checks_nothing_or_cannot_run(capsys, 
 def test_invariants_rejects_dimensions_above_the_dense_limit(capsys, monkeypatch, n):
     # refused before any product: one gathers 366 MB per operand at n = 11
     def refuse(*args):
-        raise AssertionError("product_coeffs was called")
+        raise AssertionError("a product kernel was called")
 
     for module in (forms, invariants, spaceform):
-        monkeypatch.setattr(module, "product_coeffs", refuse)
+        for name in ("product_coeffs", "square_coeffs"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
     code, report = run_cli(capsys, ["invariants", "--n", str(n), "--k", "1"])
     assert code == 2
     assert "results" not in report
@@ -152,6 +154,29 @@ def test_non_finite_or_undeclarable_parameters_exit_2(capsys, argv, message):
     assert "results" not in report
     assert report["error"]["type"] == "ValueError"
     assert message in report["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--certificate-threshold", "nan", "--max-iterations", "1"],
+        ["solve", "--no-certify", "--certificate-threshold", "nan"],
+        ["solve-g", "--g-coeffs", "1,0.1", "--no-certify", "--certificate-threshold", "-1"],
+    ],
+    ids=["solve-unconverged", "solve-no-certify", "solve-g-no-certify"],
+)
+def test_certificate_threshold_is_checked_before_the_solve(capsys, monkeypatch, argv):
+    import gbyamabe.cli as cli
+
+    def refuse(*args):
+        raise AssertionError("the solve ran")
+
+    monkeypatch.setattr(cli, "newton_solve", refuse)
+    monkeypatch.setattr(cli, "generalized_solve", refuse)
+    code, report = run_cli(capsys, argv)
+    assert code == 2
+    assert "results" not in report
+    assert "threshold must be finite and positive" in report["error"]["message"]
 
 
 def test_calibrate_command(capsys):

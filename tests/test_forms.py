@@ -30,7 +30,7 @@ from gbyamabe import (
     symmetric_bilinear,
 )
 from gbyamabe import forms, spaceform
-from gbyamabe.forms import contract_coeffs, product_coeffs
+from gbyamabe.forms import contract_coeffs, product_coeffs, square_coeffs
 from gbyamabe.indexing import index_tuples, insertion_tables, rank_map, split_tables
 
 from reference_forms import (
@@ -387,6 +387,83 @@ def test_product_coeffs_on_broadcast_batches(n, degrees, shapes):
     b1, b2 = np.broadcast_to(w1, out.shape[:-2] + w1.shape[-2:]), np.broadcast_to(w2, out.shape[:-2] + w2.shape[-2:])
     for idx in np.ndindex(out.shape[:-2]):
         assert np.array_equal(out[idx], product_coeffs(n, p, q, b1[idx], r, s, b2[idx]))
+
+
+# (1,1) and (2,2) squares for every n up to 9, on non-symmetric stacks with
+# no batch, one and two batch axes; (2,2) at n = 10 on a batch of one
+_SQUARE_CASES = [
+    (n, p, batch)
+    for n in range(3, 10)
+    for p in (1, 2)
+    if 2 * p <= n
+    for batch in [(), (3,), (2, 2)]
+] + [(10, 2, (1,))]
+
+
+@pytest.mark.parametrize("n, p, batch", _SQUARE_CASES)
+def test_square_coeffs_against_dense_signs(n, p, batch):
+    rng = np.random.default_rng([n, p, len(batch)])
+    w = rng.standard_normal(batch + (math.comb(n, p),) * 2)
+    expected = _split_product(n, p, p, w, p, p, w)
+    out = square_coeffs(n, p, p, w)
+    assert out.shape == expected.shape
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
+    # each matrix's square is computed as if it were alone
+    for idx in np.ndindex(batch):
+        assert np.array_equal(out[idx], square_coeffs(n, p, p, w[idx]))
+
+
+def test_square_coeffs_on_mixed_bidegrees_and_broadcast_views():
+    # p != q with p + q even, and a stride-0 batch view of one matrix
+    rng = np.random.default_rng(9)
+    for n, p, q in [(6, 1, 3), (6, 3, 1), (7, 3, 1), (8, 1, 3)]:
+        w = rng.standard_normal((2, math.comb(n, p), math.comb(n, q)))
+        expected = _split_product(n, p, q, w, p, q, w)
+        np.testing.assert_allclose(square_coeffs(n, p, q, w), expected, rtol=0, atol=1e-13 * np.abs(expected).max())
+    w = rng.standard_normal((21, 21))
+    view = np.broadcast_to(w, (3, 21, 21))
+    out = square_coeffs(7, 2, 2, view)
+    assert all(np.array_equal(out[i], square_coeffs(7, 2, 2, w)) for i in range(3))
+
+
+@pytest.mark.parametrize("p, q", [(0, 2), (1, 2), (2, 1)])
+def test_square_coeffs_needs_even_total_degree_and_a_row_split(p, q):
+    w = np.ones((math.comb(5, p), math.comb(5, q)))
+    with pytest.raises(ValueError, match="p >= 1 and p \\+ q even"):
+        square_coeffs(5, p, q, w)
+
+
+def test_square_coeffs_gathers_half_the_rows_of_the_product(monkeypatch):
+    # both kernels expand w's columns alike; the square's two row gathers
+    # keep the first half of every run of row splits
+    real_take = np.take
+
+    def kernel_takes(kernel):
+        sizes = []
+
+        def recording(a, indices, *args, **kwargs):
+            out = real_take(a, indices, *args, **kwargs)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(np, "take", recording)
+        kernel()
+        monkeypatch.setattr(np, "take", real_take)
+        return sizes
+
+    w = np.random.default_rng(4).standard_normal((5, 21, 21))
+    full = kernel_takes(lambda: product_coeffs(7, 2, 2, w, 2, 2, w))
+    half = kernel_takes(lambda: square_coeffs(7, 2, 2, w))
+    assert full[2:] == [5 * forms.product_gather_entries(7, 2, 2, 2, 2)] * 2
+    assert half == full[:2] + [size // 2 for size in full[2:]]
+
+
+def test_product_and_square_plans_hand_take_writeable_contiguous_tables():
+    # np.take copies a read-only or non-contiguous index array on every call
+    for plan in (forms._product_plan(7, 2, 2, 2, 2), forms._square_plan(7, 2, 2)):
+        for table in plan[:4]:
+            assert table.flags.writeable and table.flags.c_contiguous
+    assert not np.shares_memory(forms._product_plan(7, 2, 2, 2, 2)[1], split_tables(7, 2, 2)[1])
 
 
 def test_product_coeffs_accepts_integer_coefficients():

@@ -22,7 +22,7 @@ from gbyamabe import (
     standard_metric,
     symmetric_bilinear,
 )
-from gbyamabe import spaceform
+from gbyamabe import invariants, spaceform
 from gbyamabe.forms import double_form
 from gbyamabe.indexing import split_tables
 from gbyamabe.invariants import _power_contract, gauss_bonnet_coeffs, gauss_bonnet_gather_entries
@@ -129,6 +129,30 @@ def test_balanced_trace_gathers_less_at_k_4():
     # the (4,4).(2,2) product, 1,587,600 entries
     assert gauss_bonnet_gather_entries(9, 4) == 571536
     assert spaceform._chunk_nodes(9, 4, "warped") == 3
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_trace_route_builds_w_w_with_the_square_kernel_only(monkeypatch, n):
+    # k = 2 multiplies nothing; k = 3 (P = w w) and k = 4 (Q = w w) build
+    # one square and no product
+    calls = []
+
+    def recording(name):
+        real = getattr(invariants, name)
+
+        def call(n, p, q, *rest):
+            calls.append((name, p, q))
+            return real(n, p, q, *rest)
+
+        return call
+
+    for name in ("product_coeffs", "square_coeffs"):
+        monkeypatch.setattr(invariants, name, recording(name))
+    w = _random_stack(n, (2,), np.random.default_rng(n))
+    for k in range(2, n // 2 + 1):
+        calls.clear()
+        gauss_bonnet_coeffs(n, k, w)
+        assert calls == ([] if k == 2 else [("square_coeffs", 2, 2)])
 
 
 def test_trace_route_matches_two_block_closed_form():

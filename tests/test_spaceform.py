@@ -343,20 +343,27 @@ def test_gb_values_chunking_does_not_change_results(monkeypatch):
 
 
 def test_gb_values_gathers_stay_within_budget(monkeypatch):
-    # n = 9, k = 3 builds w^2 with one product that gathers 756^2 entries per
-    # node, so 20 nodes in one chunk would hold 1.1e7 entries; the last step
-    # reads only the diagonal blocks of w^2 w (84 * 15^2 entries per node)
+    # n = 9, k = 3 builds w^2 with one square that gathers 378 * 756 entries
+    # per node (half the product's 756^2), so 20 nodes in one chunk would
+    # hold 5.7e6 entries; the last step reads only the diagonal blocks of
+    # w^2 w (84 * 15^2 entries per node)
     import gbyamabe.invariants as invariants
 
-    real = invariants.product_coeffs
+    real_product, real_square = invariants.product_coeffs, invariants.square_coeffs
     gathered = []
 
-    def recording(n, p, q, w1, r, s, w2):
+    def recording_product(n, p, q, w1, r, s, w2):
         batch = math.prod(np.broadcast_shapes(w1.shape[:-2], w2.shape[:-2]))
         gathered.append(batch * split_tables(n, p, r)[0].size * split_tables(n, q, s)[0].size)
-        return real(n, p, q, w1, r, s, w2)
+        return real_product(n, p, q, w1, r, s, w2)
 
-    monkeypatch.setattr(invariants, "product_coeffs", recording)
+    def recording_square(n, p, q, w):
+        batch = math.prod(w.shape[:-2])
+        gathered.append(batch * split_tables(n, p, p)[0].size // 2 * split_tables(n, q, q)[0].size)
+        return real_square(n, p, q, w)
+
+    monkeypatch.setattr(invariants, "product_coeffs", recording_product)
+    monkeypatch.setattr(invariants, "square_coeffs", recording_square)
     n, k = 9, 3
     basis = zonal_basis(n, 2)
     cm = conformal_metric(space_form(n, 1.0, FULL_SPHERE), mode_field(basis, 2, 0.05))
