@@ -4,10 +4,13 @@ The background is a round sphere (or real projective space, or a synthetic
 negative-curvature surrogate) of sectional curvature mu. Conformal factors
 e^{2 phi} with phi depending only on the latitude angle theta are represented
 spectrally in the Gegenbauer zonal basis C_l^{(n-1)/2}(cos theta), collocated
-at Gauss nodes in cos theta. The nodes exclude the poles and, crucially, are
-symmetrized so that reflection theta -> pi - theta is an exact involution of
-the grid; the even-mode sector (functions that descend to projective space)
-is then exact at machine precision.
+at Gauss-Gegenbauer nodes in cos theta. _gauss_gegenbauer computes the rule
+with numpy alone: nodes are the eigenvalues of the Jacobi matrix
+(Golub-Welsch) refined by one Newton step, weights come from the derivative
+formula. The nodes exclude the poles and, crucially, are symmetrized so that
+reflection theta -> pi - theta is an exact involution of the grid; the
+even-mode sector (functions that descend to projective space) is then exact
+at machine precision.
 
 Two independent pointwise curvature pipelines are provided and kept separate
 on purpose, because their agreement is one of the package's main checks:
@@ -34,11 +37,11 @@ maps fresh memory.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import eval_gegenbauer, roots_gegenbauer
 
 from .forms import _WORK_RETAIN, DoubleForm, double_form, product_coeffs, product_gather_entries
 from .indexing import num_indices
@@ -167,46 +170,87 @@ class ZonalBasis:
     norms: np.ndarray
 
 
+def _check_count(name: str, value, least: int) -> int:
+    """value as an int, refusing bools, non-integers and values below least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return int(value)
+
+
 def zonal_basis(n: int, max_mode: int, nnodes: int | None = None) -> ZonalBasis:
     """Build (and cache) the basis for dimension n with modes 0..max_mode on
     nnodes Gauss nodes (default 2 max_mode + 16).
 
-    The default is resolved before the cache, so every spelling of one grid
-    returns the same object and the solver, which compares bases by
-    identity, never resamples a profile onto a copy of its own basis.
+    Arguments are validated and the default is resolved before the cache, so
+    every spelling of one grid returns the same object and the solver, which
+    compares bases by identity, never resamples a profile onto a copy of its
+    own basis.
     """
+    n = _check_count("dimension n", n, 2)
+    max_mode = _check_count("max_mode", max_mode, 1)
     if nnodes is None:
         nnodes = 2 * max_mode + 16
+    # max_mode + 1 nodes at least, for a faithful projection
+    nnodes = _check_count("nnodes", nnodes, max_mode + 1)
     return _zonal_basis(n, max_mode, nnodes)
+
+
+def _gegenbauer_table(degree: int, alpha: float, x: np.ndarray) -> np.ndarray:
+    """C_l^alpha(x) for l = 0..degree by the three-term recurrence, shaped
+    (x.size, degree + 1); degree -1 gives no columns."""
+    C = np.empty((x.size, degree + 1))
+    C[:, :1] = 1.0
+    C[:, 1:2] = 2.0 * alpha * x[:, None]
+    for ell in range(1, degree):
+        C[:, ell + 1] = (2.0 * (ell + alpha) * x * C[:, ell] - (ell + 2.0 * alpha - 1.0) * C[:, ell - 1]) / (ell + 1.0)
+    return C
+
+
+def _gauss_gegenbauer(nnodes: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule for the weight (1 - x^2)^(alpha - 1/2) on [-1, 1].
+
+    Nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix
+    (Golub-Welsch), refined by one Newton step on C_N. Weights are
+    1 / (C_{N-1} C'_N), with both factors log-normalized so that their
+    product neither overflows nor underflows at large N and alpha, scaled to
+    the total mass sqrt(pi) Gamma(alpha + 1/2) / Gamma(alpha + 1). These are
+    the steps of scipy.special.roots_gegenbauer, less its reflection
+    symmetrization, which the caller applies.
+    """
+    k = np.arange(1.0, nnodes)
+    offdiag = np.sqrt(k * (k + 2.0 * alpha - 1.0) / (4.0 * (k + alpha) * (k + alpha - 1.0)))
+    x = np.linalg.eigvalsh(np.diag(offdiag, 1) + np.diag(offdiag, -1))
+    C = _gegenbauer_table(nnodes, alpha, x)
+    dC = (-nnodes * x * C[:, -1] + (nnodes + 2.0 * alpha - 1.0) * C[:, -2]) / (1.0 - x * x)
+    x = x - C[:, -1] / dC
+    fm = _gegenbauer_table(nnodes - 1, alpha, x)[:, -1]
+    for f in (fm, dC):
+        logs = np.log(np.abs(f))
+        f /= np.exp(0.5 * (logs.max() + logs.min()))
+    w = 1.0 / (fm * dC)
+    mass = math.sqrt(math.pi) * math.gamma(alpha + 0.5) / math.gamma(alpha + 1.0)
+    return x, w * (mass / w.sum())
 
 
 @lru_cache(maxsize=32)
 def _zonal_basis(n: int, max_mode: int, nnodes: int) -> ZonalBasis:
-    if max_mode < 1:
-        raise ValueError("max_mode must be at least 1")
-    if nnodes < max_mode + 1:
-        raise ValueError("need at least max_mode + 1 nodes for a faithful projection")
     alpha = (n - 1) / 2.0
-    x, w = roots_gegenbauer(nnodes, alpha)
-    # force exact reflection symmetry of the grid (scipy returns it only to
-    # roundoff, which would leak odd modes into the even sector)
+    x, w = _gauss_gegenbauer(nnodes, alpha)
+    # force exact reflection symmetry of the grid (the eigenvalues and the
+    # Newton step of _gauss_gegenbauer give it only to roundoff, which would
+    # leak odd modes into the even sector)
     x = 0.5 * (x - x[::-1])
     w = 0.5 * (w + w[::-1])
     sin_t = np.sqrt(1.0 - x * x)
     theta = np.arccos(x)
 
-    V = np.empty((nnodes, max_mode + 1))
-    V[:, 0] = 1.0
-    if max_mode >= 1:
-        V[:, 1] = 2.0 * alpha * x
-    for ell in range(1, max_mode):
-        V[:, ell + 1] = (2.0 * (ell + alpha) * x * V[:, ell] - (ell + 2.0 * alpha - 1.0) * V[:, ell - 1]) / (ell + 1.0)
+    V = _gegenbauer_table(max_mode, alpha, x)
     Vx = np.zeros_like(V)
     Vxx = np.zeros_like(V)
-    for ell in range(1, max_mode + 1):
-        Vx[:, ell] = 2.0 * alpha * eval_gegenbauer(ell - 1, alpha + 1.0, x)
-    for ell in range(2, max_mode + 1):
-        Vxx[:, ell] = 4.0 * alpha * (alpha + 1.0) * eval_gegenbauer(ell - 2, alpha + 2.0, x)
+    Vx[:, 1:] = 2.0 * alpha * _gegenbauer_table(max_mode - 1, alpha + 1.0, x)
+    Vxx[:, 2:] = 4.0 * alpha * (alpha + 1.0) * _gegenbauer_table(max_mode - 2, alpha + 2.0, x)
 
     norms = np.sqrt(np.einsum("j,jl->l", w, V * V))
     V = V / norms

@@ -52,11 +52,28 @@ def random_phi(basis, rng, sup=0.15, parity="any"):
 # ---------------------------------------------------------------------------
 
 
+# Gauss-Gegenbauer grids the quadrature checks cover, each as the default
+# grid of its max_mode: nnodes = 2 max_mode + 16.
+QUADRATURE_GRIDS = [(n, nnodes) for n in (5, 7, 9, 13, 21, 41) for nnodes in (20, 48, 96)]
+
+
+def _grid_bases():
+    for n, nnodes in QUADRATURE_GRIDS:
+        basis = zonal_basis(n, (nnodes - 16) // 2)
+        assert basis.x.size == nnodes
+        yield basis
+
+
+def _gegenbauer_mass(alpha):
+    return math.sqrt(math.pi) * math.gamma(alpha + 0.5) / math.gamma(alpha + 1.0)
+
+
 def test_basis_grid_is_exactly_symmetric():
-    basis = zonal_basis(5, 12)
-    assert np.array_equal(basis.x, -basis.x[::-1])
-    assert np.array_equal(basis.weights, basis.weights[::-1])
-    assert basis.x.size == 2 * 12 + 16
+    assert zonal_basis(5, 12).x.size == 2 * 12 + 16
+    for basis in (zonal_basis(5, 12), *_grid_bases()):
+        assert np.array_equal(basis.x, -basis.x[::-1])
+        assert np.array_equal(basis.weights, basis.weights[::-1])
+        assert np.all(np.diff(basis.x) > 0) and -1 < basis.x[0]
 
 
 def test_basis_discrete_orthonormality():
@@ -64,6 +81,28 @@ def test_basis_discrete_orthonormality():
         basis = zonal_basis(n, 10)
         gram = basis.values.T @ (basis.weights[:, None] * basis.values)
         np.testing.assert_allclose(gram, np.eye(11), atol=1e-13)
+    for basis in _grid_bases():
+        identity = np.eye(basis.max_mode + 1)
+        assert np.abs(basis.projection @ basis.values - identity).max() <= 1e-13
+
+
+def test_quadrature_reproduces_the_gegenbauer_norms():
+    # int C_l C_m (1 - x^2)^(alpha - 1/2) dx
+    #   = delta_lm pi 2^(1 - 2 alpha) Gamma(l + 2 alpha) / (l! (l + alpha) Gamma(alpha)^2),
+    # checked on the raw polynomials, not on the basis normalized by its own grid
+    for basis in _grid_bases():
+        alpha = (basis.n - 1) / 2
+        C = spaceform._gegenbauer_table(basis.max_mode, alpha, basis.x)
+        gram = C.T @ (basis.weights[:, None] * C)
+        norms = np.array(
+            [
+                math.pi * 2 ** (1 - 2 * alpha) * math.gamma(ell + 2 * alpha)
+                / (math.factorial(ell) * (ell + alpha) * math.gamma(alpha) ** 2)
+                for ell in range(basis.max_mode + 1)
+            ]
+        )
+        scaled = gram / np.sqrt(np.outer(norms, norms))
+        assert np.abs(scaled - np.eye(basis.max_mode + 1)).max() <= 1e-13, (basis.n, basis.x.size)
 
 
 def test_basis_projection_round_trip():
@@ -92,6 +131,20 @@ def test_weights_integrate_sine_power():
         basis = zonal_basis(n, 8)
         exact = math.sqrt(math.pi) * math.gamma(n / 2) / math.gamma((n + 1) / 2)
         assert float(basis.weights.sum()) == pytest.approx(exact, rel=1e-14)
+    for basis in _grid_bases():
+        alpha = (basis.n - 1) / 2
+        _, raw = spaceform._gauss_gegenbauer(basis.x.size, alpha)
+        for w in (raw, basis.weights):
+            assert np.all(w > 0)
+            assert float(w.sum()) == pytest.approx(_gegenbauer_mass(alpha), rel=1e-14)
+
+
+def test_quadrature_weights_stay_finite_at_high_order():
+    # 1 / (C_{N-1} C'_N) over- or underflows here unless both factors are
+    # log-normalized before the product
+    x, w = spaceform._gauss_gegenbauer(300, 150.0)
+    assert np.all(np.isfinite(x)) and np.all(np.isfinite(w)) and np.all(w > 0)
+    assert float(w.sum()) == pytest.approx(_gegenbauer_mass(150.0), rel=1e-13)
 
 
 def test_basis_cache_resolves_the_default_node_count():
@@ -105,6 +158,33 @@ def test_basis_validation():
         zonal_basis(5, 0)
     with pytest.raises(ValueError):
         zonal_basis(5, 10, nnodes=5)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1, 4), "dimension n must be at least 2"),
+        ((0, 4), "dimension n must be at least 2"),
+        ((5.5, 4), "dimension n must be an integer"),
+        ((5.0, 4), "dimension n must be an integer"),
+        ((True, 4), "dimension n must be an integer"),
+        ((5, True), "max_mode must be an integer"),
+        ((5, 4.0), "max_mode must be an integer"),
+        ((5, 4, True), "nnodes must be an integer"),
+        ((5, 4, 30.0), "nnodes must be an integer"),
+        ((5, 4, np.bool_(True)), "nnodes must be an integer"),
+    ],
+)
+def test_basis_refuses_bad_dimensions_and_counts(args, message):
+    # n = 1 and n = 0 used to give bases full of NaN; a non-integer n, a
+    # bool max_mode or a float node count used to build a basis
+    with pytest.raises(ValueError, match=message):
+        zonal_basis(*args)
+
+
+def test_basis_accepts_numpy_integers_as_the_same_grid():
+    assert zonal_basis(np.int64(5), np.int32(16)) is zonal_basis(5, 16)
+    assert type(zonal_basis(np.int64(5), 16).n) is int
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +504,11 @@ def test_volume_of_round_and_shifted_metrics():
     assert volume(conformal_metric(sf, shifted)) == pytest.approx(
         math.exp(5 * 0.2) * sf.reference_volume, rel=1e-13
     )
+    for basis in _grid_bases():
+        for quotient in (REAL_PROJECTIVE, FULL_SPHERE):
+            sf_n = space_form(basis.n, 1.0, quotient)
+            zero_n = constant_field(basis, 0.0)
+            assert volume(conformal_metric(sf_n, zero_n)) == pytest.approx(sf_n.reference_volume, rel=1e-14)
     hyp = space_form(5, -1.0, SYNTHETIC_HYPERBOLIC, lambda1=1.0)
     with pytest.raises(ValueError):
         volume(conformal_metric(hyp, zero))
