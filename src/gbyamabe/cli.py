@@ -8,7 +8,7 @@ writes the iteration history as CSV (solve, solve-g and sweep only).
 
 Exit codes: 0 success, 2 invalid parameters (including a degenerate
 combined functional), 3 solver finished without converging, 4 internal
-verification or calibration failure.
+verification failure.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ import numpy as np
 
 from .forms import DENSE_DIM_LIMIT, algebra_property_suite, standard_metric
 from .invariants import (
-    CalibrationError,
-    calibration_info,
     gauss_bonnet,
     gauss_bonnet_kronecker,
     invariant_constants,
@@ -182,21 +180,12 @@ def _report_results(report) -> dict:
     }
 
 
-def _calibrate(calibration, n, k, samples, seed) -> dict:
-    """Calibrate the Kronecker constant of (n, k) and enter its record in
-    the report's calibration section."""
-    info = calibration_info(n, k, samples=samples, seed=seed)
-    record = {key: val for key, val in asdict(info).items() if key not in ("n", "k")}
-    calibration[f"{n},{k}"] = record
-    return record
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers: each returns (results, csv_rows, exit_code)
 # ---------------------------------------------------------------------------
 
 
-def _cmd_invariants(args, calibration):
+def _cmd_invariants(args):
     if args.n > DENSE_DIM_LIMIT:
         raise ValueError(f"--n must be at most {DENSE_DIM_LIMIT} (the dense oracles' memory bound), got {args.n}")
     g = standard_metric(args.n)
@@ -224,9 +213,8 @@ def _cmd_invariants(args, calibration):
     ok = abs(measured - closed) <= args.tol * scale and abs(ricci_factor - ricci_closed) <= args.tol * max(
         1.0, abs(ricci_closed)
     )
-    if args.calibrate:
-        record = _calibrate(calibration, args.n, args.k, args.calibrate_samples, args.seed)
-        kron = gauss_bonnet_kronecker(R, args.k, record["constant"])
+    if args.kronecker:
+        kron = gauss_bonnet_kronecker(R, args.k)
         results["kronecker"] = kron
         results["kronecker_difference"] = kron - closed
         ok = ok and abs(kron - closed) <= args.tol * scale
@@ -234,7 +222,7 @@ def _cmd_invariants(args, calibration):
     return results, None, 0 if ok else 4
 
 
-def _cmd_verify_algebra(args, calibration):
+def _cmd_verify_algebra(args):
     dims = tuple(_parse_ints(args.dims))
     suite = algebra_property_suite(cases=args.cases, seed=args.seed, dims=dims, tol=args.tol)
     ok = all(entry["passed"] for entry in suite.values())
@@ -242,7 +230,7 @@ def _cmd_verify_algebra(args, calibration):
     return results, None, 0 if ok else 4
 
 
-def _cmd_verify_linearization(args, calibration):
+def _cmd_verify_linearization(args):
     if args.mu > 0:
         sf = space_form(args.n, args.mu, FULL_SPHERE)
     else:
@@ -264,15 +252,11 @@ def _cmd_verify_linearization(args, calibration):
     return results, None, 0 if ok else 4
 
 
-def _cmd_spectrum(args, calibration):
+def _cmd_spectrum(args):
     sf = space_form(args.n, args.mu, _QUOTIENTS[args.quotient], lambda1=args.lambda1)
     lam1, critical, ok = spectrum_gap_check(sf)
     results = {"lambda1": lam1, "critical_level": critical, "gap_clears": ok}
     return results, None, 0
-
-
-def _cmd_calibrate(args, calibration):
-    return _calibrate(calibration, args.n, args.k, args.samples, args.seed), None, 0
 
 
 def _finish_solve(args, sf, psi, report, weights):
@@ -288,7 +272,7 @@ def _finish_solve(args, sf, psi, report, weights):
     return results, [["iteration", "residual", "volume_drift", "step_norm"]] + rows, code
 
 
-def _cmd_solve(args, calibration):
+def _cmd_solve(args):
     sf = space_form(args.n, args.mu, _QUOTIENTS[args.quotient])
     cfg = _certified_solver_config(args)
     basis = zonal_basis(args.n, cfg.mode_cutoff, cfg.nnodes)
@@ -297,7 +281,7 @@ def _cmd_solve(args, calibration):
     return _finish_solve(args, sf, psi, report, {args.k: 1.0})
 
 
-def _cmd_solve_g(args, calibration):
+def _cmd_solve_g(args):
     functional = LinearFunctional(tuple(_parse_floats(args.g_coeffs)))
     sf = space_form(args.n, args.mu, _QUOTIENTS[args.quotient])
     cfg = _certified_solver_config(args)
@@ -309,7 +293,7 @@ def _cmd_solve_g(args, calibration):
     return results, rows, code
 
 
-def _cmd_kernel_demo(args, calibration):
+def _cmd_kernel_demo(args):
     cfg = SolverConfig(mode_cutoff=args.mode_cutoff, nnodes=args.nnodes)
     even_sv, full_sv = sphere_kernel_demo(args.n, args.mu, args.k, cfg)
     results = {
@@ -320,7 +304,7 @@ def _cmd_kernel_demo(args, calibration):
     return results, None, 0
 
 
-def _cmd_sweep(args, calibration):
+def _cmd_sweep(args):
     amplitudes = _parse_floats(args.amplitudes)
     sf = space_form(args.n, args.mu, _QUOTIENTS[args.quotient])
     cfg = _solver_config(args)
@@ -389,9 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mu", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--calibrate", action="store_true", help="also run the Kronecker-delta route (n <= 7)")
-    p.add_argument("--calibrate-samples", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--kronecker", action="store_true", help="also run the Kronecker-delta route (n <= 7)")
     _add_output_flags(p)
     p.set_defaults(func=_cmd_invariants)
 
@@ -422,14 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda1", type=float, default=None, help="declared gap (hyperbolic quotient only)")
     _add_output_flags(p)
     p.set_defaults(func=_cmd_spectrum)
-
-    p = subs.add_parser("calibrate", help="measure the Kronecker-delta proportionality constant")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--samples", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_calibrate)
 
     p = subs.add_parser("solve", help="Newton solve for a constant order-2k invariant")
     _add_background_flags(p)
@@ -492,24 +466,19 @@ def main(argv=None) -> int:
         for key, val in vars(args).items()
         if key not in ("func", "command", "output", "format") and val is not None
     }
-    calibration: dict = {}
     base = {"schema": 1, "command": args.command, "inputs": _jsonify(inputs)}
     try:
         if args.format == "csv" and not args.output:
             raise ValueError("--format csv needs --output")
-        results, csv_rows, code = args.func(args, calibration)
+        results, csv_rows, code = args.func(args)
         if args.format == "csv" and csv_rows is None:
             raise ValueError(f"csv output is only available for: {', '.join(_CSV_COMMANDS)}")
-    except CalibrationError as exc:
-        report = dict(base, calibration=calibration, error={"type": type(exc).__name__, "message": str(exc)})
-        sys.stdout.write(json.dumps(_jsonify(report), sort_keys=True, indent=2) + "\n")
-        return 4
     except ValueError as exc:
         # NondegeneracyViolated lands here too; both are parameter problems
-        report = dict(base, calibration=calibration, error={"type": type(exc).__name__, "message": str(exc)})
+        report = dict(base, error={"type": type(exc).__name__, "message": str(exc)})
         sys.stdout.write(json.dumps(_jsonify(report), sort_keys=True, indent=2) + "\n")
         return 2
-    report = dict(base, calibration=_jsonify(calibration), results=_jsonify(results))
+    report = dict(base, results=_jsonify(results))
     _write_report(args, report, csv_rows)
     return code
 

@@ -15,12 +15,10 @@ Two independent evaluation routes are kept deliberately separate:
   gather is that square; and
 - the generalized-Kronecker-delta route: enumeration of index tuples with
   antisymmetrized signs, summing each orbit of 4^k k! equal terms once
-  (factorial cost, the oracle path, guarded to n <= 7).
-
-The proportionality constant between the raw Kronecker sum and the invariant
-depends on product normalization conventions, so it is never hardcoded: it is
-measured at runtime on random symmetric (2,2) tensors, checked for
-cross-sample constancy, and cached per (n, k, samples, seed).
+  (factorial cost, the oracle path, guarded to n <= 7). The raw sum counts
+  every term of tr(R^k) 4^k times (gauss_bonnet_kronecker says why), so
+  the route divides by that closed-form constant and takes no scale from
+  the trace route it checks.
 
 Both oracles take their metric argument under the one metric rule of
 forms (_metric_frame), the rule forms.contract applies too, and evaluate
@@ -35,7 +33,7 @@ oracles.
 from __future__ import annotations
 
 import math
-import threading
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -57,7 +55,6 @@ from .forms import (
 from .indexing import index_tuples, num_indices, split_tables
 
 __all__ = [
-    "CalibrationError",
     "InvariantConstants",
     "invariant_constants",
     "base_coefficient",
@@ -67,8 +64,6 @@ __all__ = [
     "ricci_2k",
     "raw_kronecker_sum",
     "gauss_bonnet_kronecker",
-    "calibrate_kronecker_constant",
-    "calibration_info",
     "space_form_curvature",
     "space_form_invariant",
     "hypersurface_sigma_check",
@@ -78,17 +73,12 @@ __all__ = [
 KRONECKER_DIM_LIMIT = 7
 
 
-class CalibrationError(RuntimeError):
-    """The measured Kronecker ratio was not constant across samples."""
-
-
 @dataclass(frozen=True)
 class InvariantConstants:
     """Closed-form constants attached to the order-2k invariant in dimension n.
 
     base_coefficient is (2k)!(n-3)!/(2^k (n-2k)!) and ricci_coefficient is
-    (2k)!(n-1)!/(2^k (n-2k)!). The Kronecker-delta constant is measured, not
-    closed form: calibration_info and calibrate_kronecker_constant give it.
+    (2k)!(n-1)!/(2^k (n-2k)!).
     """
 
     n: int
@@ -97,8 +87,14 @@ class InvariantConstants:
     ricci_coefficient: float
 
 
+def _check_integer_order(k):
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise ValueError(f"order k must be an integer, got {k!r}")
+
+
 def _check_order(n: int, k: int):
     """The algebra's range: k copies of a (2,2) form fit in dimension n."""
+    _check_integer_order(k)
     if n < 3:
         raise ValueError(f"dimension {n} too small")
     if k < 1 or 2 * k > n:
@@ -113,6 +109,7 @@ def max_order(n: int) -> int:
 def check_problem_order(n: int, k: int):
     """The conformal problem's range, 1 <= k and 2k < n (stricter than the
     algebra's: at 2k = n the invariant is the Gauss-Bonnet integrand)."""
+    _check_integer_order(k)
     if k < 1 or k > max_order(n):
         raise ValueError(f"order k={k} must satisfy 1 <= k and 2k < n (n={n})")
 
@@ -287,7 +284,7 @@ def _pair_rank_table(n: int) -> np.ndarray:
 
 
 def raw_kronecker_sum(R: DoubleForm, k: int) -> float:
-    """Uncalibrated generalized-Kronecker-delta sum of order 2k.
+    """Raw generalized-Kronecker-delta sum of order 2k.
 
     The sum runs over every ordered pair of 2k-tuples of distinct indices;
     the antisymmetrized identity tensor restricts it to tuples sharing the
@@ -316,26 +313,19 @@ def raw_kronecker_sum(R: DoubleForm, k: int) -> float:
     return float(4**k * math.factorial(k) * (sigma_sign @ terms.sum(axis=0) @ tau_sign))
 
 
-def gauss_bonnet_kronecker(R: DoubleForm, k: int, c_nk: float) -> float:
-    """Calibrated Kronecker-delta evaluation: c_nk times the raw sum.
+def gauss_bonnet_kronecker(R: DoubleForm, k: int) -> float:
+    """The order-2k invariant by the Kronecker-delta route: the raw sum
+    divided by 4^k.
+
+    Each ordered 2k-tuple is a sequence of k ordered pairs. With the
+    antisymmetric extension of R, both orders of each of the k pairs, on
+    each of the two tuples, give the same term. So the raw sum counts every
+    term of tr(R^k) = sum_M (R^k)[M, M] 2^k * 2^k = 4^k times.
 
     R must carry orthonormal-frame components (transform first if the metric
     is not the identity).
     """
-    return c_nk * raw_kronecker_sum(R, k)
-
-
-@dataclass(frozen=True)
-class CalibrationResult:
-    n: int
-    k: int
-    constant: float
-    relative_spread: float
-    samples: int
-
-
-_calibration_cache: dict[tuple[int, int, int, int], CalibrationResult] = {}
-_calibration_lock = threading.Lock()
+    return raw_kronecker_sum(R, k) / 4**k
 
 
 def random_curvature_like(n: int, rng: np.random.Generator) -> DoubleForm:
@@ -344,64 +334,6 @@ def random_curvature_like(n: int, rng: np.random.Generator) -> DoubleForm:
     m = num_indices(n, 2)
     raw = rng.standard_normal((m, m))
     return double_form(n, 2, 2, (raw + raw.T) / 2)
-
-
-def _calibration_pass(n: int, k: int, samples: int, seed: int, tensors) -> CalibrationResult:
-    g = standard_metric(n)
-    if tensors is None:
-        rng = np.random.default_rng([seed, n, k, samples])
-        pool = (random_curvature_like(n, rng) for _ in range(10 * samples))
-    else:
-        pool = iter(tensors)
-    ratios = []
-    for R in pool:
-        if len(ratios) == samples:
-            break
-        raw = raw_kronecker_sum(R, k)
-        scale = max(1.0, float(np.abs(R.coeffs).max()) ** k)
-        if abs(raw) < 1e-12 * scale:
-            continue  # degenerate sample, skip
-        ratios.append(gauss_bonnet(R, g, k) / raw)
-    if len(ratios) < 2:
-        raise CalibrationError(f"not enough non-degenerate samples for (n={n}, k={k})")
-    mean = float(np.mean(ratios))
-    spread = float((max(ratios) - min(ratios)) / abs(mean)) if mean != 0 else float("inf")
-    if spread > 1e-10:
-        raise CalibrationError(
-            f"Kronecker ratio not constant for (n={n}, k={k}): relative spread {spread:.3e}"
-        )
-    return CalibrationResult(n=n, k=k, constant=mean, relative_spread=spread, samples=len(ratios))
-
-
-def calibration_info(n: int, k: int, samples: int = 6, seed: int = 0) -> CalibrationResult:
-    """Calibrated constant plus its cross-sample spread, cached per
-    (n, k, samples, seed)."""
-    if samples < 2:
-        raise ValueError("calibration needs at least 2 samples")
-    key = (n, k, samples, seed)
-    with _calibration_lock:
-        hit = _calibration_cache.get(key)
-    if hit is not None:
-        return hit
-    result = _calibration_pass(n, k, samples, seed, None)
-    with _calibration_lock:
-        return _calibration_cache.setdefault(key, result)
-
-
-def calibrate_kronecker_constant(n: int, k: int, samples: int = 6, seed: int = 0, tensors=None) -> float:
-    """Measure the Kronecker proportionality constant on random inputs.
-
-    The ratio gauss_bonnet / raw sum is taken over `samples`
-    non-degenerate random symmetric tensors (near-zero raw sums are skipped)
-    and must be constant to 1e-10 relative, else CalibrationError. Results
-    are cached per (n, k, samples, seed); passing an explicit `tensors`
-    iterable bypasses the cache (useful for tests).
-    """
-    if tensors is not None:
-        if samples < 2:
-            raise ValueError("calibration needs at least 2 samples")
-        return _calibration_pass(n, k, samples, seed, tensors).constant
-    return calibration_info(n, k, samples=samples, seed=seed).constant
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .spaceform import (
     LatitudeField,
     SpaceForm,
     ZonalBasis,
+    _check_count,
     _gb_values,
     _volume_from_values,
     field_from_modes,
@@ -83,10 +84,10 @@ class SolverConfig:
     nnodes: int | None = None
 
     def __post_init__(self):
-        if self.mode_cutoff < 2:
-            raise ValueError("mode_cutoff must be at least 2")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
+        _check_count("mode_cutoff", self.mode_cutoff, 2)
+        _check_count("max_iterations", self.max_iterations, 1)
+        if self.nnodes is not None:
+            _check_count("nnodes", self.nnodes, 1)
         for name in ("tol_residual", "tol_volume", "damping"):
             _check_positive(name, getattr(self, name))
 
@@ -311,7 +312,7 @@ def newton_solve(
     """
     if k < 2:
         raise ValueError("newton_solve handles orders k >= 2")
-    return _solve_core(sf, psi, {int(k): 1.0}, config, w0, c0)
+    return _solve_core(sf, psi, {k: 1.0}, config, w0, c0)
 
 
 def generalized_solve(
@@ -345,7 +346,7 @@ def sphere_kernel_demo(
     check_problem_order(n, k)
     sf = space_form(n, mu, FULL_SPHERE)
     basis = zonal_basis(n, cfg.mode_cutoff, cfg.nnodes)
-    weights = {int(k): 1.0}
+    weights = {k: 1.0}
     phi0 = np.zeros(basis.max_mode + 1)
     even = np.arange(0, cfg.mode_cutoff + 1, 2)
     full = np.arange(cfg.mode_cutoff + 1)
@@ -417,7 +418,7 @@ def fixed_point_certificate(
     if weights is None:
         if k is None:
             raise ValueError("pass either an order k or explicit weights")
-        weights = {int(k): 1.0}
+        weights = {k: 1.0}
     for order in weights:
         check_problem_order(sf.n, order)
     src = report.w.basis

@@ -109,10 +109,10 @@ def space_form(
     lambda1: float | None = None,
     reference_volume: float | None = None,
 ) -> SpaceForm:
-    """Validated SpaceForm constructor. Every number must be finite; lambda1
-    and reference_volume are declared for the synthetic quotient only."""
-    if n < 5:
-        raise ValueError(f"dimension must be at least 5, got {n}")
+    """Validated SpaceForm constructor. n is an integer of at least 5, every
+    number must be finite; lambda1 and reference_volume are declared for the
+    synthetic quotient only."""
+    n = _check_count("dimension", n, 5)
     if quotient not in _QUOTIENTS:
         raise ValueError(f"unknown quotient {quotient!r}, expected one of {_QUOTIENTS}")
     for name, value in (("curvature", curvature), ("lambda1", lambda1), ("reference_volume", reference_volume)):
@@ -565,7 +565,7 @@ def gb_field(cm: ConformalMetric, k: int, pipeline: str = "warped") -> LatitudeF
 
 def gauss_bonnet_values(cm: ConformalMetric, ks, pipeline: str = "warped") -> dict[int, np.ndarray]:
     """Raw grid values of the invariant for each requested order."""
-    return {int(k): gb_field(cm, int(k), pipeline).values for k in ks}
+    return {k: gb_field(cm, k, pipeline).values for k in ks}
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 
 import gbyamabe
 from gbyamabe import forms, invariants, spaceform
-from gbyamabe.cli import main
+from gbyamabe.cli import build_parser, main
 
 
 def run_cli(capsys, argv):
@@ -31,13 +32,13 @@ def test_invariants_command(capsys):
     assert report["results"]["conformal_coefficient"] == pytest.approx(12.0)
 
 
-def test_invariants_with_calibration(capsys):
-    code, report = run_cli(capsys, ["invariants", "--n", "5", "--k", "1", "--calibrate"])
+def test_invariants_with_kronecker(capsys):
+    code, report = run_cli(capsys, ["invariants", "--n", "5", "--k", "1", "--kronecker"])
     assert code == 0
-    entry = report["calibration"]["5,1"]
-    assert entry["constant"] == pytest.approx(0.25, rel=1e-10)
-    assert entry["relative_spread"] <= 1e-10
+    assert set(report) == {"schema", "command", "inputs", "results"}
     assert report["results"]["kronecker"] == pytest.approx(10.0, rel=1e-9)
+    assert abs(report["results"]["kronecker_difference"]) <= 1e-9
+    assert report["results"]["routes_agree"] is True
 
 
 def test_verify_algebra_command(capsys):
@@ -177,13 +178,6 @@ def test_certificate_threshold_is_checked_before_the_solve(capsys, monkeypatch, 
     assert code == 2
     assert "results" not in report
     assert "threshold must be finite and positive" in report["error"]["message"]
-
-
-def test_calibrate_command(capsys):
-    code, report = run_cli(capsys, ["calibrate", "--n", "5", "--k", "1"])
-    assert code == 0
-    assert report["results"]["constant"] == pytest.approx(0.25, rel=1e-10)
-    assert "5,1" in report["calibration"]
 
 
 def test_solve_command_full_report(capsys):
@@ -345,3 +339,23 @@ def test_module_entry_point():
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["results"]["routes_agree"] is True
+
+
+def _readme_commands():
+    """The gbyamabe lines of the README's Command line block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("gbyamabe ")]
+
+
+def test_readme_lists_commands():
+    assert len(_readme_commands()) >= 9
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_commands_parse(line):
+    # a subcommand or flag removed from the parser cannot stay documented
+    try:
+        build_parser().parse_args(shlex.split(line)[1:])
+    except SystemExit:
+        pytest.fail(f"README documents a command the parser refuses: {line}")

@@ -6,9 +6,6 @@ import numpy as np
 import pytest
 
 from gbyamabe import (
-    CalibrationError,
-    calibrate_kronecker_constant,
-    calibration_info,
     contract,
     gauss_bonnet,
     gauss_bonnet_kronecker,
@@ -242,51 +239,27 @@ def test_raw_kronecker_sum_matches_brute_force():
             )
 
 
-def test_calibration_constant_at_5_1():
-    # brute-force-verified value under this package's conventions
-    assert calibrate_kronecker_constant(5, 1) == pytest.approx(0.25, rel=1e-12)
-
-
-def test_calibration_constant_is_a_power_of_four():
-    for n, k in algebra_orders(7):
-        assert calibrate_kronecker_constant(n, k) == pytest.approx(4.0**-k, rel=1e-12)
-
-
-def test_calibrated_kronecker_matches_contraction():
+def test_kronecker_route_is_the_raw_sum_over_4_to_the_k():
     rng = np.random.default_rng(26)
-    for n, k in [(5, 1), (5, 2), (6, 2)]:
-        c = calibrate_kronecker_constant(n, k)
+    for n, k in algebra_orders(7):
         g = standard_metric(n)
-        for _ in range(5):
+        for _ in range(3):
             R = random_curvature_like(n, rng)
-            expected = gauss_bonnet(R, g, k)
-            assert gauss_bonnet_kronecker(R, k, c) == pytest.approx(expected, rel=1e-10)
+            assert gauss_bonnet_kronecker(R, k) == pytest.approx(gauss_bonnet(R, g, k), rel=1e-12)
 
 
-def test_calibration_info_reports_tight_spread():
-    info = calibration_info(6, 2)
-    assert info.relative_spread <= 1e-10
-    assert info.samples >= 2
-    again = calibration_info(6, 2)
-    assert again is info  # cached
+@pytest.mark.parametrize("k", [2.0, 1.5, True, np.float64(2.0)])
+def test_orders_must_be_integers(k):
+    R = space_form_curvature(5, 1.0)
+    with pytest.raises(ValueError, match="order k must be an integer"):
+        invariants.check_problem_order(5, k)
+    with pytest.raises(ValueError, match="order k must be an integer"):
+        gauss_bonnet(R, standard_metric(5), k)
 
 
-def test_calibration_cache_key_covers_samples_and_seed():
-    few = calibration_info(5, 2, samples=3)
-    more = calibration_info(5, 2, samples=8, seed=4)
-    assert (few.samples, more.samples) == (3, 8)
-    assert calibration_info(5, 2, samples=8, seed=4) is more
-
-
-def test_calibration_with_explicit_tensors_and_degenerate_pool():
-    n, k = 5, 1
-    rng = np.random.default_rng(27)
-    tensors = [random_curvature_like(n, rng) for _ in range(4)]
-    c = calibrate_kronecker_constant(n, k, samples=3, tensors=tensors)
-    assert c == pytest.approx(0.25, rel=1e-12)
-    zero = double_form(n, 2, 2, np.zeros((10, 10)))
-    with pytest.raises(CalibrationError):
-        calibrate_kronecker_constant(n, k, samples=2, tensors=[zero, zero, zero])
+def test_orders_accept_numpy_integers():
+    R = space_form_curvature(5, 1.0)
+    assert gauss_bonnet(R, standard_metric(5), np.int64(2)) == pytest.approx(30.0, rel=1e-14)
 
 
 def test_kronecker_dimension_guard():

@@ -142,6 +142,26 @@ def test_config_validation():
             SolverConfig(**{name: float("nan")})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("max_iterations", 2.5), ("max_iterations", True), ("mode_cutoff", 16.0), ("nnodes", 48.0), ("nnodes", True)],
+)
+def test_config_counts_must_be_integers(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SolverConfig(**{field: value})
+
+
+def test_non_integer_orders_are_refused():
+    sf = rp5()
+    psi = mode_field(zonal_basis(5, 16), 2, 0.02)
+    with pytest.raises(ValueError, match="order k must be an integer"):
+        newton_solve(sf, psi, 2.9)
+    report = newton_solve(sf, psi, 2)
+    assert report.status == "converged"
+    with pytest.raises(ValueError, match="order k must be an integer"):
+        fixed_point_certificate(sf, psi, report, k=2.5)
+
+
 def test_solver_input_guards():
     sf = rp5()
     psi = default_psi()

@@ -291,6 +291,24 @@ def test_space_form_factory_validation():
         space_form(5, 1.0, FULL_SPHERE, lambda1=5.0)
 
 
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        (5.5, "dimension must be an integer"),
+        (6.0, "dimension must be an integer"),
+        (True, "dimension must be an integer"),
+        (4, "dimension must be at least 5"),
+    ],
+)
+def test_space_form_refuses_non_integer_dimensions(n, message):
+    with pytest.raises(ValueError, match=message):
+        space_form(n, 1.0, REAL_PROJECTIVE)
+
+
+def test_space_form_accepts_numpy_integer_dimensions():
+    assert type(space_form(np.int64(5), 1.0).n) is int
+
+
 def test_round_sphere_volume():
     sf = space_form(5, 1.0, FULL_SPHERE)
     assert sf.reference_volume == pytest.approx(math.pi**3, rel=1e-14)
