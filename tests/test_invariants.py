@@ -239,7 +239,26 @@ def test_raw_kronecker_sum_matches_brute_force():
             )
 
 
-def test_kronecker_route_is_the_raw_sum_over_4_to_the_k():
+def test_calibration_constant_at_5_1():
+    # the brute-force raw sum, independent of raw_kronecker_sum, is 4 tr(R)
+    rng = np.random.default_rng(24)
+    g = standard_metric(5)
+    for _ in range(3):
+        R = random_curvature_like(5, rng)
+        ratio = gauss_bonnet(R, g, 1) / brute_kronecker_sum(5, 1, R.coeffs)
+        assert ratio == pytest.approx(0.25, rel=1e-12)
+
+
+def test_calibration_constant_is_a_power_of_four():
+    # the trace route fixes the constant of the raw sum at 4^-k
+    rng = np.random.default_rng(23)
+    for n, k in algebra_orders(7):
+        R = random_curvature_like(n, rng)
+        ratio = gauss_bonnet(R, standard_metric(n), k) / raw_kronecker_sum(R, k)
+        assert ratio == pytest.approx(4.0**-k, rel=1e-12)
+
+
+def test_calibrated_kronecker_matches_contraction():
     rng = np.random.default_rng(26)
     for n, k in algebra_orders(7):
         g = standard_metric(n)
