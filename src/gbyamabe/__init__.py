@@ -6,164 +6,27 @@ multi-index coefficient matrices (forms, invariants), spectral axisymmetric
 conformal geometry over space forms (spaceform, linearization), and a Newton
 solver with certification on top (newton). The cli module exposes all of it
 as deterministic JSON-reporting subcommands.
+
+Each rule has one owner: the package exports exactly its five submodules'
+__all__ lists; argument rules (integers, counts, finite positive numbers,
+tolerances) live in _validate, the order rule 2k < n in invariants, and the
+quotient and parity rules of zonal fields in spaceform.
 """
 
-from .forms import (
-    DoubleForm,
-    algebra_property_suite,
-    contract,
-    double_form,
-    inner,
-    is_in_symmetry_class,
-    metric_multiply,
-    product,
-    random_form,
-    scalar_form,
-    standard_metric,
-    symmetric_bilinear,
-)
-from .invariants import (
-    InvariantConstants,
-    gauss_bonnet,
-    gauss_bonnet_kronecker,
-    hypersurface_sigma_check,
-    invariant_constants,
-    max_order,
-    random_curvature_like,
-    raw_kronecker_sum,
-    ricci_2k,
-    space_form_curvature,
-    space_form_invariant,
-)
-from .linearization import (
-    GeneralizedConstants,
-    LinearFunctional,
-    LinearizationConstants,
-    NondegeneracyViolated,
-    conformal_linearization,
-    constancy_diagnostic,
-    constants,
-    fd_verify,
-    full_linearization,
-    generalized_constants,
-    generalized_linearization,
-    shifted_laplacian,
-)
-from .newton import (
-    CertificateResult,
-    IterationRecord,
-    SolverConfig,
-    SolverReport,
-    continuation_sweep,
-    fixed_point_certificate,
-    generalized_solve,
-    newton_solve,
-    quadratic_tail,
-    sphere_kernel_demo,
-)
-from .spaceform import (
-    FULL_SPHERE,
-    REAL_PROJECTIVE,
-    SYNTHETIC_HYPERBOLIC,
-    ConformalMetric,
-    LatitudeField,
-    SpaceForm,
-    ZonalBasis,
-    conformal_curvature,
-    conformal_metric,
-    constant_field,
-    field_from_modes,
-    field_from_values,
-    gauss_bonnet_values,
-    gb_field,
-    laplacian,
-    mode_field,
-    reflect_field,
-    resample,
-    space_form,
-    spectrum_gap_check,
-    sup_norm,
-    volume,
-    warped_curvature,
-    zonal_basis,
-)
+from . import forms, invariants, linearization, newton, spaceform
+from .forms import *  # noqa: F403
+from .invariants import *  # noqa: F403
+from .linearization import *  # noqa: F403
+from .newton import *  # noqa: F403
+from .spaceform import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # forms
-    "DoubleForm",
-    "double_form",
-    "scalar_form",
-    "standard_metric",
-    "symmetric_bilinear",
-    "product",
-    "metric_multiply",
-    "contract",
-    "inner",
-    "is_in_symmetry_class",
-    "random_form",
-    "algebra_property_suite",
-    # invariants
-    "InvariantConstants",
-    "invariant_constants",
-    "max_order",
-    "gauss_bonnet",
-    "ricci_2k",
-    "raw_kronecker_sum",
-    "gauss_bonnet_kronecker",
-    "random_curvature_like",
-    "space_form_curvature",
-    "space_form_invariant",
-    "hypersurface_sigma_check",
-    # spaceform
-    "REAL_PROJECTIVE",
-    "FULL_SPHERE",
-    "SYNTHETIC_HYPERBOLIC",
-    "SpaceForm",
-    "space_form",
-    "ZonalBasis",
-    "zonal_basis",
-    "LatitudeField",
-    "field_from_modes",
-    "field_from_values",
-    "mode_field",
-    "constant_field",
-    "resample",
-    "reflect_field",
-    "sup_norm",
-    "ConformalMetric",
-    "conformal_metric",
-    "warped_curvature",
-    "conformal_curvature",
-    "gb_field",
-    "gauss_bonnet_values",
-    "volume",
-    "laplacian",
-    "spectrum_gap_check",
-    # linearization
-    "LinearizationConstants",
-    "constants",
-    "shifted_laplacian",
-    "conformal_linearization",
-    "full_linearization",
-    "fd_verify",
-    "NondegeneracyViolated",
-    "LinearFunctional",
-    "GeneralizedConstants",
-    "generalized_constants",
-    "generalized_linearization",
-    "constancy_diagnostic",
-    # newton
-    "SolverConfig",
-    "IterationRecord",
-    "SolverReport",
-    "newton_solve",
-    "generalized_solve",
-    "sphere_kernel_demo",
-    "continuation_sweep",
-    "CertificateResult",
-    "fixed_point_certificate",
-    "quadratic_tail",
+    *forms.__all__,
+    *invariants.__all__,
+    *spaceform.__all__,
+    *linearization.__all__,
+    *newton.__all__,
 ]

@@ -1,0 +1,34 @@
+"""The argument rules every module shares, each stated once: integers and
+counts (bools refused), finite positive numbers (steps, radii, thresholds,
+solver tolerances) and finite non-negative verification tolerances. Each
+raises ValueError naming the argument."""
+
+import math
+import numbers
+
+
+def check_integer(name: str, value) -> int:
+    """value as an int, refusing bools and non-integers."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def check_count(name: str, value, least: int) -> int:
+    """value as an int of at least `least`."""
+    value = check_integer(name, value)
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
+
+
+def check_positive(name: str, value: float):
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def check_tolerance(name: str, value: float):
+    """A verification tolerance: finite and non-negative (0 asks for exact
+    agreement)."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and non-negative, got {value}")

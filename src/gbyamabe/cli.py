@@ -21,6 +21,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from ._validate import check_positive, check_tolerance
 from .forms import DENSE_DIM_LIMIT, algebra_property_suite, standard_metric
 from .invariants import (
     gauss_bonnet,
@@ -34,7 +35,6 @@ from .invariants import (
 from .linearization import LinearFunctional, constants as linearization_constants, fd_verify
 from .newton import (
     SolverConfig,
-    _check_positive,
     continuation_sweep,
     fixed_point_certificate,
     generalized_solve,
@@ -44,6 +44,7 @@ from .newton import (
 )
 from .spaceform import (
     FULL_SPHERE,
+    GRID_PARITY,
     REAL_PROJECTIVE,
     SYNTHETIC_HYPERBOLIC,
     field_from_modes,
@@ -56,6 +57,7 @@ from .spaceform import (
 __all__ = ["main"]
 
 _QUOTIENTS = {"rp": REAL_PROJECTIVE, "sphere": FULL_SPHERE, "hyperbolic": SYNTHETIC_HYPERBOLIC}
+_GRID_QUOTIENTS = tuple(name for name, quotient in _QUOTIENTS.items() if quotient in GRID_PARITY)
 _CSV_COMMANDS = ("solve", "solve-g", "sweep")
 
 
@@ -132,7 +134,7 @@ def _solver_config(args) -> SolverConfig:
 def _certified_solver_config(args) -> SolverConfig:
     """The solver settings of solve and solve-g. Their certificate threshold
     is checked here, before any solve, also under --no-certify."""
-    _check_positive("threshold", args.certificate_threshold)
+    check_positive("threshold", args.certificate_threshold)
     return _solver_config(args)
 
 
@@ -188,6 +190,7 @@ def _report_results(report) -> dict:
 def _cmd_invariants(args):
     if args.n > DENSE_DIM_LIMIT:
         raise ValueError(f"--n must be at most {DENSE_DIM_LIMIT} (the dense oracles' memory bound), got {args.n}")
+    check_tolerance("tol", args.tol)
     g = standard_metric(args.n)
     R = space_form_curvature(args.n, args.mu)
     measured = gauss_bonnet(R, g, args.k)
@@ -231,6 +234,7 @@ def _cmd_verify_algebra(args):
 
 
 def _cmd_verify_linearization(args):
+    check_tolerance("max_relerr", args.max_relerr)
     if args.mu > 0:
         sf = space_form(args.n, args.mu, FULL_SPHERE)
     else:
@@ -347,7 +351,7 @@ def _add_solver_flags(sub):
 def _add_background_flags(sub):
     sub.add_argument("--n", type=int, default=5)
     sub.add_argument("--mu", type=float, default=1.0)
-    sub.add_argument("--quotient", choices=("rp", "sphere"), default="rp")
+    sub.add_argument("--quotient", choices=_GRID_QUOTIENTS, default="rp")
 
 
 def _add_certificate_flags(sub):

@@ -54,6 +54,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._validate import check_count, check_tolerance
 from .indexing import (
     compound_matrix,
     index_tuples,
@@ -478,11 +479,12 @@ def algebra_property_suite(cases: int = 200, seed: int = 0, dims=(3, 4, 5, 6), t
     pass flag at `tol`. Properties: adjointness of metric multiplication and
     contraction, associativity, graded commutativity, frame independence of
     contraction, trace of the metric, and symmetry-class closure. Raises
-    ValueError unless cases >= 1 and every dimension is an integer in
-    SUITE_DIMS, so a report never passes with nothing checked.
+    ValueError unless cases is an integer >= 1, every dimension is an
+    integer in SUITE_DIMS and tol is finite and non-negative, so a report
+    never passes with nothing checked.
     """
-    if cases < 1:
-        raise ValueError(f"cases must be at least 1, got {cases}")
+    check_count("cases", cases, 1)
+    check_tolerance("tol", tol)
     dims = tuple(dims)
     bad = [d for d in dims if not isinstance(d, (int, np.integer)) or d not in SUITE_DIMS]
     if not dims or bad:

@@ -24,22 +24,24 @@ Both oracles take their metric argument under the one metric rule of
 forms (_metric_frame), the rule forms.contract applies too, and evaluate
 in a g-orthonormal frame.
 
-The order rule of the conformal problem, 2k < n (max_order,
-check_problem_order), lives here too, as does the batched trace kernel
-(gauss_bonnet_coeffs) that spaceform's grid evaluator shares with the dense
-oracles.
+The order rules live here: the algebra's range 2k <= n (_check_order) and
+the conformal problem's 2k < n (max_order, check_problem_order, which
+spaceform, linearization and newton call); both take an order only as an
+integer (_validate.check_integer). So does the batched trace kernel
+(gauss_bonnet_coeffs) that spaceform's grid evaluator shares with the
+dense oracles.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
 
+from ._validate import check_integer, check_positive
 from .forms import (
     DoubleForm,
     _metric_frame,
@@ -87,14 +89,9 @@ class InvariantConstants:
     ricci_coefficient: float
 
 
-def _check_integer_order(k):
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-        raise ValueError(f"order k must be an integer, got {k!r}")
-
-
 def _check_order(n: int, k: int):
     """The algebra's range: k copies of a (2,2) form fit in dimension n."""
-    _check_integer_order(k)
+    check_integer("order k", k)
     if n < 3:
         raise ValueError(f"dimension {n} too small")
     if k < 1 or 2 * k > n:
@@ -109,7 +106,7 @@ def max_order(n: int) -> int:
 def check_problem_order(n: int, k: int):
     """The conformal problem's range, 1 <= k and 2k < n (stricter than the
     algebra's: at 2k = n the invariant is the Gauss-Bonnet integrand)."""
-    _check_integer_order(k)
+    check_integer("order k", k)
     if k < 1 or k > max_order(n):
         raise ValueError(f"order k={k} must satisfy 1 <= k and 2k < n (n={n})")
 
@@ -360,8 +357,7 @@ def hypersurface_sigma_check(n: int, r: float, k: int) -> tuple[float, float, fl
     metric's order-2k invariant, the elementary symmetric polynomial of
     order 2k in the principal curvatures (all 1/r), and their ratio. The
     ratio depends only on (n, k)."""
-    if r <= 0:
-        raise ValueError("radius must be positive")
+    check_positive("radius", r)
     _check_order(n, k)
     mu = 1.0 / r**2
     R = space_form_curvature(n, mu)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._validate import check_positive
 from .invariants import base_coefficient, check_problem_order
 from .spaceform import (
     ConformalMetric,
@@ -134,8 +135,7 @@ def fd_verify(
     path derivative (the direction is h = 2 f g, hence twice the conformal
     linearization). Returns (fd, exact, sup relative error).
     """
-    if eps <= 0:
-        raise ValueError("finite-difference step must be positive")
+    check_positive("eps", eps)
     basis = field.basis
     vals = np.stack([eps * field.values, -eps * field.values])
     dv = np.stack([eps * field.dvalues, -eps * field.dvalues])
@@ -241,5 +241,4 @@ def constancy_diagnostic(cm: ConformalMetric, k: int, pipeline: str = "warped") 
         lap.values - (sf.n - 2) * sf.curvature * phi.dvalues * field.dvalues
     )
     mean = float(phi.basis.weights @ hat_vals) / float(phi.basis.weights.sum())
-    parity = "even" if phi.parity == "even" else "any"
-    return field_from_values(phi.basis, hat_vals - mean, parity=parity)
+    return field_from_values(phi.basis, hat_vals - mean, parity=phi.parity)

@@ -19,22 +19,21 @@ instead. That distinction is the point of sphere_kernel_demo.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._validate import check_count, check_integer, check_positive
 from .invariants import check_problem_order
 from .linearization import LinearFunctional, generalized_constants
 from .spaceform import (
     FULL_SPHERE,
-    REAL_PROJECTIVE,
-    SYNTHETIC_HYPERBOLIC,
     LatitudeField,
     SpaceForm,
     ZonalBasis,
-    _check_count,
+    _admissible,
     _gb_values,
+    _grid_parity,
     _volume_from_values,
     field_from_modes,
     resample,
@@ -61,11 +60,6 @@ _FD_STEP = 1e-6  # central-difference step of the Jacobian
 _LINE_SEARCH_TRIALS = 12  # step fractions tried per Newton step, each half the last
 
 
-def _check_positive(name: str, value: float):
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value}")
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Discretization and stopping parameters for the Newton iteration.
@@ -84,12 +78,12 @@ class SolverConfig:
     nnodes: int | None = None
 
     def __post_init__(self):
-        _check_count("mode_cutoff", self.mode_cutoff, 2)
-        _check_count("max_iterations", self.max_iterations, 1)
+        check_count("mode_cutoff", self.mode_cutoff, 2)
+        check_count("max_iterations", self.max_iterations, 1)
         if self.nnodes is not None:
-            _check_count("nnodes", self.nnodes, 1)
+            check_count("nnodes", self.nnodes, 1)
         for name in ("tol_residual", "tol_volume", "damping"):
-            _check_positive(name, getattr(self, name))
+            check_positive(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -135,6 +129,11 @@ class SolverReport:
     @property
     def final_volume_drift(self) -> float:
         return self.iterations[-1].volume_drift
+
+
+def _record(sf: SpaceForm, S, c, vol, step_norm=0.0, damping=0.0) -> IterationRecord:
+    drift = abs(vol - sf.reference_volume) / sf.reference_volume
+    return IterationRecord(float(np.abs(S - c).max()), drift, step_norm, damping)
 
 
 def _phi_grids(basis: ZonalBasis, modes: np.ndarray):
@@ -193,44 +192,28 @@ def _assemble_jacobian(sf, weights, basis, sel, phi_modes):
 
 def _solve_core(sf, psi, weights, config, w0, c0):
     cfg = config if config is not None else SolverConfig()
-    if sf.quotient == SYNTHETIC_HYPERBOLIC:
-        raise ValueError("the solver needs a collocation grid; spherical quotients only")
+    parity = _grid_parity(sf, "the solver")
     for k in weights:
         check_problem_order(sf.n, k)
     basis = zonal_basis(sf.n, cfg.mode_cutoff, cfg.nnodes)
-    psi_b = psi if psi.basis is basis else resample(psi, basis)
-    projective = sf.quotient == REAL_PROJECTIVE
-    if projective and psi_b.parity != "even":
-        raise ValueError("projective quotients need an even-parity profile")
+    psi_b = _admissible(sf, psi if psi.basis is basis else resample(psi, basis), "profile")
     if sup_norm(psi_b) > _SUP_NORM_LIMIT:
         raise ValueError(
             f"profile sup norm {sup_norm(psi_b):.3f} exceeds the validated neighborhood ({_SUP_NORM_LIMIT})"
         )
-    sel = np.arange(0, cfg.mode_cutoff + 1, 2) if projective else np.arange(cfg.mode_cutoff + 1)
+    projective = parity == "even"
+    sel = np.arange(0, cfg.mode_cutoff + 1, 2 if projective else 1)
 
     wm = np.zeros(basis.max_mode + 1)
     if w0 is not None:
-        w0_b = w0 if w0.basis is basis else resample(w0, basis)
-        if projective and w0_b.parity != "even":
-            raise ValueError("projective quotients need an even-parity initial correction")
-        wm = w0_b.modes.copy()
-        mask = np.ones(basis.max_mode + 1, dtype=bool)
-        mask[sel] = False
-        wm[mask] = 0.0
+        w0_b = _admissible(sf, w0 if w0.basis is basis else resample(w0, basis), "initial correction")
+        wm[sel] = w0_b.modes[sel]
 
     F, S, vol = _evaluate(sf, weights, basis, sel, psi_b.modes + wm, 0.0)
     c = float(c0) if c0 is not None else float(basis.weights @ S / basis.weights.sum())
     F[:-1] -= c * _projected_ones(basis)[sel]
 
-    parity = "even" if projective else "any"
-    records = [
-        IterationRecord(
-            residual=float(np.abs(S - c).max()),
-            volume_drift=abs(vol - sf.reference_volume) / sf.reference_volume,
-            step_norm=0.0,
-            damping=0.0,
-        )
-    ]
+    records = [_record(sf, S, c, vol)]
     status = "max_iterations"
     smin = None
 
@@ -273,14 +256,7 @@ def _solve_core(sf, psi, weights, config, w0, c0):
             status = "line_search_failed"  # keep the last accepted iterate
             break
         wm, c, F, S, vol, lam_used = accepted
-        records.append(
-            IterationRecord(
-                residual=float(np.abs(S - c).max()),
-                volume_drift=abs(vol - sf.reference_volume) / sf.reference_volume,
-                step_norm=float(lam_used * np.abs(delta).max()),
-                damping=lam_used,
-            )
-        )
+        records.append(_record(sf, S, c, vol, float(lam_used * np.abs(delta).max()), lam_used))
 
     if smin is None:
         J = _assemble_jacobian(sf, weights, basis, sel, psi_b.modes + wm)
@@ -310,7 +286,7 @@ def newton_solve(
     the subject of sphere_kernel_demo); pass a one-term LinearFunctional to
     generalized_solve if the first-order case is wanted anyway.
     """
-    if k < 2:
+    if check_integer("order k", k) < 2:
         raise ValueError("newton_solve handles orders k >= 2")
     return _solve_core(sf, psi, {k: 1.0}, config, w0, c0)
 
@@ -348,11 +324,9 @@ def sphere_kernel_demo(
     basis = zonal_basis(n, cfg.mode_cutoff, cfg.nnodes)
     weights = {k: 1.0}
     phi0 = np.zeros(basis.max_mode + 1)
-    even = np.arange(0, cfg.mode_cutoff + 1, 2)
-    full = np.arange(cfg.mode_cutoff + 1)
     out = []
-    for sel in (even, full):
-        J = _assemble_jacobian(sf, weights, basis, sel, phi0)
+    for step in (2, 1):  # the even modes, then the full window
+        J = _assemble_jacobian(sf, weights, basis, np.arange(0, cfg.mode_cutoff + 1, step), phi0)
         out.append(float(np.linalg.svd(J, compute_uv=False)[-1]))
     return out[0], out[1]
 
@@ -414,7 +388,7 @@ def fixed_point_certificate(
     largest distance from the achieved constant. threshold must be finite
     and positive.
     """
-    _check_positive("threshold", threshold)
+    check_positive("threshold", threshold)
     if weights is None:
         if k is None:
             raise ValueError("pass either an order k or explicit weights")

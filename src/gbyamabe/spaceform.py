@@ -28,6 +28,13 @@ them at mu < 0 on the same grid is a legitimate analytic continuation; that
 is what the finite-difference checks at negative curvature use. Volume and
 the Newton solver, by contrast, insist on spherical (mu > 0) bases.
 
+The quotient rules live here. GRID_PARITY names the quotients with a
+collocation grid (the spherical ones) and the parity of the zonal fields
+each admits: real projective space identifies antipodes, so only fields
+even under theta -> pi - theta descend to it, and _sphere_factor halves its
+volume. _grid_parity and _admissible apply the table for volume,
+conformal_metric and the solver; _even_modes is the parity rule of modes.
+
 The invariant on a whole grid (gb_field, and the solver through _gb_values)
 runs in chunks of nodes whose largest gather fits one retained work buffer
 of the forms kernels (_GATHER_BUDGET is forms._WORK_RETAIN), so no chunk
@@ -37,12 +44,12 @@ maps fresh memory.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from ._validate import check_count
 from .forms import _WORK_RETAIN, DoubleForm, double_form, product_coeffs, product_gather_entries
 from .indexing import num_indices
 from .invariants import check_problem_order, gauss_bonnet_coeffs, gauss_bonnet_gather_entries
@@ -77,7 +84,10 @@ __all__ = [
 REAL_PROJECTIVE = "real_projective"
 FULL_SPHERE = "full_sphere"
 SYNTHETIC_HYPERBOLIC = "synthetic_hyperbolic"
-_QUOTIENTS = (REAL_PROJECTIVE, FULL_SPHERE, SYNTHETIC_HYPERBOLIC)
+# The quotients with a collocation grid, by the parity of the zonal fields
+# they admit; the synthetic hyperbolic quotient has none.
+GRID_PARITY = {REAL_PROJECTIVE: "even", FULL_SPHERE: "any"}
+_QUOTIENTS = (*GRID_PARITY, SYNTHETIC_HYPERBOLIC)
 
 
 @dataclass(frozen=True)
@@ -97,9 +107,11 @@ class SpaceForm:
     lambda1: float | None = None
 
 
-def _round_sphere_volume(n: int, curvature: float) -> float:
-    radius = curvature**-0.5
-    return 2.0 * math.pi ** ((n + 1) / 2) / math.gamma((n + 1) / 2) * radius**n
+def _sphere_factor(quotient: str, m: int, curvature: float, power: int) -> float:
+    """|S^(m-1)| r^power at radius r = curvature^(-1/2), halved on real
+    projective space, where antipodal points are one."""
+    factor = 2.0 * math.pi ** (m / 2) / math.gamma(m / 2) * (curvature**-0.5) ** power
+    return factor / 2.0 if quotient == REAL_PROJECTIVE else factor
 
 
 def space_form(
@@ -112,7 +124,7 @@ def space_form(
     """Validated SpaceForm constructor. n is an integer of at least 5, every
     number must be finite; lambda1 and reference_volume are declared for the
     synthetic quotient only."""
-    n = _check_count("dimension", n, 5)
+    n = check_count("dimension", n, 5)
     if quotient not in _QUOTIENTS:
         raise ValueError(f"unknown quotient {quotient!r}, expected one of {_QUOTIENTS}")
     for name, value in (("curvature", curvature), ("lambda1", lambda1), ("reference_volume", reference_volume)):
@@ -120,14 +132,12 @@ def space_form(
             raise ValueError(f"{name} must be finite, got {value}")
     if curvature == 0:
         raise ValueError("curvature must be nonzero")
-    if quotient in (REAL_PROJECTIVE, FULL_SPHERE):
+    if quotient in GRID_PARITY:
         if curvature <= 0:
             raise ValueError(f"{quotient} requires positive curvature")
         if lambda1 is not None or reference_volume is not None:
             raise ValueError(f"{quotient} computes lambda1 and the reference volume; they cannot be declared")
-        vol = _round_sphere_volume(n, curvature)
-        if quotient == REAL_PROJECTIVE:
-            vol /= 2.0
+        vol = _sphere_factor(quotient, n + 1, curvature, n)
         return SpaceForm(n=n, curvature=float(curvature), quotient=quotient, reference_volume=vol)
     if curvature >= 0:
         raise ValueError("synthetic hyperbolic quotient requires negative curvature")
@@ -170,15 +180,6 @@ class ZonalBasis:
     norms: np.ndarray
 
 
-def _check_count(name: str, value, least: int) -> int:
-    """value as an int, refusing bools, non-integers and values below least."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be at least {least}, got {value}")
-    return int(value)
-
-
 def zonal_basis(n: int, max_mode: int, nnodes: int | None = None) -> ZonalBasis:
     """Build (and cache) the basis for dimension n with modes 0..max_mode on
     nnodes Gauss nodes (default 2 max_mode + 16).
@@ -188,12 +189,12 @@ def zonal_basis(n: int, max_mode: int, nnodes: int | None = None) -> ZonalBasis:
     compares bases by identity, never resamples a profile onto a copy of its
     own basis.
     """
-    n = _check_count("dimension n", n, 2)
-    max_mode = _check_count("max_mode", max_mode, 1)
+    n = check_count("dimension n", n, 2)
+    max_mode = check_count("max_mode", max_mode, 1)
     if nnodes is None:
         nnodes = 2 * max_mode + 16
     # max_mode + 1 nodes at least, for a faithful projection
-    nnodes = _check_count("nnodes", nnodes, max_mode + 1)
+    nnodes = check_count("nnodes", nnodes, max_mode + 1)
     return _zonal_basis(n, max_mode, nnodes)
 
 
@@ -292,7 +293,10 @@ def _freeze(*arrays):
         arr.flags.writeable = False
 
 
-def _check_parity_modes(modes: np.ndarray, parity: str, tol: float):
+def _even_modes(modes: np.ndarray, parity: str, tol: float):
+    """The parity rule: parity is "even" or "any", and an even field's odd
+    modes, refused above tol relative to its largest mode, are zeroed in
+    place."""
     if parity not in ("even", "any"):
         raise ValueError(f"parity must be 'even' or 'any', got {parity!r}")
     if parity == "even":
@@ -300,6 +304,7 @@ def _check_parity_modes(modes: np.ndarray, parity: str, tol: float):
         scale = max(1.0, float(np.abs(modes).max()))
         if odd.size and odd.max() > tol * scale:
             raise ValueError("even-parity field has odd-mode content")
+        modes[1::2] = 0.0
 
 
 def field_from_modes(basis: ZonalBasis, modes, parity: str = "any") -> LatitudeField:
@@ -309,9 +314,7 @@ def field_from_modes(basis: ZonalBasis, modes, parity: str = "any") -> LatitudeF
         raise ValueError(f"expected {basis.max_mode + 1} mode coefficients, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("mode coefficients must be finite")
-    _check_parity_modes(m, parity, tol=1e-10)
-    if parity == "even":
-        m[1::2] = 0.0
+    _even_modes(m, parity, tol=1e-10)
     vals = basis.values @ m
     dv = basis.dtheta @ m
     ddv = basis.ddtheta @ m
@@ -331,14 +334,8 @@ def field_from_values(basis: ZonalBasis, values, parity: str = "any") -> Latitud
     if not np.all(np.isfinite(vals)):
         raise ValueError("grid values must be finite")
     m = basis.projection @ vals
-    if parity == "even":
-        odd = np.abs(m[1::2])
-        scale = max(1.0, float(np.abs(m).max()))
-        if odd.size and odd.max() > 1e-8 * scale:
-            raise ValueError("values have odd-mode content but parity is 'even'")
-        m[1::2] = 0.0
-    elif parity != "any":
-        raise ValueError(f"parity must be 'even' or 'any', got {parity!r}")
+    # looser than field_from_modes: the projection carries quadrature rounding
+    _even_modes(m, parity, tol=1e-8)
     dv = basis.dtheta @ m
     ddv = basis.ddtheta @ m
     _freeze(vals, m, dv, ddv)
@@ -404,12 +401,25 @@ class ConformalMetric:
     phi: LatitudeField
 
 
+def _grid_parity(sf: SpaceForm, what: str) -> str:
+    """The parity of the zonal fields sf admits (GRID_PARITY), refusing a
+    quotient without a collocation grid for `what`."""
+    if sf.quotient not in GRID_PARITY:
+        raise ValueError(f"{what} needs a collocation grid; spherical quotients only")
+    return GRID_PARITY[sf.quotient]
+
+
+def _admissible(sf: SpaceForm, field: LatitudeField, what: str) -> LatitudeField:
+    """field, refused as `what` where sf admits even fields only."""
+    if GRID_PARITY.get(sf.quotient) == "even" and field.parity != "even":
+        raise ValueError(f"projective quotients need an even-parity {what}")
+    return field
+
+
 def conformal_metric(base: SpaceForm, phi: LatitudeField) -> ConformalMetric:
     if phi.basis.n != base.n:
         raise ValueError("field dimension does not match the space form")
-    if base.quotient == REAL_PROJECTIVE and phi.parity != "even":
-        raise ValueError("projective quotients need even-parity conformal factors")
-    return ConformalMetric(base=base, phi=phi)
+    return ConformalMetric(base=base, phi=_admissible(base, phi, "conformal factor"))
 
 
 def _sectional_blocks(mu, x, sin_t, vals, dv, ddv):
@@ -573,24 +583,16 @@ def gauss_bonnet_values(cm: ConformalMetric, ks, pipeline: str = "warped") -> di
 # ---------------------------------------------------------------------------
 
 
-def _transverse_factor(sf: SpaceForm) -> float:
-    radius = sf.curvature**-0.5
-    factor = 2.0 * math.pi ** (sf.n / 2) / math.gamma(sf.n / 2) * radius**sf.n
-    if sf.quotient == REAL_PROJECTIVE:
-        factor /= 2.0
-    return factor
-
-
 def _volume_from_values(sf: SpaceForm, basis: ZonalBasis, vals) -> np.ndarray | float:
-    """Volume of e^{2 phi} g from raw phi values (batch-aware)."""
+    """Volume of e^{2 phi} g from raw phi values (batch-aware): the weights
+    integrate over the latitude, |S^(n-1)| r^n over the orbit spheres."""
     integrand = np.exp(sf.n * np.asarray(vals, dtype=float))
-    return _transverse_factor(sf) * (integrand @ basis.weights)
+    return _sphere_factor(sf.quotient, sf.n, sf.curvature, sf.n) * (integrand @ basis.weights)
 
 
 def volume(cm: ConformalMetric) -> float:
     """Total volume of the conformal metric (spherical quotients only)."""
-    if cm.base.quotient == SYNTHETIC_HYPERBOLIC:
-        raise ValueError("volume is not defined for the synthetic hyperbolic quotient")
+    _grid_parity(cm.base, "volume")
     return float(_volume_from_values(cm.base, cm.phi.basis, cm.phi.values))
 
 
@@ -608,10 +610,9 @@ def spectrum_gap_check(sf: SpaceForm) -> tuple[float, float, bool]:
     """First nonzero Laplace eigenvalue on the quotient's function sector,
     the critical level n mu, and whether the gap clears it strictly."""
     critical = sf.n * sf.curvature
-    if sf.quotient == REAL_PROJECTIVE:
-        lam1 = 2.0 * (sf.n + 1) * sf.curvature  # smallest even mode, l = 2
-    elif sf.quotient == FULL_SPHERE:
-        lam1 = float(critical)  # l = 1
+    if sf.quotient in GRID_PARITY:
+        ell = 2 if GRID_PARITY[sf.quotient] == "even" else 1  # lowest nonconstant mode the quotient admits
+        lam1 = float(ell * (ell + sf.n - 1) * sf.curvature)
     else:
         lam1 = float(sf.lambda1)
     return lam1, float(critical), bool(lam1 > critical)

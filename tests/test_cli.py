@@ -137,6 +137,13 @@ def test_spectrum_command(capsys):
         (["solve", "--damping", "nan"], "damping must be finite and positive"),
         (["solve", "--certificate-threshold", "nan"], "threshold must be finite and positive"),
         (["solve", "--certificate-threshold", "-1"], "threshold must be finite and positive"),
+        (["invariants", "--n", "5", "--k", "2", "--tol", "nan"], "tol must be finite and non-negative"),
+        (["invariants", "--n", "5", "--k", "2", "--tol", "-1"], "tol must be finite and non-negative"),
+        (["verify-algebra", "--cases", "2", "--tol", "nan"], "tol must be finite and non-negative"),
+        (["verify-algebra", "--cases", "2", "--tol", "inf"], "tol must be finite and non-negative"),
+        (["verify-linearization", "--n", "5", "--k", "2", "--max-relerr", "nan"], "max_relerr must be finite"),
+        (["verify-linearization", "--n", "5", "--k", "2", "--max-relerr", "-1"], "max_relerr must be finite"),
+        (["verify-linearization", "--n", "5", "--k", "2", "--eps", "nan"], "eps must be finite and positive"),
     ],
     ids=[
         "solve-mu-inf",
@@ -147,6 +154,13 @@ def test_spectrum_command(capsys):
         "solve-damping-nan",
         "solve-threshold-nan",
         "solve-threshold-negative",
+        "invariants-tol-nan",
+        "invariants-tol-negative",
+        "verify-algebra-tol-nan",
+        "verify-algebra-tol-inf",
+        "verify-linearization-max-relerr-nan",
+        "verify-linearization-max-relerr-negative",
+        "verify-linearization-eps-nan",
     ],
 )
 def test_non_finite_or_undeclarable_parameters_exit_2(capsys, argv, message):

@@ -571,9 +571,24 @@ def test_algebra_property_suite_smoke():
     for name, entry in report.items():
         assert entry["passed"], f"{name}: max error {entry['max_error']:.3e}"
         assert entry["cases"] >= 40
+    # tol = 0 asks for exact agreement, so it is a valid tolerance
+    assert set(algebra_property_suite(cases=1, dims=(3,), tol=0.0)) == set(report)
 
 
-@pytest.mark.parametrize("kwargs", [{"cases": 0}, {"dims": ()}, {"dims": (2,)}, {"dims": (4.5,)}, {"dims": (11,)}])
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"cases": 0},
+        {"dims": ()},
+        {"dims": (2,)},
+        {"dims": (4.5,)},
+        {"dims": (11,)},
+        {"cases": 2.5},
+        {"tol": float("nan")},
+        {"tol": float("inf")},
+        {"tol": -1e-12},
+    ],
+)
 def test_algebra_property_suite_rejects_empty_or_unsupported_input(kwargs):
     with pytest.raises(ValueError):
         algebra_property_suite(**kwargs)

@@ -312,6 +312,12 @@ def test_hypersurface_sigma_ratio_depends_only_on_order():
         hypersurface_sigma_check(5, -1.0, 2)
 
 
+@pytest.mark.parametrize("r", [float("nan"), float("inf"), 0.0])
+def test_hypersurface_radius_must_be_finite_and_positive(r):
+    with pytest.raises(ValueError, match="radius must be finite and positive"):
+        hypersurface_sigma_check(5, r, 2)
+
+
 def test_invariant_constants_values():
     c52 = invariant_constants(5, 2)
     assert c52.base_coefficient == pytest.approx(12.0, rel=0)

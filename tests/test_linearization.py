@@ -1,5 +1,7 @@
 """Linearization constants, finite-difference checks, generalized functionals."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,17 @@ def test_fd_verify_validation():
         fd_verify(sf, f, 2, eps=0.0)
     with pytest.raises(ValueError):
         fd_verify(sf, constant_field(basis, 0.0), 2)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1e-3])
+def test_fd_verify_refuses_steps_that_are_not_finite_and_positive(eps):
+    # refused before the curvature pipelines run, so they raise no warning
+    sf = space_form(5, 1.0, FULL_SPHERE)
+    f = mode_field(zonal_basis(5, 8), 2, 0.05)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="eps must be finite and positive"):
+            fd_verify(sf, f, 2, eps=eps)
 
 
 def test_linear_functional_validation():

@@ -154,8 +154,11 @@ def test_config_counts_must_be_integers(field, value):
 def test_non_integer_orders_are_refused():
     sf = rp5()
     psi = mode_field(zonal_basis(5, 16), 2, 0.02)
-    with pytest.raises(ValueError, match="order k must be an integer"):
-        newton_solve(sf, psi, 2.9)
+    # the integer rule comes before the range rule, so True and 1.5 are not
+    # reported as orders below 2
+    for k in (2.9, True, 1.5):
+        with pytest.raises(ValueError, match="order k must be an integer"):
+            newton_solve(sf, psi, k)
     report = newton_solve(sf, psi, 2)
     assert report.status == "converged"
     with pytest.raises(ValueError, match="order k must be an integer"):
