@@ -1,7 +1,7 @@
 """The argument rules every module shares, each stated once: integers and
 counts (bools refused), finite positive numbers (steps, radii, thresholds,
-solver tolerances) and finite non-negative verification tolerances. Each
-raises ValueError naming the argument."""
+solver tolerances), finite non-negative verification tolerances and nonzero
+curvatures. Each raises ValueError naming the argument."""
 
 import math
 import numbers
@@ -25,6 +25,11 @@ def check_count(name: str, value, least: int) -> int:
 def check_positive(name: str, value: float):
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def check_nonzero(name: str, value: float):
+    if value == 0:
+        raise ValueError(f"{name} must be nonzero")
 
 
 def check_tolerance(name: str, value: float):

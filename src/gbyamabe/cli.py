@@ -21,7 +21,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from ._validate import check_positive, check_tolerance
+from ._validate import check_nonzero, check_positive, check_tolerance
 from .forms import DENSE_DIM_LIMIT, algebra_property_suite, standard_metric
 from .invariants import (
     gauss_bonnet,
@@ -61,21 +61,16 @@ _GRID_QUOTIENTS = tuple(name for name, quotient in _QUOTIENTS.items() if quotien
 _CSV_COMMANDS = ("solve", "solve-g", "sweep")
 
 
-def _jsonify(obj):
-    """Recursively convert numpy scalars/arrays so json.dumps accepts them."""
-    if isinstance(obj, dict):
-        return {str(key): _jsonify(val) for key, val in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(val) for val in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(val) for val in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    return obj
+def _json_default(obj):
+    """The numpy values json.dumps does not take itself, as Python values
+    (numpy float64 is a float and needs nothing)."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _dumps(report: dict) -> str:
+    return json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n"
 
 
 def _field_payload(field) -> dict:
@@ -126,16 +121,7 @@ def _solver_config(args) -> SolverConfig:
         max_iterations=args.max_iterations,
         tol_residual=args.tol_residual,
         tol_volume=args.tol_volume,
-        damping=args.damping,
-        nnodes=args.nnodes,
     )
-
-
-def _certified_solver_config(args) -> SolverConfig:
-    """The solver settings of solve and solve-g. Their certificate threshold
-    is checked here, before any solve, also under --no-certify."""
-    check_positive("threshold", args.certificate_threshold)
-    return _solver_config(args)
 
 
 def _profile_field(args, basis):
@@ -191,6 +177,7 @@ def _cmd_invariants(args):
     if args.n > DENSE_DIM_LIMIT:
         raise ValueError(f"--n must be at most {DENSE_DIM_LIMIT} (the dense oracles' memory bound), got {args.n}")
     check_tolerance("tol", args.tol)
+    check_nonzero("background curvature", args.mu)
     g = standard_metric(args.n)
     R = space_form_curvature(args.n, args.mu)
     measured = gauss_bonnet(R, g, args.k)
@@ -263,9 +250,25 @@ def _cmd_spectrum(args):
     return results, None, 0
 
 
-def _finish_solve(args, sf, psi, report, weights):
+def _cmd_solve(args):
+    """solve (one order k) and solve-g (the combined functional of
+    --g-coeffs). The certificate threshold is checked before the solve, also
+    under --no-certify."""
+    functional = LinearFunctional(tuple(_parse_floats(args.g_coeffs))) if args.command == "solve-g" else None
+    sf = space_form(args.n, args.mu, _QUOTIENTS[args.quotient])
+    check_positive("threshold", args.certificate_threshold)
+    cfg = _solver_config(args)
+    psi = _profile_field(args, zonal_basis(args.n, cfg.mode_cutoff))
+    if functional is None:
+        weights = {args.k: 1.0}
+        report = newton_solve(sf, psi, args.k, cfg)
+    else:
+        weights = functional.weights
+        report = generalized_solve(sf, psi, functional, cfg)
     results = _report_results(report)
     results["psi"] = _field_payload(psi)
+    if functional is not None:
+        results["functional"] = list(functional.coefficients)
     code = 0 if report.status == "converged" else 3
     if args.certify and report.status == "converged":
         cert = fixed_point_certificate(sf, psi, report, weights=weights, threshold=args.certificate_threshold)
@@ -276,29 +279,8 @@ def _finish_solve(args, sf, psi, report, weights):
     return results, [["iteration", "residual", "volume_drift", "step_norm"]] + rows, code
 
 
-def _cmd_solve(args):
-    sf = space_form(args.n, args.mu, _QUOTIENTS[args.quotient])
-    cfg = _certified_solver_config(args)
-    basis = zonal_basis(args.n, cfg.mode_cutoff, cfg.nnodes)
-    psi = _profile_field(args, basis)
-    report = newton_solve(sf, psi, args.k, cfg)
-    return _finish_solve(args, sf, psi, report, {args.k: 1.0})
-
-
-def _cmd_solve_g(args):
-    functional = LinearFunctional(tuple(_parse_floats(args.g_coeffs)))
-    sf = space_form(args.n, args.mu, _QUOTIENTS[args.quotient])
-    cfg = _certified_solver_config(args)
-    basis = zonal_basis(args.n, cfg.mode_cutoff, cfg.nnodes)
-    psi = _profile_field(args, basis)
-    report = generalized_solve(sf, psi, functional, cfg)
-    results, rows, code = _finish_solve(args, sf, psi, report, functional.weights)
-    results["functional"] = list(functional.coefficients)
-    return results, rows, code
-
-
 def _cmd_kernel_demo(args):
-    cfg = SolverConfig(mode_cutoff=args.mode_cutoff, nnodes=args.nnodes)
+    cfg = SolverConfig(mode_cutoff=args.mode_cutoff)
     even_sv, full_sv = sphere_kernel_demo(args.n, args.mu, args.k, cfg)
     results = {
         "even_min_singular_value": even_sv,
@@ -312,8 +294,7 @@ def _cmd_sweep(args):
     amplitudes = _parse_floats(args.amplitudes)
     sf = space_form(args.n, args.mu, _QUOTIENTS[args.quotient])
     cfg = _solver_config(args)
-    basis = zonal_basis(args.n, cfg.mode_cutoff, cfg.nnodes)
-    direction = mode_field(basis, args.mode, 1.0)
+    direction = mode_field(zonal_basis(args.n, cfg.mode_cutoff), args.mode, 1.0)
     runs = continuation_sweep(sf, direction, amplitudes, args.k, cfg)
     entries = []
     rows = [["amplitude", "iteration", "residual", "volume_drift", "step_norm"]]
@@ -344,8 +325,6 @@ def _add_solver_flags(sub):
     sub.add_argument("--max-iterations", type=int, default=30)
     sub.add_argument("--tol-residual", type=float, default=1e-10)
     sub.add_argument("--tol-volume", type=float, default=1e-10)
-    sub.add_argument("--damping", type=float, default=1.0, help="initial Newton step fraction")
-    sub.add_argument("--nnodes", type=int, default=None, help="collocation nodes (default 2*cutoff+16)")
 
 
 def _add_background_flags(sub):
@@ -425,14 +404,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(p)
     _add_certificate_flags(p)
     _add_output_flags(p)
-    p.set_defaults(func=_cmd_solve_g)
+    p.set_defaults(func=_cmd_solve)
 
     p = subs.add_parser("kernel-demo", help="full-sphere Jacobian kernel vs the even sector")
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--mu", type=float, default=1.0)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--mode-cutoff", type=int, default=16)
-    p.add_argument("--nnodes", type=int, default=None)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_kernel_demo)
 
@@ -449,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_report(args, report: dict, csv_rows) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = _dumps(report)
     sys.stdout.write(text)
     if not args.output:
         return
@@ -470,7 +448,7 @@ def main(argv=None) -> int:
         for key, val in vars(args).items()
         if key not in ("func", "command", "output", "format") and val is not None
     }
-    base = {"schema": 1, "command": args.command, "inputs": _jsonify(inputs)}
+    base = {"schema": 1, "command": args.command, "inputs": inputs}
     try:
         if args.format == "csv" and not args.output:
             raise ValueError("--format csv needs --output")
@@ -480,9 +458,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         # NondegeneracyViolated lands here too; both are parameter problems
         report = dict(base, error={"type": type(exc).__name__, "message": str(exc)})
-        sys.stdout.write(json.dumps(_jsonify(report), sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(_dumps(report))
         return 2
-    report = dict(base, results=_jsonify(results))
+    report = dict(base, results=results)
     _write_report(args, report, csv_rows)
     return code
 

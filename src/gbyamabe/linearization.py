@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validate import check_positive
+from ._validate import check_nonzero, check_positive
 from .invariants import base_coefficient, check_problem_order
 from .spaceform import (
     ConformalMetric,
@@ -69,8 +69,7 @@ class LinearizationConstants:
 
 def constants(n: int, k: int, mu: float) -> LinearizationConstants:
     check_problem_order(n, k)
-    if mu == 0:
-        raise ValueError("background curvature must be nonzero")
+    check_nonzero("background curvature", mu)
     base = base_coefficient(n, k)
     tensor = (n - 2) * k * base * float(mu) ** (k - 1) / math.factorial(2 * k)
     return LinearizationConstants(

@@ -9,12 +9,13 @@ the equations are the projections of the pointwise invariant onto the same
 modes plus the relative volume defect.
 
 The Jacobian is assembled by batched central differences in one curvature
-evaluation per iteration (the column for c is analytic). On projective
-quotients the system is square and uniformly invertible near the round
-metric, and a near-singular Jacobian aborts with a dedicated status; on the
-full sphere the lowest nonconstant mode genuinely annihilates the
-linearization, so steps are taken in the minimum-norm least-squares sense
-instead. That distinction is the point of sphere_kernel_demo.
+evaluation per iteration (the column for c is analytic). Every step is the
+truncated pseudo-inverse (singular values below 1e-10 of the largest are
+dropped). On projective quotients the system is square and uniformly
+invertible near the round metric, so a dropped direction aborts with a
+dedicated status; on the full sphere the lowest nonconstant mode genuinely
+annihilates the linearization, so the step is the minimum-norm one. That
+distinction is the point of sphere_kernel_demo.
 """
 
 from __future__ import annotations
@@ -57,39 +58,35 @@ __all__ = [
 
 _SUP_NORM_LIMIT = 0.3
 _FD_STEP = 1e-6  # central-difference step of the Jacobian
-_LINE_SEARCH_TRIALS = 12  # step fractions tried per Newton step, each half the last
+_LINE_SEARCH_TRIALS = 12  # step fractions 1, 1/2, ..., 1/2^11 tried per Newton step
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Discretization and stopping parameters for the Newton iteration.
 
-    mode_cutoff is the highest retained mode of the correction; nnodes
-    overrides the collocation count (default 2 * mode_cutoff + 16). damping
-    is the initial step fraction, halved until the sup norm of the residual
-    decreases enough.
+    mode_cutoff is the highest retained mode of the correction; the solver
+    collocates on zonal_basis(n, mode_cutoff), 2 * mode_cutoff + 16 nodes.
+    Each Newton step tries the fractions 1, 1/2, ..., 1/2^11 of the full
+    step until the sup norm of the residual decreases enough.
     """
 
     mode_cutoff: int = 16
     max_iterations: int = 30
     tol_residual: float = 1e-10
     tol_volume: float = 1e-10
-    damping: float = 1.0
-    nnodes: int | None = None
 
     def __post_init__(self):
         check_count("mode_cutoff", self.mode_cutoff, 2)
         check_count("max_iterations", self.max_iterations, 1)
-        if self.nnodes is not None:
-            check_count("nnodes", self.nnodes, 1)
-        for name in ("tol_residual", "tol_volume", "damping"):
+        for name in ("tol_residual", "tol_volume"):
             check_positive(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
 class IterationRecord:
     """State after one accepted update (the first record is the initial
-    state, with zero step)."""
+    state, with zero step). damping is the accepted step fraction."""
 
     residual: float
     volume_drift: float
@@ -104,10 +101,10 @@ class SolverReport:
     - "converged": residual and volume drift below their tolerances;
     - "max_iterations": the iteration budget ran out first;
     - "singular_jacobian": a projective Jacobian lost numerical rank;
-    - "line_search_failed": none of the 12 step fractions damping,
-      damping/2, ..., damping/2^11 along the last Newton direction decreased
-      the residual enough, so the solve stopped at the last accepted iterate
-      instead of taking a step that makes things worse.
+    - "line_search_failed": none of the 12 step fractions 1, 1/2, ...,
+      1/2^11 along the last Newton direction decreased the residual enough,
+      so the solve stopped at the last accepted iterate instead of taking a
+      step that makes things worse.
 
     w and achieved_constant are always the last accepted iterate.
     """
@@ -152,11 +149,16 @@ def _projected_ones(basis: ZonalBasis) -> np.ndarray:
     return basis.projection @ np.ones(basis.x.size)
 
 
-def _evaluate(sf, weights, basis, sel, phi_modes, c):
-    """Residual vector, pointwise invariant values, and volume."""
+def _invariant_and_volume(sf, weights, basis, phi_modes):
+    """Pointwise invariant values and volume of e^{2 phi} g on basis."""
     vals, dv, ddv = _phi_grids(basis, phi_modes)
     S = _combined_values(sf, weights, basis, vals, dv, ddv)
-    vol = float(_volume_from_values(sf, basis, vals))
+    return S, float(_volume_from_values(sf, basis, vals))
+
+
+def _evaluate(sf, weights, basis, sel, phi_modes, c):
+    """Residual vector, pointwise invariant values, and volume."""
+    S, vol = _invariant_and_volume(sf, weights, basis, phi_modes)
     F = np.empty(sel.size + 1)
     F[:-1] = basis.projection[sel] @ S - c * _projected_ones(basis)[sel]
     F[-1] = (vol - sf.reference_volume) / sf.reference_volume
@@ -195,7 +197,7 @@ def _solve_core(sf, psi, weights, config, w0, c0):
     parity = _grid_parity(sf, "the solver")
     for k in weights:
         check_problem_order(sf.n, k)
-    basis = zonal_basis(sf.n, cfg.mode_cutoff, cfg.nnodes)
+    basis = zonal_basis(sf.n, cfg.mode_cutoff)
     psi_b = _admissible(sf, psi if psi.basis is basis else resample(psi, basis), "profile")
     if sup_norm(psi_b) > _SUP_NORM_LIMIT:
         raise ValueError(
@@ -229,17 +231,13 @@ def _solve_core(sf, psi, weights, config, w0, c0):
         J = _assemble_jacobian(sf, weights, basis, sel, psi_b.modes + wm)
         U, svals, Vt = np.linalg.svd(J)
         smin = float(svals[-1])
-        if projective and svals[-1] < 1e-10 * svals[0]:
+        keep = svals > 1e-10 * svals[0]
+        if projective and not keep.all():
             status = "singular_jacobian"
             break
-        coeffs = U.T @ F
-        if projective:
-            delta = Vt.T @ (coeffs / svals)
-        else:
-            inv = np.where(svals > 1e-10 * svals[0], 1.0 / np.where(svals > 0, svals, 1.0), 0.0)
-            delta = Vt.T @ (coeffs * inv)
+        delta = Vt.T @ np.divide(U.T @ F, svals, out=np.zeros_like(svals), where=keep)
 
-        lam = cfg.damping
+        lam = 1.0
         old_norm = float(np.abs(F).max())
         accepted = None
         for _ in range(_LINE_SEARCH_TRIALS):
@@ -321,7 +319,7 @@ def sphere_kernel_demo(
     cfg = config if config is not None else SolverConfig()
     check_problem_order(n, k)
     sf = space_form(n, mu, FULL_SPHERE)
-    basis = zonal_basis(n, cfg.mode_cutoff, cfg.nnodes)
+    basis = zonal_basis(n, cfg.mode_cutoff)
     weights = {k: 1.0}
     phi0 = np.zeros(basis.max_mode + 1)
     out = []
@@ -398,9 +396,7 @@ def fixed_point_certificate(
     src = report.w.basis
     fine = zonal_basis(sf.n, 2 * src.max_mode, 2 * src.x.size)
     phi_modes = resample(psi, fine).modes + resample(report.w, fine).modes
-    vals, dv, ddv = _phi_grids(fine, phi_modes)
-    S = _combined_values(sf, weights, fine, vals, dv, ddv)
-    vol = float(_volume_from_values(sf, fine, vals))
+    S, vol = _invariant_and_volume(sf, weights, fine, phi_modes)
     variation = float(S.max() - S.min())
     sup_dev = float(np.abs(S - report.achieved_constant).max())
     drift = abs(vol - sf.reference_volume) / sf.reference_volume
@@ -416,12 +412,13 @@ def fixed_point_certificate(
     )
 
 
-def quadratic_tail(report: SolverReport, constant: float = 100.0, floor: float = 1e-11) -> bool:
+def quadratic_tail(report: SolverReport) -> bool:
     """Whether the last two residual reductions are (at least) quadratic.
 
-    A transition r_i -> r_{i+1} counts as quadratic if r_{i+1} <= constant *
-    r_i^2, or if r_{i+1} is already below the floor (machine saturation).
+    A transition r_i -> r_{i+1} counts as quadratic if r_{i+1} <= 100 r_i^2,
+    or if r_{i+1} is already below the floor 1e-11 (machine saturation).
     """
+    constant, floor = 100.0, 1e-11
     r = [rec.residual for rec in report.iterations]
     if len(r) < 3:
         return bool(r) and r[-1] <= floor

@@ -49,7 +49,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._validate import check_count
+from ._validate import check_count, check_nonzero
 from .forms import _WORK_RETAIN, DoubleForm, double_form, product_coeffs, product_gather_entries
 from .indexing import num_indices
 from .invariants import check_problem_order, gauss_bonnet_coeffs, gauss_bonnet_gather_entries
@@ -94,16 +94,16 @@ _QUOTIENTS = (*GRID_PARITY, SYNTHETIC_HYPERBOLIC)
 class SpaceForm:
     """Background geometry: dimension, sectional curvature, quotient type.
 
-    reference_volume is the volume of the quotient at curvature `curvature`
-    (computed for the spherical quotients, user supplied for the synthetic
-    hyperbolic one). lambda1 is only meaningful for the synthetic quotient,
-    where no grid exists and the spectrum is declared instead of computed.
+    reference_volume is the volume of a spherical quotient at curvature
+    `curvature`; lambda1 is the declared first eigenvalue of the synthetic
+    quotient, where no grid exists and the spectrum is declared instead of
+    computed. Each is None on the quotients of the other kind.
     """
 
     n: int
     curvature: float
     quotient: str
-    reference_volume: float
+    reference_volume: float | None = None
     lambda1: float | None = None
 
 
@@ -119,36 +119,30 @@ def space_form(
     curvature: float,
     quotient: str = REAL_PROJECTIVE,
     lambda1: float | None = None,
-    reference_volume: float | None = None,
 ) -> SpaceForm:
-    """Validated SpaceForm constructor. n is an integer of at least 5, every
-    number must be finite; lambda1 and reference_volume are declared for the
-    synthetic quotient only."""
+    """Validated SpaceForm constructor. n is an integer of at least 5 and
+    every number must be finite. The spherical quotients compute their
+    reference volume and spectrum; the synthetic quotient needs a declared
+    lambda1 > 0 and has no reference volume."""
     n = check_count("dimension", n, 5)
     if quotient not in _QUOTIENTS:
         raise ValueError(f"unknown quotient {quotient!r}, expected one of {_QUOTIENTS}")
-    for name, value in (("curvature", curvature), ("lambda1", lambda1), ("reference_volume", reference_volume)):
+    for name, value in (("curvature", curvature), ("lambda1", lambda1)):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    if curvature == 0:
-        raise ValueError("curvature must be nonzero")
+    check_nonzero("curvature", curvature)
     if quotient in GRID_PARITY:
         if curvature <= 0:
             raise ValueError(f"{quotient} requires positive curvature")
-        if lambda1 is not None or reference_volume is not None:
-            raise ValueError(f"{quotient} computes lambda1 and the reference volume; they cannot be declared")
+        if lambda1 is not None:
+            raise ValueError(f"{quotient} computes lambda1; it cannot be declared")
         vol = _sphere_factor(quotient, n + 1, curvature, n)
         return SpaceForm(n=n, curvature=float(curvature), quotient=quotient, reference_volume=vol)
     if curvature >= 0:
         raise ValueError("synthetic hyperbolic quotient requires negative curvature")
     if lambda1 is None or lambda1 <= 0:
         raise ValueError("synthetic hyperbolic quotient needs a declared lambda1 > 0")
-    vol = 1.0 if reference_volume is None else float(reference_volume)
-    if vol <= 0:
-        raise ValueError("reference volume must be positive")
-    return SpaceForm(
-        n=n, curvature=float(curvature), quotient=quotient, reference_volume=vol, lambda1=float(lambda1)
-    )
+    return SpaceForm(n=n, curvature=float(curvature), quotient=quotient, lambda1=float(lambda1))
 
 
 # ---------------------------------------------------------------------------

@@ -134,7 +134,13 @@ def test_spectrum_command(capsys):
         (["spectrum", "--n", "5", "--mu", "inf"], "curvature must be finite"),
         (["spectrum", "--n", "5", "--quotient", "rp", "--lambda1", "5"], "cannot be declared"),
         (["solve", "--tol-residual", "nan", "--max-iterations", "3"], "tol_residual must be finite and positive"),
-        (["solve", "--damping", "nan"], "damping must be finite and positive"),
+        (["solve", "--damping", "nan"], "unrecognized arguments: --damping nan"),
+        (["solve-g", "--g-coeffs", "1", "--damping", "0.5"], "unrecognized arguments: --damping 0.5"),
+        (["sweep", "--damping", "0.5"], "unrecognized arguments: --damping 0.5"),
+        (["solve", "--nnodes", "48"], "unrecognized arguments: --nnodes 48"),
+        (["solve-g", "--g-coeffs", "1", "--nnodes", "48"], "unrecognized arguments: --nnodes 48"),
+        (["sweep", "--nnodes", "48"], "unrecognized arguments: --nnodes 48"),
+        (["kernel-demo", "--nnodes", "48"], "unrecognized arguments: --nnodes 48"),
         (["solve", "--certificate-threshold", "nan"], "threshold must be finite and positive"),
         (["solve", "--certificate-threshold", "-1"], "threshold must be finite and positive"),
         (["invariants", "--n", "5", "--k", "2", "--tol", "nan"], "tol must be finite and non-negative"),
@@ -152,6 +158,12 @@ def test_spectrum_command(capsys):
         "spectrum-rp-lambda1",
         "solve-tol-residual-nan",
         "solve-damping-nan",
+        "solve-g-damping",
+        "sweep-damping",
+        "solve-nnodes",
+        "solve-g-nnodes",
+        "sweep-nnodes",
+        "kernel-demo-nnodes",
         "solve-threshold-nan",
         "solve-threshold-negative",
         "invariants-tol-nan",
@@ -164,11 +176,28 @@ def test_spectrum_command(capsys):
     ],
 )
 def test_non_finite_or_undeclarable_parameters_exit_2(capsys, argv, message):
+    if message.startswith("unrecognized arguments"):
+        # a removed solver flag: argparse refuses it before any report is written
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        return
     code, report = run_cli(capsys, argv)
     assert code == 2
     assert "results" not in report
     assert report["error"]["type"] == "ValueError"
     assert message in report["error"]["message"]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_invariants_refuses_a_flat_background(capsys, k):
+    # at k = 3 > max_order(6) no linearization constant is computed, so the
+    # refusal must not depend on it
+    code, report = run_cli(capsys, ["invariants", "--n", "6", "--k", str(k), "--mu", "0"])
+    assert code == 2
+    assert "results" not in report
+    assert report["error"]["message"] == "background curvature must be nonzero"
 
 
 @pytest.mark.parametrize(

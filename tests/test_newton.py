@@ -1,6 +1,7 @@
 """Newton solver, kernel demo, continuation, certificates."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -129,26 +130,60 @@ def test_line_search_failure_status(monkeypatch):
 
 
 def test_config_validation():
+    fields = [field.name for field in dataclasses.fields(SolverConfig)]
+    assert fields == ["mode_cutoff", "max_iterations", "tol_residual", "tol_volume"]
     with pytest.raises(ValueError):
         SolverConfig(mode_cutoff=1)
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
     with pytest.raises(ValueError):
         SolverConfig(tol_residual=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(damping=-0.5)
-    for name in ("tol_residual", "tol_volume", "damping"):
+    # every step starts at the full Newton step: there is no damping setting
+    with pytest.raises(TypeError, match="damping"):
+        SolverConfig(damping=0.5)
+    for name in ("tol_residual", "tol_volume"):
         with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
             SolverConfig(**{name: float("nan")})
 
 
 @pytest.mark.parametrize(
-    "field, value",
-    [("max_iterations", 2.5), ("max_iterations", True), ("mode_cutoff", 16.0), ("nnodes", 48.0), ("nnodes", True)],
+    "field, value, error, message",
+    [
+        ("max_iterations", 2.5, ValueError, "max_iterations must be an integer"),
+        ("max_iterations", True, ValueError, "max_iterations must be an integer"),
+        ("mode_cutoff", 16.0, ValueError, "mode_cutoff must be an integer"),
+        # the solver grid is zonal_basis(n, mode_cutoff): there is no node count setting
+        ("nnodes", 48.0, TypeError, "nnodes"),
+        ("nnodes", True, TypeError, "nnodes"),
+    ],
+    ids=["max_iterations-2.5", "max_iterations-True", "mode_cutoff-16.0", "nnodes-48.0", "nnodes-True"],
 )
-def test_config_counts_must_be_integers(field, value):
-    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+def test_config_counts_must_be_integers(field, value, error, message):
+    with pytest.raises(error, match=message):
         SolverConfig(**{field: value})
+
+
+def test_singular_projective_jacobian_stops_at_the_initial_iterate(monkeypatch, capsys):
+    import gbyamabe.newton as newton
+    from gbyamabe.cli import main
+
+    real = newton._assemble_jacobian
+
+    def rank_deficient(*args):
+        J = real(*args)
+        J[:, 0] = 0.0
+        return J
+
+    monkeypatch.setattr(newton, "_assemble_jacobian", rank_deficient)
+    report = newton_solve(rp5(), default_psi(), 2)
+    assert report.status == "singular_jacobian"
+    assert report.steps == 0
+    assert np.all(report.w.modes == 0.0)
+    assert report.jacobian_min_singular_value < 1e-10
+    assert main(["solve"]) == 3
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["status"] == "singular_jacobian"
+    assert "certificate" not in results
 
 
 def test_non_integer_orders_are_refused():
@@ -280,6 +315,9 @@ def test_quadratic_tail_on_real_solve():
 
 
 def test_quadratic_tail_synthetic_cases():
+    # the constant 100 and the floor 1e-11 are fixed, not arguments
+    with pytest.raises(TypeError):
+        quadratic_tail(synthetic_report([1.0]), 100.0)
     assert quadratic_tail(synthetic_report([1.0, 1e-2, 1e-6, 1e-12]))
     assert not quadratic_tail(synthetic_report([1e-2, 1e-3, 1e-3]))
     # saturated floor excuses the final transition

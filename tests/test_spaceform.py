@@ -275,18 +275,21 @@ def test_space_form_factory_validation():
         space_form(5, -1.0, SYNTHETIC_HYPERBOLIC)  # missing lambda1
     with pytest.raises(ValueError):
         space_form(5, 1.0, "klein_bottle")
-    hyp = space_form(6, -1.0, SYNTHETIC_HYPERBOLIC, lambda1=0.5, reference_volume=3.0)
-    assert hyp.reference_volume == 3.0
+    # the synthetic quotient has no grid, so no volume: nothing would read one
+    hyp = space_form(6, -1.0, SYNTHETIC_HYPERBOLIC, lambda1=0.5)
+    assert hyp.reference_volume is None
+    with pytest.raises(TypeError, match="reference_volume"):
+        space_form(6, -1.0, SYNTHETIC_HYPERBOLIC, lambda1=0.5, reference_volume=3.0)
+    with pytest.raises(TypeError, match="reference_volume"):
+        space_form(5, 1.0, REAL_PROJECTIVE, reference_volume=7.0)
     for bad in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match="curvature must be finite"):
             space_form(5, bad, REAL_PROJECTIVE)
     with pytest.raises(ValueError, match="lambda1 must be finite"):
         space_form(6, -1.0, SYNTHETIC_HYPERBOLIC, lambda1=float("nan"))
-    with pytest.raises(ValueError, match="reference_volume must be finite"):
-        space_form(6, -1.0, SYNTHETIC_HYPERBOLIC, lambda1=0.5, reference_volume=float("inf"))
-    # the spherical quotients compute both, so neither may be declared
+    # the spherical quotients compute their spectrum, so it may not be declared
     with pytest.raises(ValueError, match="cannot be declared"):
-        space_form(5, 1.0, REAL_PROJECTIVE, reference_volume=7.0)
+        space_form(5, 1.0, REAL_PROJECTIVE, lambda1=5.0)
     with pytest.raises(ValueError, match="cannot be declared"):
         space_form(5, 1.0, FULL_SPHERE, lambda1=5.0)
 
