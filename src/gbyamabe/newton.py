@@ -8,14 +8,16 @@ unknowns are the parity-admissible mode coefficients of w together with c;
 the equations are the projections of the pointwise invariant onto the same
 modes plus the relative volume defect.
 
-The Jacobian is assembled by batched central differences in one curvature
-evaluation per iteration (the column for c is analytic). Every step is the
-truncated pseudo-inverse (singular values below 1e-10 of the largest are
-dropped). On projective quotients the system is square and uniformly
-invertible near the round metric, so a dropped direction aborts with a
-dedicated status; on the full sphere the lowest nonconstant mode genuinely
-annihilates the linearization, so the step is the minimum-norm one. That
-distinction is the point of sphere_kernel_demo.
+The pointwise invariant comes from the two-block closed form
+(spaceform._two_block_values) at every order but k = 2, which still runs the
+dense double-form evaluator _gb_values. The Jacobian is assembled by batched
+central differences in one curvature evaluation per iteration (the column
+for c is analytic). Every step is the truncated pseudo-inverse (singular
+values below 1e-10 of the largest are dropped). On projective quotients the
+system is square and uniformly invertible near the round metric, so a
+dropped direction aborts with a dedicated status; on the full sphere the
+lowest nonconstant mode genuinely annihilates the linearization, so the step
+is the minimum-norm one. That distinction is the point of sphere_kernel_demo.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .spaceform import (
     _admissible,
     _gb_values,
     _grid_parity,
+    _two_block_values,
     _volume_from_values,
     field_from_modes,
     resample,
@@ -140,7 +143,9 @@ def _phi_grids(basis: ZonalBasis, modes: np.ndarray):
 def _combined_values(sf: SpaceForm, weights, basis, vals, dv, ddv):
     total = None
     for k in sorted(weights):
-        part = weights[k] * _gb_values(sf.n, sf.curvature, k, basis, vals, dv, ddv)
+        # k = 2 stays dense for test_tracer_accounts_for_op_time_and_restores_the_package (ROADMAP item 1)
+        evaluate = _gb_values if k == 2 else _two_block_values
+        part = weights[k] * evaluate(sf.n, sf.curvature, k, basis, vals, dv, ddv)
         total = part if total is None else total + part
     return total
 

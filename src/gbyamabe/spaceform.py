@@ -35,10 +35,15 @@ even under theta -> pi - theta descend to it, and _sphere_factor halves its
 volume. _grid_parity and _admissible apply the table for volume,
 conformal_metric and the solver; _even_modes is the parity rule of modes.
 
-The invariant on a whole grid (gb_field, and the solver through _gb_values)
-runs in chunks of nodes whose largest gather fits one retained work buffer
-of the forms kernels (_GATHER_BUDGET is forms._WORK_RETAIN), so no chunk
-maps fresh memory.
+The curvature operator of either pipeline has only two eigenvalues, k_rad on
+the n - 1 radial planes and k_sph on the rest, so the order-2k invariant is a
+two-term polynomial in them. _two_block_values evaluates that closed form in
+O(nodes) and is what the solver uses at every order but k = 2. The dense
+evaluator _gb_values builds each pipeline's curvature stack and runs the
+double-form algebra; it is the oracle behind gb_field, fd_verify and
+constancy_diagnostic, and the solver's k = 2 path. It runs in chunks of nodes
+whose largest gather fits one retained work buffer of the forms kernels
+(_GATHER_BUDGET is forms._WORK_RETAIN), so no chunk maps fresh memory.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ import numpy as np
 from ._validate import check_count, check_nonzero
 from .forms import _WORK_RETAIN, DoubleForm, double_form, product_coeffs, product_gather_entries
 from .indexing import num_indices
-from .invariants import check_problem_order, gauss_bonnet_coeffs, gauss_bonnet_gather_entries
+from .invariants import check_problem_order, gauss_bonnet_coeffs, gauss_bonnet_gather_entries, space_form_invariant
 
 __all__ = [
     "REAL_PROJECTIVE",
@@ -552,6 +557,19 @@ def _gb_values(n, mu, k, basis: ZonalBasis, vals, dv, ddv, pipeline="warped"):
     chunk = _chunk_nodes(n, k, pipeline)
     parts = [_gb_chunk(n, mu, k, *grid[:, s : s + chunk], pipeline) for s in range(0, grid.shape[1], chunk)]
     return np.concatenate(parts).reshape(batch)
+
+
+def _two_block_values(n, mu, k, basis: ZonalBasis, vals, dv, ddv):
+    """Pointwise order-2k invariant of e^{2 phi} g_mu by the two-block closed
+    form c / n k_sph^(k-1) ((n - 2k) k_sph + 2k k_rad), c the unit space
+    form's invariant (Labbi, Trans. AMS 357 (2005)).
+
+    vals/dv/ddv may carry leading batch dimensions in front of the node
+    axis. O(nodes): no tables, chunks or work buffers, at every n.
+    """
+    k_rad, k_sph = _sectional_blocks(mu, basis.x, basis.sin_theta, vals, dv, ddv)
+    c = space_form_invariant(n, k, 1.0) / n
+    return c * k_sph ** (k - 1) * ((n - 2 * k) * k_sph + 2 * k * k_rad)
 
 
 def gb_field(cm: ConformalMetric, k: int, pipeline: str = "warped") -> LatitudeField:

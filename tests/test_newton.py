@@ -15,9 +15,11 @@ from gbyamabe import (
     NondegeneracyViolated,
     SolverConfig,
     SolverReport,
+    conformal_metric,
     continuation_sweep,
     field_from_modes,
     fixed_point_certificate,
+    gb_field,
     generalized_solve,
     mode_field,
     newton_solve,
@@ -264,6 +266,25 @@ def test_fixed_point_certificate_passes_on_solution():
     assert cert.sup_deviation <= 1e-9
     assert cert.max_mode == 32
     assert cert.nnodes == 2 * psi.basis.x.size
+
+
+def test_order_3_solve_runs_no_dense_evaluation(monkeypatch):
+    from gbyamabe import spaceform
+
+    def dense(*args):
+        raise AssertionError("the solver evaluated the invariant densely")
+
+    sf = space_form(7, 1.0, REAL_PROJECTIVE)
+    psi = default_psi(n=7)
+    with monkeypatch.context() as patch:
+        patch.setattr(spaceform, "_gb_chunk", dense)
+        report = newton_solve(sf, psi, 3)
+        cert = fixed_point_certificate(sf, psi, report, k=3)
+    assert report.status == "converged" and cert.passed
+    # the dense oracle still agrees with the solved metric
+    phi = field_from_modes(psi.basis, psi.modes + report.w.modes, parity="even")
+    field = gb_field(conformal_metric(sf, phi), 3, "conformal")
+    assert np.abs(field.values - report.achieved_constant).max() <= 1e-9
 
 
 def test_fixed_point_certificate_flags_wrong_constant():

@@ -12,12 +12,14 @@ from gbyamabe import (
     conformal_curvature,
     conformal_metric,
     constant_field,
+    double_form,
     field_from_modes,
     field_from_values,
     gauss_bonnet,
     gauss_bonnet_values,
     gb_field,
     laplacian,
+    max_order,
     mode_field,
     reflect_field,
     resample,
@@ -32,7 +34,8 @@ from gbyamabe import (
 )
 from gbyamabe import spaceform
 from gbyamabe.indexing import split_tables
-from gbyamabe.spaceform import _GATHER_BUDGET, _gb_values
+from gbyamabe.forms import DENSE_DIM_LIMIT
+from gbyamabe.spaceform import _GATHER_BUDGET, _gb_values, _two_block_values
 
 from reference_forms import two_block_invariant
 
@@ -384,6 +387,77 @@ def test_gb_field_matches_two_block_closed_form():
             kappa_sph = R.coeffs[-1, -1]
             expected = two_block_invariant(n, k, kappa_rad, kappa_sph)
             assert field.values[node] == pytest.approx(expected, rel=1e-11)
+
+
+def test_two_block_values_match_gauss_bonnet_on_both_pipelines():
+    # every (n <= 8, k) of the algebra's range, node by node, against the
+    # dense stacks of the warped and the conformal pipeline, at mu > 0 and
+    # continued to mu < 0
+    rng = np.random.default_rng(41)
+    for n in range(3, 9):
+        basis = zonal_basis(n, 6)
+        g = standard_metric(n)
+        phi = random_phi(basis, rng, sup=0.15)
+        grids = (basis.x, basis.sin_theta, phi.values, phi.dvalues, phi.ddvalues)
+        for mu in (1.0, -0.7):
+            stacks = (
+                spaceform._diagonal_curvature_stack(n, *spaceform._sectional_blocks(mu, *grids)),
+                spaceform._conformal_curvature_stack(n, mu, *grids),
+            )
+            for k in range(1, n // 2 + 1):
+                closed = _two_block_values(n, mu, k, basis, phi.values, phi.dvalues, phi.ddvalues)
+                for stack in stacks:
+                    dense = [gauss_bonnet(double_form(n, 2, 2, R), g, k) for R in stack]
+                    np.testing.assert_allclose(closed, dense, rtol=1e-12, err_msg=f"n={n} k={k} mu={mu}")
+
+
+def test_two_block_values_match_the_dense_evaluator_on_a_jacobian_batch():
+    # the solver's Jacobian batch on RP^n: the 9 even modes of a cutoff-16
+    # window, each perturbed up and down
+    rng = np.random.default_rng(42)
+    for n in range(5, 9):
+        basis = zonal_basis(n, 16)
+        phi = random_phi(basis, rng, sup=0.1, parity="even")
+        vals, dv, ddv = (
+            grid + 1e-3 * np.concatenate([table[:, ::2].T, -table[:, ::2].T])
+            for grid, table in (
+                (phi.values, basis.values),
+                (phi.dvalues, basis.dtheta),
+                (phi.ddvalues, basis.ddtheta),
+            )
+        )
+        assert vals.shape == (2 * 9, basis.x.size)
+        for k in range(1, max_order(n) + 1):
+            closed = _two_block_values(n, 1.0, k, basis, vals, dv, ddv)
+            dense = _gb_values(n, 1.0, k, basis, vals, dv, ddv)
+            np.testing.assert_allclose(closed, dense, rtol=1e-12, err_msg=f"n={n} k={k}")
+
+
+def test_two_block_values_reach_past_the_dense_limit_in_bounded_memory():
+    # the dense evaluator stops at DENSE_DIM_LIMIT; the closed form holds
+    # the space-form value at every problem order up to n = 21, and its
+    # peak allocation on a Jacobian-shaped batch is a few grids, whatever n
+    import tracemalloc
+
+    assert DENSE_DIM_LIMIT < 21
+    for n in range(3, 22):
+        basis = zonal_basis(n, 4)
+        zero = np.zeros(basis.x.size)
+        for k in range(1, max_order(n) + 1):
+            for mu in (1.0, -1.0):
+                values = _two_block_values(n, mu, k, basis, zero, zero, zero)
+                np.testing.assert_allclose(values, space_form_invariant(n, k, mu), rtol=1e-14)
+    basis = zonal_basis(21, 16)
+    phi = mode_field(basis, 2, 0.05)
+    vals, dv, ddv = (np.broadcast_to(a, (18, basis.x.size)).copy() for a in (phi.values, phi.dvalues, phi.ddvalues))
+    tracemalloc.start()
+    try:
+        values = _two_block_values(21, 1.0, 10, basis, vals, dv, ddv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert values.shape == vals.shape and np.all(np.isfinite(values))
+    assert peak <= 8 * vals.nbytes
 
 
 def test_gb_field_round_value_and_negative_curvature():
