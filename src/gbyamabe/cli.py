@@ -109,7 +109,10 @@ def _parse_mode_coeffs(text: str) -> dict[int, float]:
         if ":" not in piece:
             raise ValueError(f"profile entry {piece!r} is not of the form mode:value")
         ell, val = piece.split(":", 1)
-        out[int(ell)] = float(val)
+        ell = int(ell)
+        if ell in out:
+            raise ValueError(f"profile mode {ell} is given more than once")
+        out[ell] = float(val)
     if not out:
         raise ValueError(f"no profile entries in {text!r}")
     return out

@@ -41,8 +41,8 @@ The kernels write their gathers into buffers kept per thread (_work_array),
 so that repeated calls fault in no fresh memory pages; spaceform sizes
 its grid chunks so that every product gather fits one (a square's gathers
 are half that size, and the chunk rule does not count on it).
-is_in_symmetry_class and symmetric_bilinear share one symmetry rule
-(_is_symmetric).
+is_in_symmetry_class and the metric rule _metric_frame share one symmetry
+rule (_is_symmetric).
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ import numpy as np
 from ._validate import check_count, check_tolerance
 from .indexing import (
     compound_matrix,
-    index_tuples,
     insertion_tables,
     num_indices,
     split_tables,
@@ -66,15 +65,11 @@ from .indexing import (
 __all__ = [
     "DoubleForm",
     "double_form",
-    "scalar_form",
     "standard_metric",
-    "symmetric_bilinear",
     "product",
-    "metric_multiply",
     "contract",
     "inner",
     "is_in_symmetry_class",
-    "random_form",
     "algebra_property_suite",
 ]
 
@@ -115,33 +110,11 @@ def double_form(dim: int, p: int, q: int, coeffs) -> DoubleForm:
     return DoubleForm(dim, p, q, arr)
 
 
-def scalar_form(dim: int, value: float) -> DoubleForm:
-    """The (0,0) form with the given value; the unit of the algebra is 1."""
-    return double_form(dim, 0, 0, [[float(value)]])
-
-
 @lru_cache(maxsize=None)
 def standard_metric(dim: int) -> DoubleForm:
     """The Euclidean metric as a (1,1) form: the identity matrix (one
     immutable instance per dimension)."""
     return double_form(dim, 1, 1, np.eye(dim))
-
-
-def symmetric_bilinear(coeffs, positive_definite: bool = False) -> DoubleForm:
-    """Validate an n x n symmetric matrix as a (1,1) form.
-
-    With positive_definite=True the eigenvalues must all be positive, which
-    is what metric arguments require.
-    """
-    arr = np.array(coeffs, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("symmetric bilinear form needs a square matrix")
-    form = double_form(arr.shape[0], 1, 1, arr)
-    if not _is_symmetric(form.coeffs, 1e-12):
-        raise ValueError("matrix is not symmetric")
-    if positive_definite and np.linalg.eigvalsh(arr).min() <= 0:
-        raise ValueError("matrix is not positive definite")
-    return form
 
 
 def _is_symmetric(c: np.ndarray, tol: float) -> bool:
@@ -171,13 +144,6 @@ def product(a: DoubleForm, b: DoubleForm) -> DoubleForm:
         )
     out = product_coeffs(n, a.p, a.q, a.coeffs, b.p, b.q, b.coeffs)
     return double_form(n, a.p + b.p, a.q + b.q, out)
-
-
-def metric_multiply(g: DoubleForm, a: DoubleForm) -> DoubleForm:
-    """Multiply by a (1,1) metric form; the adjoint of contraction."""
-    if g.bidegree != (1, 1):
-        raise ValueError("metric must have bidegree (1,1)")
-    return product(g, a)
 
 
 def _to_frame(w: np.ndarray, n: int, p: int, q: int, E: np.ndarray) -> np.ndarray:
@@ -248,7 +214,7 @@ def is_in_symmetry_class(a: DoubleForm, tol: float = 1e-12) -> bool:
     return _is_symmetric(a.coeffs, tol)
 
 
-def random_form(n: int, p: int, q: int, rng: np.random.Generator) -> DoubleForm:
+def _random_form(n: int, p: int, q: int, rng: np.random.Generator) -> DoubleForm:
     """Random dense form with standard normal ranked coefficients."""
     return double_form(n, p, q, rng.standard_normal((num_indices(n, p), num_indices(n, q))))
 
@@ -506,9 +472,9 @@ def algebra_property_suite(cases: int = 200, seed: int = 0, dims=(3, 4, 5, 6), t
         # adjointness <g.w, t> = <w, c_g t>
         p = int(rng.integers(1, min(3, n - 1) + 1))
         q = int(rng.integers(1, min(3, n - 1) + 1))
-        w = random_form(n, p - 1, q - 1, rng)
-        t = random_form(n, p, q, rng)
-        gw = metric_multiply(g, w)
+        w = _random_form(n, p - 1, q - 1, rng)
+        t = _random_form(n, p, q, rng)
+        gw = product(g, w)
         ct = contract(g, t)
         # relative to the summed sizes of the terms, the rounding bound of an
         # inner product; |lhs| itself can cancel to near zero
@@ -524,7 +490,7 @@ def algebra_property_suite(cases: int = 200, seed: int = 0, dims=(3, 4, 5, 6), t
             budget_p -= dp
             budget_q -= dq
             degs.append((dp, dq))
-        a, b, c = (random_form(n, dp, dq, rng) for dp, dq in degs)
+        a, b, c = (_random_form(n, dp, dq, rng) for dp, dq in degs)
         left = product(product(a, b), c)
         right = product(a, product(b, c))
         scale = max(np.abs(left.coeffs).max(), np.abs(right.coeffs).max())
@@ -537,8 +503,8 @@ def algebra_property_suite(cases: int = 200, seed: int = 0, dims=(3, 4, 5, 6), t
         record("graded_commutativity", _rel(np.abs(ab.coeffs - sign * ba.coeffs).max(), scale))
 
         # frame independence of contraction for a general metric
-        G = symmetric_bilinear(_random_spd(n, rng), positive_definite=True)
-        w22 = random_form(n, 2, 2, rng)
+        G = double_form(n, 1, 1, _random_spd(n, rng))
+        w22 = _random_form(n, 2, 2, rng)
         E0 = _metric_frame(G, n)
         E1 = E0 @ _random_orthogonal(n, rng)
         c_default = contract(G, w22)
@@ -553,7 +519,8 @@ def algebra_property_suite(cases: int = 200, seed: int = 0, dims=(3, 4, 5, 6), t
         m = num_indices(n, 2)
         raw = rng.standard_normal((m, m))
         R = double_form(n, 2, 2, (raw + raw.T) / 2)
-        h = symmetric_bilinear((lambda M: (M + M.T) / 2)(rng.standard_normal((n, n))))
+        raw = rng.standard_normal((n, n))
+        h = double_form(n, 1, 1, (raw + raw.T) / 2)
         prod_sym = is_in_symmetry_class(product(R, h), tol=tol)
         contr_sym = is_in_symmetry_class(contract(g, R), tol=tol)
         record("symmetry_closure", 0.0 if (prod_sym and contr_sym) else 1.0)

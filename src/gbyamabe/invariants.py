@@ -41,7 +41,7 @@ from itertools import permutations
 
 import numpy as np
 
-from ._validate import check_integer, check_positive
+from ._validate import check_integer
 from .forms import (
     DoubleForm,
     _metric_frame,
@@ -59,16 +59,13 @@ from .indexing import index_tuples, num_indices, split_tables
 __all__ = [
     "InvariantConstants",
     "invariant_constants",
-    "base_coefficient",
     "max_order",
-    "check_problem_order",
     "gauss_bonnet",
     "ricci_2k",
     "raw_kronecker_sum",
     "gauss_bonnet_kronecker",
     "space_form_curvature",
     "space_form_invariant",
-    "hypersurface_sigma_check",
     "random_curvature_like",
 ]
 
@@ -351,16 +348,3 @@ def space_form_invariant(n: int, k: int, mu: float) -> float:
     _check_order(n, k)
     return math.factorial(n) / (math.factorial(n - 2 * k) * 2**k) * float(mu) ** k
 
-
-def hypersurface_sigma_check(n: int, r: float, k: int) -> tuple[float, float, float]:
-    """Round hypersphere of radius r in (n+1)-space: returns the induced
-    metric's order-2k invariant, the elementary symmetric polynomial of
-    order 2k in the principal curvatures (all 1/r), and their ratio. The
-    ratio depends only on (n, k)."""
-    check_positive("radius", r)
-    _check_order(n, k)
-    mu = 1.0 / r**2
-    R = space_form_curvature(n, mu)
-    s = gauss_bonnet(R, standard_metric(n), k)
-    sigma = math.comb(n, 2 * k) / r ** (2 * k)
-    return s, sigma, s / sigma

@@ -33,13 +33,11 @@ __all__ = [
     "constants",
     "shifted_laplacian",
     "conformal_linearization",
-    "full_linearization",
     "fd_verify",
     "NondegeneracyViolated",
     "LinearFunctional",
     "GeneralizedConstants",
     "generalized_constants",
-    "generalized_linearization",
     "constancy_diagnostic",
 ]
 
@@ -54,7 +52,8 @@ class LinearizationConstants:
     """Closed-form coefficients at the (n, mu) background, order k.
 
     base_coefficient scales the pointwise invariant of the background,
-    tensor_coefficient multiplies the general metric-direction combination,
+    tensor_coefficient multiplies Laplacian tr h + div div h - (n - 1) mu
+    tr h in a general metric direction h (geometer-sign Laplacian), and
     conformal_coefficient = (n - 1) * tensor_coefficient multiplies the
     shifted Laplacian in conformal directions.
     """
@@ -95,29 +94,6 @@ def conformal_linearization(sf: SpaceForm, field: LatitudeField, k: int) -> Lati
     coeff = constants(sf.n, k, sf.curvature).conformal_coefficient
     shifted = shifted_laplacian(sf, field)
     return field_from_modes(field.basis, coeff * shifted.modes, parity=field.parity)
-
-
-def full_linearization(
-    sf: SpaceForm, tr_h: LatitudeField, div_div_h: LatitudeField, k: int
-) -> LatitudeField:
-    """Derivative in a general direction h, given its trace and double
-    divergence as axisymmetric fields.
-
-    div_div_h uses the convention div_div(u g) = -Laplacian(u) with the
-    geometer-sign Laplacian; under it, h = 2 f g reproduces twice
-    conformal_linearization(sf, f, k).
-    """
-    if tr_h.basis is not div_div_h.basis and (
-        tr_h.basis.n != div_div_h.basis.n
-        or tr_h.basis.max_mode != div_div_h.basis.max_mode
-        or tr_h.basis.x.size != div_div_h.basis.x.size
-    ):
-        raise ValueError("trace and double-divergence fields live on different bases")
-    coeff = constants(sf.n, k, sf.curvature).tensor_coefficient
-    lap = laplacian(sf, tr_h)
-    modes = coeff * (lap.modes + div_div_h.modes - (sf.n - 1) * sf.curvature * tr_h.modes)
-    parity = tr_h.parity if tr_h.parity == div_div_h.parity else "any"
-    return field_from_modes(tr_h.basis, modes, parity=parity)
 
 
 def fd_verify(
@@ -212,15 +188,6 @@ def generalized_constants(n: int, mu: float, functional: LinearFunctional) -> Ge
         tensor_coefficient=float(combined),
         conformal_coefficient=float((n - 1) * combined),
     )
-
-
-def generalized_linearization(
-    sf: SpaceForm, field: LatitudeField, functional: LinearFunctional
-) -> LatitudeField:
-    """Conformal-direction derivative of the combined functional."""
-    gc = generalized_constants(sf.n, sf.curvature, functional)
-    shifted = shifted_laplacian(sf, field)
-    return field_from_modes(field.basis, gc.conformal_coefficient * shifted.modes, parity=field.parity)
 
 
 def constancy_diagnostic(cm: ConformalMetric, k: int, pipeline: str = "warped") -> LatitudeField:

@@ -387,14 +387,15 @@ def fixed_point_certificate(
     nodes; the invariant of a genuine solution stays constant instead of
     revealing hidden sub-grid variation.
 
-    variation is max - min of the re-evaluated invariant, sup_deviation its
-    largest distance from the achieved constant. threshold must be finite
-    and positive.
+    Pass exactly one of k (the order-2k invariant) and weights ({order:
+    coefficient}, the combined functional). variation is max - min of the
+    re-evaluated invariant, sup_deviation its largest distance from the
+    achieved constant. threshold must be finite and positive.
     """
     check_positive("threshold", threshold)
+    if (k is None) == (weights is None):
+        raise ValueError("pass exactly one of an order k and explicit weights")
     if weights is None:
-        if k is None:
-            raise ValueError("pass either an order k or explicit weights")
         weights = {k: 1.0}
     for order in weights:
         check_problem_order(sf.n, order)

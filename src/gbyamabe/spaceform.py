@@ -54,7 +54,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._validate import check_count, check_nonzero
+from ._validate import check_count, check_integer, check_nonzero
 from .forms import _WORK_RETAIN, DoubleForm, double_form, product_coeffs, product_gather_entries
 from .indexing import num_indices
 from .invariants import check_problem_order, gauss_bonnet_coeffs, gauss_bonnet_gather_entries, space_form_invariant
@@ -71,16 +71,13 @@ __all__ = [
     "field_from_modes",
     "field_from_values",
     "mode_field",
-    "constant_field",
     "resample",
-    "reflect_field",
     "sup_norm",
     "ConformalMetric",
     "conformal_metric",
     "warped_curvature",
     "conformal_curvature",
     "gb_field",
-    "gauss_bonnet_values",
     "volume",
     "laplacian",
     "spectrum_gap_check",
@@ -343,6 +340,7 @@ def field_from_values(basis: ZonalBasis, values, parity: str = "any") -> Latitud
 
 def mode_field(basis: ZonalBasis, ell: int, sup_amplitude: float = 1.0) -> LatitudeField:
     """A single basis mode rescaled to the requested sup norm on the grid."""
+    ell = check_integer("mode", ell)
     if not 0 <= ell <= basis.max_mode:
         raise ValueError(f"mode {ell} outside 0..{basis.max_mode}")
     modes = np.zeros(basis.max_mode + 1)
@@ -352,7 +350,7 @@ def mode_field(basis: ZonalBasis, ell: int, sup_amplitude: float = 1.0) -> Latit
     return field_from_modes(basis, modes, parity="even" if ell % 2 == 0 else "any")
 
 
-def constant_field(basis: ZonalBasis, value: float) -> LatitudeField:
+def _constant_field(basis: ZonalBasis, value: float) -> LatitudeField:
     return field_from_values(basis, np.full(basis.x.size, float(value)), parity="even")
 
 
@@ -376,7 +374,7 @@ def resample(field: LatitudeField, basis: ZonalBasis) -> LatitudeField:
     return field_from_modes(basis, modes, parity=field.parity)
 
 
-def reflect_field(field: LatitudeField) -> LatitudeField:
+def _reflect_field(field: LatitudeField) -> LatitudeField:
     """Pull back under theta -> pi - theta (odd modes change sign)."""
     modes = field.modes.copy()
     modes[1::2] *= -1.0
@@ -583,11 +581,6 @@ def gb_field(cm: ConformalMetric, k: int, pipeline: str = "warped") -> LatitudeF
     phi = cm.phi
     vals = _gb_values(n, cm.base.curvature, k, phi.basis, phi.values, phi.dvalues, phi.ddvalues, pipeline)
     return field_from_values(phi.basis, vals, parity=phi.parity)
-
-
-def gauss_bonnet_values(cm: ConformalMetric, ks, pipeline: str = "warped") -> dict[int, np.ndarray]:
-    """Raw grid values of the invariant for each requested order."""
-    return {k: gb_field(cm, k, pipeline).values for k in ks}
 
 
 # ---------------------------------------------------------------------------

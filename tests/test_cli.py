@@ -275,6 +275,11 @@ def test_solve_rejects_malformed_profile(capsys):
     assert code == 2
     assert report["error"]["type"] == "ValueError"
     assert "results" not in report
+    # a repeated mode would otherwise keep only its last value
+    code, report = run_cli(capsys, ["solve", "--coeffs", "2:0.05,2:0.01"])
+    assert code == 2
+    assert report["error"]["message"] == "profile mode 2 is given more than once"
+    assert "results" not in report
 
 
 def test_solve_rejects_odd_profile_on_projective(capsys):

@@ -16,21 +16,16 @@ except ImportError:  # not on every platform
     resource = None
 
 from gbyamabe import (
-    DoubleForm,
     algebra_property_suite,
     contract,
     double_form,
     inner,
     is_in_symmetry_class,
-    metric_multiply,
     product,
-    random_form,
-    scalar_form,
     standard_metric,
-    symmetric_bilinear,
 )
 from gbyamabe import forms, spaceform
-from gbyamabe.forms import contract_coeffs, product_coeffs, square_coeffs
+from gbyamabe.forms import _random_form, contract_coeffs, product_coeffs, square_coeffs
 from gbyamabe.indexing import index_tuples, insertion_tables, rank_map, split_tables
 
 from reference_forms import (
@@ -69,8 +64,8 @@ def test_product_against_dense_oracle():
     ]
     for n, (p, q), (r, s) in cases:
         for _ in range(4):
-            a = random_form(n, p, q, rng)
-            b = random_form(n, r, s, rng)
+            a = _random_form(n, p, q, rng)
+            b = _random_form(n, r, s, rng)
             got = product(a, b)
             expected = from_dense(
                 n,
@@ -95,7 +90,7 @@ def test_contract_identity_metric_against_dense_oracle():
     g5 = standard_metric(5)
     for n, g, p, q in [(4, g4, 2, 2), (4, g4, 1, 1), (5, g5, 2, 2), (5, g5, 3, 2), (5, g5, 2, 3)]:
         for _ in range(4):
-            a = random_form(n, p, q, rng)
+            a = _random_form(n, p, q, rng)
             got = contract(g, a)
             expected = from_dense(n, p - 1, q - 1, dense_contract(p, q, to_dense(n, p, q, a.coeffs)))
             np.testing.assert_allclose(got.coeffs, expected, atol=1e-12)
@@ -165,8 +160,8 @@ def test_contract_general_metric_against_dense_oracle():
     for n, p, q in [(4, 2, 2), (5, 2, 2), (5, 1, 1)]:
         for _ in range(4):
             G = random_spd(n, rng)
-            g = symmetric_bilinear(G, positive_definite=True)
-            a = random_form(n, p, q, rng)
+            g = double_form(n, 1, 1, G)
+            a = _random_form(n, p, q, rng)
             got = contract(g, a)
             expected = from_dense(
                 n, p - 1, q - 1, dense_contract_metric(p, q, to_dense(n, p, q, a.coeffs), G)
@@ -186,8 +181,8 @@ def test_inner_against_dense_oracle():
     rng = np.random.default_rng(104)
     for n, p, q in [(4, 1, 1), (4, 2, 2), (5, 2, 2), (5, 2, 1)]:
         for _ in range(4):
-            a = random_form(n, p, q, rng)
-            b = random_form(n, p, q, rng)
+            a = _random_form(n, p, q, rng)
+            b = _random_form(n, p, q, rng)
             got = inner(a, b)
             expected = dense_inner(p, q, to_dense(n, p, q, a.coeffs), to_dense(n, p, q, b.coeffs))
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
@@ -199,9 +194,9 @@ def test_adjointness_of_metric_multiplication_and_contraction():
         g = standard_metric(n)
         for p, q in [(1, 1), (2, 2), (2, 1)]:
             for _ in range(6):
-                a = random_form(n, p, q, rng)
-                b = random_form(n, p + 1, q + 1, rng)
-                lhs = inner(metric_multiply(g, a), b)
+                a = _random_form(n, p, q, rng)
+                b = _random_form(n, p + 1, q + 1, rng)
+                lhs = inner(product(g, a), b)
                 rhs = inner(a, contract(g, b))
                 assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-11)
 
@@ -209,9 +204,9 @@ def test_adjointness_of_metric_multiplication_and_contraction():
 def test_product_associativity():
     rng = np.random.default_rng(106)
     for n in (4, 5):
-        a = random_form(n, 1, 1, rng)
-        b = random_form(n, 1, 1, rng)
-        c = random_form(n, 2, 1, rng)
+        a = _random_form(n, 1, 1, rng)
+        b = _random_form(n, 1, 1, rng)
+        c = _random_form(n, 2, 1, rng)
         left = product(product(a, b), c)
         right = product(a, product(b, c))
         np.testing.assert_allclose(left.coeffs, right.coeffs, atol=1e-12)
@@ -221,8 +216,8 @@ def test_graded_commutativity_sign():
     rng = np.random.default_rng(107)
     n = 5
     for (p, q), (r, s) in [((1, 1), (1, 1)), ((2, 1), (1, 2)), ((1, 2), (1, 1)), ((2, 2), (1, 1))]:
-        a = random_form(n, p, q, rng)
-        b = random_form(n, r, s, rng)
+        a = _random_form(n, p, q, rng)
+        b = _random_form(n, r, s, rng)
         sign = (-1.0) ** (p * r + q * s)
         ab = product(a, b)
         ba = product(b, a)
@@ -234,13 +229,13 @@ def test_contract_frame_independence():
     rng = np.random.default_rng(108)
     n = 4
     G = random_spd(n, rng)
-    g = symmetric_bilinear(G, positive_definite=True)
+    g = double_form(n, 1, 1, G)
     E = np.linalg.inv(np.linalg.cholesky(G)).T
     # rotate: any orthogonal Q gives another valid frame
     raw = rng.standard_normal((n, n))
     Q, _ = np.linalg.qr(raw)
     for _ in range(5):
-        a = random_form(n, 2, 2, rng)
+        a = _random_form(n, 2, 2, rng)
         base = contract(g, a)
         rotated = contract(g, a, frame=E @ Q)
         np.testing.assert_allclose(rotated.coeffs, base.coeffs, atol=1e-10)
@@ -249,16 +244,9 @@ def test_contract_frame_independence():
 def test_contract_rejects_non_orthonormal_frame():
     n = 4
     g = standard_metric(n)
-    a = random_form(n, 2, 2, np.random.default_rng(109))
+    a = _random_form(n, 2, 2, np.random.default_rng(109))
     with pytest.raises(ValueError):
         contract(g, a, frame=2.0 * np.eye(n))
-
-
-def test_metric_multiply_matches_product_with_metric():
-    rng = np.random.default_rng(110)
-    g = standard_metric(5)
-    a = random_form(5, 2, 2, rng)
-    np.testing.assert_allclose(metric_multiply(g, a).coeffs, product(g, a).coeffs, atol=0)
 
 
 def test_symmetry_class_detection():
@@ -271,26 +259,29 @@ def test_symmetry_class_detection():
     if not np.allclose(raw, raw.T):
         assert not is_in_symmetry_class(asym)
     with pytest.raises(ValueError):
-        is_in_symmetry_class(random_form(n, 2, 1, rng))
+        is_in_symmetry_class(_random_form(n, 2, 1, rng))
 
 
 def test_symmetry_rule_is_relative_and_shared():
-    # tolerance 1e-12 times max(1, max |c|) = 4e-12, for both entry points
+    # tolerance 1e-12 times max(1, max |c|) = 4e-12, for both entry points:
+    # the symmetry class and the metric rule of contract
+    a = standard_metric(3)
     for gap, symmetric in [(3.9e-12, True), (4.1e-12, False)]:
         m = np.diag([4.0, 1.0, 1.0])
         m[0, 1] = gap
-        assert is_in_symmetry_class(double_form(3, 1, 1, m)) is symmetric
+        g = double_form(3, 1, 1, m)
+        assert is_in_symmetry_class(g) is symmetric
         if symmetric:
-            assert symmetric_bilinear(m).coeffs[0, 1] == gap
+            assert contract(g, a).bidegree == (0, 0)
         else:
-            with pytest.raises(ValueError, match="not symmetric"):
-                symmetric_bilinear(m)
+            with pytest.raises(ValueError, match="^metric is not symmetric$"):
+                contract(g, a)
     with pytest.raises(ValueError, match="finite"):
-        symmetric_bilinear(np.full((3, 3), np.inf))
+        double_form(3, 1, 1, np.full((3, 3), np.inf))
 
 
 def test_scalar_form_and_zero_degree_products():
-    s = scalar_form(4, 3.0)
+    s = double_form(4, 0, 0, [[3.0]])
     g = standard_metric(4)
     out = product(s, g)
     np.testing.assert_allclose(out.coeffs, 3.0 * g.coeffs, atol=0)
@@ -313,8 +304,8 @@ def test_form_validation():
         double_form(4, 1, 1, np.zeros((3, 4)))
     with pytest.raises(ValueError):
         double_form(4, 1, 1, np.full((4, 4), np.nan))
-    with pytest.raises(ValueError):
-        symmetric_bilinear(np.array([[1.0, 2.0], [2.1, 1.0]]))
+    with pytest.raises(ValueError, match="^metric is not symmetric$"):
+        contract(double_form(2, 1, 1, [[1.0, 2.0], [2.1, 1.0]]), standard_metric(2))
 
 
 def test_batched_kernels_match_single_evaluations():

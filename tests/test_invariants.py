@@ -9,7 +9,6 @@ from gbyamabe import (
     contract,
     gauss_bonnet,
     gauss_bonnet_kronecker,
-    hypersurface_sigma_check,
     invariant_constants,
     random_curvature_like,
     raw_kronecker_sum,
@@ -17,7 +16,6 @@ from gbyamabe import (
     space_form_curvature,
     space_form_invariant,
     standard_metric,
-    symmetric_bilinear,
 )
 from gbyamabe import invariants, spaceform
 from gbyamabe.forms import double_form
@@ -200,7 +198,7 @@ def test_invariants_with_general_metric_are_invariant_under_pullback():
 
         C2 = compound_matrix(A, 2)
         R_pulled = double_form(n, 2, 2, C2.T @ R.coeffs @ C2)
-        g_pulled = symmetric_bilinear(A.T @ A, positive_definite=True)
+        g_pulled = double_form(n, 1, 1, A.T @ A)
         assert gauss_bonnet(R_pulled, g_pulled, k) == pytest.approx(base, rel=1e-9)
 
 
@@ -218,7 +216,7 @@ _ORACLES = {
         (standard_metric(4), "dimension mismatch: 4 vs 5"),
         (space_form_curvature(5, 1.0), r"metric must have bidegree \(1,1\)"),
         (double_form(5, 1, 1, np.triu(np.ones((5, 5))) + 4 * np.eye(5)), "metric is not symmetric"),
-        (symmetric_bilinear(np.diag([1.0, 2.0, 3.0, 4.0, -1.0])), "metric is not positive definite"),
+        (double_form(5, 1, 1, np.diag([1.0, 2.0, 3.0, 4.0, -1.0])), "metric is not positive definite"),
     ],
     ids=["wrong_dimension", "bidegree_2_2", "not_symmetric", "not_positive_definite"],
 )
@@ -299,23 +297,6 @@ def test_curvature_validation():
         gauss_bonnet(R, g, 3)  # 2k > n
     with pytest.raises(ValueError):
         gauss_bonnet(R, g, 0)
-
-
-def test_hypersurface_sigma_ratio_depends_only_on_order():
-    # induced invariant vs elementary symmetric polynomial of principal
-    # curvatures: the ratio collapses to (2k)!/2^k
-    for n, r, k in [(5, 1.0, 2), (5, 2.0, 2), (6, 0.5, 2), (7, 3.0, 3), (5, 1.5, 1)]:
-        s, sigma, ratio = hypersurface_sigma_check(n, r, k)
-        assert ratio == pytest.approx(math.factorial(2 * k) / 2**k, rel=1e-12)
-        assert s == pytest.approx(space_form_invariant(n, k, 1.0 / r**2), rel=1e-12)
-    with pytest.raises(ValueError):
-        hypersurface_sigma_check(5, -1.0, 2)
-
-
-@pytest.mark.parametrize("r", [float("nan"), float("inf"), 0.0])
-def test_hypersurface_radius_must_be_finite_and_positive(r):
-    with pytest.raises(ValueError, match="radius must be finite and positive"):
-        hypersurface_sigma_check(5, r, 2)
 
 
 def test_invariant_constants_values():

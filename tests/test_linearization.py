@@ -14,14 +14,9 @@ from gbyamabe import (
     conformal_linearization,
     conformal_metric,
     constancy_diagnostic,
-    constant_field,
     constants,
     fd_verify,
-    field_from_modes,
-    full_linearization,
     generalized_constants,
-    generalized_linearization,
-    laplacian,
     max_order,
     mode_field,
     shifted_laplacian,
@@ -29,6 +24,7 @@ from gbyamabe import (
     sup_norm,
     zonal_basis,
 )
+from gbyamabe.spaceform import _constant_field
 
 
 def test_constants_closed_values():
@@ -89,35 +85,10 @@ def test_conformal_linearization_mode_factors():
     basis = zonal_basis(5, 8)
     coeff = constants(5, 2, 1.0).conformal_coefficient
     for ell in (0, 2, 3, 5):
-        f = mode_field(basis, ell, 1.0) if ell else constant_field(basis, 1.0)
+        f = mode_field(basis, ell, 1.0) if ell else _constant_field(basis, 1.0)
         out = conformal_linearization(sf, f, 2)
         factor = coeff * (ell * (ell + 4) - 5)
         np.testing.assert_allclose(out.modes, factor * f.modes, atol=1e-10)
-
-
-def test_full_linearization_matches_conformal_direction():
-    rng = np.random.default_rng(50)
-    for n, k, mu in [(5, 2, 1.0), (6, 2, -1.0), (7, 3, 1.0)]:
-        if mu > 0:
-            sf = space_form(n, mu, FULL_SPHERE)
-        else:
-            sf = space_form(n, mu, SYNTHETIC_HYPERBOLIC, lambda1=1.0)
-        basis = zonal_basis(n, 10)
-        modes = rng.standard_normal(11) * 0.5 ** np.arange(11)
-        f = field_from_modes(basis, modes)
-        tr_h = field_from_modes(basis, 2 * n * modes)
-        div_div_h = field_from_modes(basis, -2.0 * laplacian(sf, f).modes)
-        full = full_linearization(sf, tr_h, div_div_h, k)
-        twice = 2.0 * conformal_linearization(sf, f, k).values
-        np.testing.assert_allclose(full.values, twice, atol=1e-10 * max(np.abs(twice).max(), 1.0))
-
-
-def test_full_linearization_rejects_mismatched_bases():
-    sf = space_form(5, 1.0, FULL_SPHERE)
-    a = constant_field(zonal_basis(5, 8), 1.0)
-    b = constant_field(zonal_basis(5, 12), 1.0)
-    with pytest.raises(ValueError):
-        full_linearization(sf, a, b, 2)
 
 
 def test_fd_verify_small_relative_error():
@@ -146,7 +117,7 @@ def test_fd_verify_validation():
     with pytest.raises(ValueError):
         fd_verify(sf, f, 2, eps=0.0)
     with pytest.raises(ValueError):
-        fd_verify(sf, constant_field(basis, 0.0), 2)
+        fd_verify(sf, _constant_field(basis, 0.0), 2)
 
 
 @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1e-3])
@@ -189,19 +160,16 @@ def test_generalized_constants_too_many_orders():
         generalized_constants(5, 1.0, LinearFunctional((1.0, 1.0, 1.0)))
 
 
-def test_generalized_linearization_single_order():
-    sf = space_form(5, 1.0, REAL_PROJECTIVE)
-    basis = zonal_basis(5, 8)
-    f = mode_field(basis, 2, 0.3)
-    out = generalized_linearization(sf, f, LinearFunctional((1.0,)))
-    expected = conformal_linearization(sf, f, 1)
-    np.testing.assert_allclose(out.values, expected.values, atol=1e-12)
+def test_generalized_constants_single_order():
+    # a one-term functional carries the constants of its order
+    gc = generalized_constants(5, 1.0, LinearFunctional((1.0,)))
+    assert gc.conformal_coefficient == constants(5, 1, 1.0).conformal_coefficient
 
 
 def test_constancy_diagnostic_vanishes_at_round_metric():
     sf = space_form(5, 1.0, REAL_PROJECTIVE)
     basis = zonal_basis(5, 8)
-    cm = conformal_metric(sf, constant_field(basis, 0.0))
+    cm = conformal_metric(sf, _constant_field(basis, 0.0))
     diag = constancy_diagnostic(cm, 2)
     assert sup_norm(diag) <= 1e-8
 

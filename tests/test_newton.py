@@ -24,13 +24,12 @@ from gbyamabe import (
     mode_field,
     newton_solve,
     quadratic_tail,
-    reflect_field,
     space_form,
     space_form_invariant,
     sphere_kernel_demo,
-    sup_norm,
     zonal_basis,
 )
+from gbyamabe.spaceform import _reflect_field
 
 
 def rp5():
@@ -95,9 +94,9 @@ def test_sphere_solve_is_reflection_equivariant():
     sf = space_form(5, 1.0, FULL_SPHERE)
     psi = default_psi(ell=3)
     a = newton_solve(sf, psi, 2)
-    b = newton_solve(sf, reflect_field(psi), 2)
+    b = newton_solve(sf, _reflect_field(psi), 2)
     assert a.status == b.status == "converged"
-    assert np.abs(reflect_field(a.w).modes - b.w.modes).max() <= 1e-8
+    assert np.abs(_reflect_field(a.w).modes - b.w.modes).max() <= 1e-8
     assert a.achieved_constant == pytest.approx(b.achieved_constant, abs=1e-10)
 
 
@@ -303,6 +302,9 @@ def test_fixed_point_certificate_needs_orders():
     report = newton_solve(sf, psi, 2)
     with pytest.raises(ValueError):
         fixed_point_certificate(sf, psi, report)
+    # both at once would leave one of them unchecked
+    with pytest.raises(ValueError, match="exactly one of an order k and explicit weights"):
+        fixed_point_certificate(sf, psi, report, k=1, weights={2: 1.0})
 
 
 def test_fixed_point_certificate_needs_a_finite_positive_threshold():

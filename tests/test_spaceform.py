@@ -11,17 +11,14 @@ from gbyamabe import (
     SYNTHETIC_HYPERBOLIC,
     conformal_curvature,
     conformal_metric,
-    constant_field,
     double_form,
     field_from_modes,
     field_from_values,
     gauss_bonnet,
-    gauss_bonnet_values,
     gb_field,
     laplacian,
     max_order,
     mode_field,
-    reflect_field,
     resample,
     space_form,
     space_form_invariant,
@@ -35,7 +32,7 @@ from gbyamabe import (
 from gbyamabe import spaceform
 from gbyamabe.indexing import split_tables
 from gbyamabe.forms import DENSE_DIM_LIMIT
-from gbyamabe.spaceform import _GATHER_BUDGET, _gb_values, _two_block_values
+from gbyamabe.spaceform import _GATHER_BUDGET, _constant_field, _gb_values, _reflect_field, _two_block_values
 
 from reference_forms import two_block_invariant
 
@@ -225,17 +222,21 @@ def test_mode_field_amplitude_and_parity():
     assert mode_field(basis, 3, 0.1).parity == "any"
     with pytest.raises(ValueError):
         mode_field(basis, 11, 0.1)
+    # a bool index would set every mode, a float one would raise IndexError
+    for ell in (True, 2.0):
+        with pytest.raises(ValueError, match="mode must be an integer"):
+            mode_field(basis, ell, 0.1)
 
 
 def test_constant_field_and_reflection():
     basis = zonal_basis(5, 8)
-    c = constant_field(basis, 2.5)
+    c = _constant_field(basis, 2.5)
     np.testing.assert_allclose(c.values, 2.5, atol=1e-13)
     rng = np.random.default_rng(33)
     f = random_phi(basis, rng)
-    r = reflect_field(f)
+    r = _reflect_field(f)
     np.testing.assert_allclose(r.values, f.values[::-1], atol=1e-11)
-    rr = reflect_field(r)
+    rr = _reflect_field(r)
     np.testing.assert_allclose(rr.modes, f.modes, atol=0)
 
 
@@ -339,7 +340,7 @@ def test_conformal_metric_parity_guard():
 def test_round_metric_curvature_is_constant():
     sf = space_form(5, 1.0, FULL_SPHERE)
     basis = zonal_basis(5, 8)
-    cm = conformal_metric(sf, constant_field(basis, 0.0))
+    cm = conformal_metric(sf, _constant_field(basis, 0.0))
     g = standard_metric(5)
     node = basis.x.size // 3
     for R in (warped_curvature(cm, node), conformal_curvature(cm, node)):
@@ -467,7 +468,7 @@ def test_gb_field_round_value_and_negative_curvature():
         else:
             sf = space_form(n, mu, SYNTHETIC_HYPERBOLIC, lambda1=1.0)
         basis = zonal_basis(n, 6)
-        cm = conformal_metric(sf, constant_field(basis, 0.0))
+        cm = conformal_metric(sf, _constant_field(basis, 0.0))
         field = gb_field(cm, k)
         np.testing.assert_allclose(field.values, space_form_invariant(n, k, mu), rtol=1e-12)
 
@@ -477,7 +478,7 @@ def test_gb_field_constant_conformal_shift_scales_invariant():
     n, k, a = 5, 2, 0.1
     sf = space_form(n, 1.0, FULL_SPHERE)
     basis = zonal_basis(n, 6)
-    cm = conformal_metric(sf, constant_field(basis, a))
+    cm = conformal_metric(sf, _constant_field(basis, a))
     field = gb_field(cm, k)
     np.testing.assert_allclose(
         field.values, space_form_invariant(n, k, math.exp(-2 * a)), rtol=1e-12
@@ -487,22 +488,9 @@ def test_gb_field_constant_conformal_shift_scales_invariant():
 def test_gb_field_order_guard():
     sf = space_form(5, 1.0, FULL_SPHERE)
     basis = zonal_basis(5, 6)
-    cm = conformal_metric(sf, constant_field(basis, 0.0))
+    cm = conformal_metric(sf, _constant_field(basis, 0.0))
     with pytest.raises(ValueError):
         gb_field(cm, 3)
-
-
-def test_gauss_bonnet_values_multiple_orders():
-    rng = np.random.default_rng(38)
-    sf = space_form(5, 1.0, REAL_PROJECTIVE)
-    basis = zonal_basis(5, 8)
-    phi = random_phi(basis, rng, sup=0.1, parity="even")
-    cm = conformal_metric(sf, phi)
-    vals = gauss_bonnet_values(cm, (1, 2))
-    np.testing.assert_allclose(vals[1], gb_field(cm, 1).values, atol=0)
-    np.testing.assert_allclose(vals[2], gb_field(cm, 2).values, atol=0)
-    with pytest.raises(ValueError):
-        gauss_bonnet_values(cm, (0,))
 
 
 def test_gb_values_chunking_does_not_change_results(monkeypatch):
@@ -593,16 +581,16 @@ def test_gb_values_diagonal_block_gathers_stay_within_budget(monkeypatch):
 def test_volume_of_round_and_shifted_metrics():
     sf = space_form(5, 1.0, REAL_PROJECTIVE)
     basis = zonal_basis(5, 10)
-    zero = constant_field(basis, 0.0)
+    zero = _constant_field(basis, 0.0)
     assert volume(conformal_metric(sf, zero)) == pytest.approx(sf.reference_volume, rel=1e-13)
-    shifted = constant_field(basis, 0.2)
+    shifted = _constant_field(basis, 0.2)
     assert volume(conformal_metric(sf, shifted)) == pytest.approx(
         math.exp(5 * 0.2) * sf.reference_volume, rel=1e-13
     )
     for basis in _grid_bases():
         for quotient in (REAL_PROJECTIVE, FULL_SPHERE):
             sf_n = space_form(basis.n, 1.0, quotient)
-            zero_n = constant_field(basis, 0.0)
+            zero_n = _constant_field(basis, 0.0)
             assert volume(conformal_metric(sf_n, zero_n)) == pytest.approx(sf_n.reference_volume, rel=1e-14)
     hyp = space_form(5, -1.0, SYNTHETIC_HYPERBOLIC, lambda1=1.0)
     with pytest.raises(ValueError):
