@@ -1,7 +1,7 @@
 """The argument rules every module shares, each stated once: integers and
 counts (bools refused), finite positive numbers (steps, radii, thresholds,
-solver tolerances), finite non-negative verification tolerances and nonzero
-curvatures. Each raises ValueError naming the argument."""
+solver tolerances), finite non-negative verification tolerances and finite
+nonzero curvatures. Each raises ValueError naming the argument."""
 
 import math
 import numbers
@@ -28,6 +28,9 @@ def check_positive(name: str, value: float):
 
 
 def check_nonzero(name: str, value: float):
+    """A curvature: finite, then nonzero."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
     if value == 0:
         raise ValueError(f"{name} must be nonzero")
 

@@ -35,7 +35,8 @@ with half the row gathers; the package builds every w w through it, while
 product_coeffs stays the general product. contract_coeffs reads every
 signed term of the contraction in one gather through a table cached per
 bidegree (_contract_plan, from indexing.insertion_tables) and sums over
-the n directions in one reduction. The cached plans hold their index
+the n directions in one reduction (_signed_gather_sum, which
+invariants.ricci_2k shares). The cached plans hold their index
 tables C-contiguous and writeable, so np.take reads them without a copy.
 The kernels write their gathers into buffers kept per thread (_work_array),
 so that repeated calls fault in no fresh memory pages; spaceform sizes
@@ -362,38 +363,21 @@ def product_gather_entries(n, p, q, r, s) -> int:
     return split_tables(n, p, r)[0].size * split_tables(n, q, s)[0].size
 
 
-@lru_cache(maxsize=None)
-def _contract_plan(n, p, q):
-    """Gather ranks of contract_coeffs for one bidegree, shaped
-    (n, C(n,p-1), C(n,q-1)).
-
-    Entry [i, r, c] is the term direction i adds to entry (r, c) of the
-    contraction, as a rank into the flattened (C(n,p), C(n,q)) matrix w
-    followed by -w and one zero: a term of sign -1 reads -w, and the zero
-    stands in where i lies in row r or column c (insertion_tables).
-    """
-    Rr, Sr = insertion_tables(n, p - 1)
-    Rc, Sc = insertion_tables(n, q - 1)
-    size = num_indices(n, p) * num_indices(n, q)
-    flat = Rr.T[:, :, None] * num_indices(n, q) + Rc.T[:, None, :]
-    sign = Sr.T[:, :, None] * Sc.T[:, None, :]
+def _signed_ranks(flat: np.ndarray, sign: np.ndarray, size: int) -> np.ndarray:
+    """Gather ranks of signed terms: each flat rank into a matrix of `size`
+    entries read from the matrix where sign is +1, from its negation
+    (followed after it) where sign is -1, and from one zero after both where
+    sign is 0. The result is C-contiguous and left writeable: np.take copies
+    any other index array on every call."""
     ranks = np.ascontiguousarray(np.where(sign < 0, flat + size, flat))
     ranks[sign == 0] = 2 * size
-    # C-contiguous and left writeable: np.take copies any other index array
-    # on every call
     return ranks
 
 
-def contract_coeffs(n, p, q, w) -> np.ndarray:
-    """Coefficients of the standard-metric contraction of a (p,q) form.
-
-    w: array shaped (..., C(n,p), C(n,q)); returns the (p-1, q-1) batch.
-    Entry (r, c) is the sum over directions i of w at the row and column
-    with i inserted, times both insertion signs. One gather through
-    _contract_plan reads every signed term into a _work_array buffer, and
-    one reduction over the direction axis sums them.
-    """
-    ranks = _contract_plan(n, p, q)
+def _signed_gather_sum(ranks: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Sum over the first axis of the terms that the _signed_ranks table
+    `ranks` reads from w (..., rows, cols): one gather into a _work_array
+    buffer and one reduction."""
     w = np.asarray(w, dtype=float)
     batch = w.shape[:-2]
     size = w.shape[-2] * w.shape[-1]
@@ -404,6 +388,34 @@ def contract_coeffs(n, p, q, w) -> np.ndarray:
     terms = np.take(signed, ranks, axis=-1, out=_work_array(6, batch + ranks.shape), mode="clip")
     # from +0.0, so that a sum of signed zeros is +0.0, never -0.0
     return np.add.reduce(terms, axis=-3, initial=0.0)
+
+
+@lru_cache(maxsize=None)
+def _contract_plan(n, p, q):
+    """Gather ranks of contract_coeffs for one bidegree, shaped
+    (n, C(n,p-1), C(n,q-1)).
+
+    Entry [i, r, c] is the term direction i adds to entry (r, c) of the
+    contraction (_signed_ranks): the zero stands in where i lies in row r or
+    column c (insertion_tables).
+    """
+    Rr, Sr = insertion_tables(n, p - 1)
+    Rc, Sc = insertion_tables(n, q - 1)
+    flat = Rr.T[:, :, None] * num_indices(n, q) + Rc.T[:, None, :]
+    sign = Sr.T[:, :, None] * Sc.T[:, None, :]
+    return _signed_ranks(flat, sign, num_indices(n, p) * num_indices(n, q))
+
+
+def contract_coeffs(n, p, q, w) -> np.ndarray:
+    """Coefficients of the standard-metric contraction of a (p,q) form.
+
+    w: array shaped (..., C(n,p), C(n,q)); returns the (p-1, q-1) batch.
+    Entry (r, c) is the sum over directions i of w at the row and column
+    with i inserted, times both insertion signs. One gather through
+    _contract_plan reads every signed term, and one reduction over the
+    direction axis sums them (_signed_gather_sum).
+    """
+    return _signed_gather_sum(_contract_plan(n, p, q), w)
 
 
 # ---------------------------------------------------------------------------

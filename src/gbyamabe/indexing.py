@@ -11,12 +11,15 @@ splits of each (p+r)-combination as one contiguous run, so a product sums
 runs instead of multiplying by a sign matrix, and the invariant's trace
 reads the diagonal blocks of a product from the same runs; its three
 arrays hold C(n, p+r) C(p+r, p) entries each (1260 for the (4,2) split at
-n = 9). insertion_tables holds C(n, p) n entries per array;
-forms.contract_coeffs expands a pair of them into one cached gather table
-of n entries per coefficient of the contraction. What grows with n and k
-is the arrays the kernels gather through these tables, which spaceform
-bounds by chunking and the forms work buffers keep from faulting in fresh
-pages.
+n = 9). insertion_tables holds C(n, p) n entries per array and feeds two
+cached gather plans: forms.contract_coeffs expands a pair of them into a
+table of n entries (one per direction) per coefficient of one
+contraction, and invariants.ricci_2k expands the table of degree 2k - 1,
+with row and direction swapped, into a table of C(n, 2k - 1) entries (one
+per (2k - 1)-set) per coefficient of 2k - 1 contractions at once. What
+grows with n and k is the arrays the kernels gather through these tables,
+which spaceform bounds by chunking and the forms work buffers keep from
+faulting in fresh pages.
 """
 
 from functools import lru_cache

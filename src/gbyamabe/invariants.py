@@ -6,13 +6,14 @@ Two independent evaluation routes are kept deliberately separate:
   trace, so the invariant is tr(R^k) = tr(R^a R^b) with a = ceil(k/2) and
   b = floor(k/2), read off the diagonal blocks of the product R^a R^b
   without forming it (polynomial cost, the production path; R^a is R^b or
-  R^b R, so at most ceil(k/2) - 1 products are built). ricci_2k keeps the
-  full chain of products and contractions, so tr ricci_2k = (2k)!
-  gauss_bonnet compares two code paths. Both build R R with the square
-  kernel (forms.square_coeffs, half the terms of the product); gauss_bonnet
-  multiplies nothing at k = 2. Grid chunks keep the size that
-  gauss_bonnet_gather_entries gives, an upper bound where the largest
-  gather is that square; and
+  R^b R, where R^b comes from repeated squaring). ricci_2k forms the full
+  power R^k by repeated squaring and contracts it 2k - 1 times in one
+  gather, so tr ricci_2k = (2k)! gauss_bonnet still compares two code
+  paths: the full power against diagonal blocks of a product. Both build
+  every square with the square kernel (forms.square_coeffs, half the terms
+  of the product); gauss_bonnet multiplies nothing at k = 2. Grid chunks
+  keep the size that gauss_bonnet_gather_entries gives, an upper bound
+  where the largest gather is a square; and
 - the generalized-Kronecker-delta route: enumeration of index tuples with
   antisymmetrized signs, summing each orbit of 4^k k! equal terms once
   (factorial cost, the oracle path, guarded to n <= 7). The raw sum counts
@@ -45,8 +46,9 @@ from ._validate import check_integer
 from .forms import (
     DoubleForm,
     _metric_frame,
+    _signed_gather_sum,
+    _signed_ranks,
     _to_frame,
-    contract_coeffs,
     double_form,
     is_in_symmetry_class,
     product_coeffs,
@@ -54,7 +56,7 @@ from .forms import (
     square_coeffs,
     standard_metric,
 )
-from .indexing import index_tuples, num_indices, split_tables
+from .indexing import index_tuples, insertion_tables, num_indices, split_tables
 
 __all__ = [
     "InvariantConstants",
@@ -135,6 +137,17 @@ def _orthonormal_components(R: DoubleForm, g: DoubleForm) -> tuple[np.ndarray, n
     return (R.coeffs if E is None else _to_frame(R.coeffs, R.dim, 2, 2, E)), E
 
 
+def _power_steps(j: int) -> list[tuple[int, bool]]:
+    """The products that build w^j from w by repeated squaring, in order:
+    (i, True) squares w^i, giving w^(2i); (i, False) multiplies w^i by w.
+    So w^(2i) = (w^i)^2 and w^(2i+1) = w^(2i) w."""
+    if j == 1:
+        return []
+    if j % 2:
+        return _power_steps(j - 1) + [(j - 1, False)]
+    return _power_steps(j // 2) + [(j // 2, True)]
+
+
 def _times_w(n: int, deg: int, P: np.ndarray, w: np.ndarray) -> np.ndarray:
     """P w for the (deg,deg) power P of the (2,2) stack w: at deg = 2, where
     P is w, the square kernel, which sums half the terms of the product."""
@@ -143,17 +156,12 @@ def _times_w(n: int, deg: int, P: np.ndarray, w: np.ndarray) -> np.ndarray:
     return product_coeffs(n, deg, deg, P, 2, 2, w)
 
 
-def _power_contract(n: int, k: int, w: np.ndarray, contractions: int) -> np.ndarray:
-    """w^k under the double-form product, then `contractions` standard-metric
-    contractions. w may carry leading batch dimensions."""
+def _power(n: int, j: int, w: np.ndarray) -> np.ndarray:
+    """w^j under the double-form product (_power_steps); w may carry leading
+    batch dimensions. Every square comes from the square kernel."""
     out = w
-    deg = 2
-    for _ in range(k - 1):
-        out = _times_w(n, deg, out, w)
-        deg += 2
-    for _ in range(contractions):
-        out = contract_coeffs(n, deg, deg, out)
-        deg -= 1
+    for i, square in _power_steps(j):
+        out = square_coeffs(n, 2 * i, 2 * i, out) if square else _times_w(n, 2 * i, out, w)
     return out
 
 
@@ -188,16 +196,17 @@ def gauss_bonnet_coeffs(n: int, k: int, w: np.ndarray) -> np.ndarray:
     2k contractions of a (2k,2k) form give (2k)! times its trace, so the
     invariant is tr(w^k): the plain trace at k = 1, else the diagonal
     blocks of the product P Q with Q = w^b and P = w^a, a = ceil(k/2) and
-    b = floor(k/2) (_trace_blocks), which is never formed in full. P is Q
-    itself or Q w, so the largest power built is w^a. Every w w (P at
-    k = 3, Q at k = 4) comes from the square kernel.
+    b = floor(k/2) (_trace_blocks), which is never formed in full. Q comes
+    from repeated squaring (_power) and P is Q itself or Q w, so the largest
+    power built is w^a. Every w w (P at k = 3, Q at k = 4) comes from the
+    square kernel.
     """
     if k == 1:
         return np.trace(w, axis1=-2, axis2=-1)
     a, b = (k + 1) // 2, k // 2
     flat_p, flat_q, signs = _trace_blocks(n, a, b)
     batch = w.shape[:-2]
-    Q = _power_contract(n, b, w, 0)
+    Q = _power(n, b, w)
     P = Q if a == b else _times_w(n, 2 * b, Q, w)
     terms = np.take(P.reshape(batch + (-1,)), flat_p, axis=-1) * np.take(Q.reshape(batch + (-1,)), flat_q, axis=-1)
     # one dot product per matrix, so a matrix's value never depends on its batch
@@ -206,14 +215,19 @@ def gauss_bonnet_coeffs(n: int, k: int, w: np.ndarray) -> np.ndarray:
 
 def gauss_bonnet_gather_entries(n: int, k: int) -> int:
     """Entries of the largest array gauss_bonnet_coeffs gathers per matrix:
-    one of the ceil(k/2) - 1 products that build w^2, ..., w^ceil(k/2), or
-    the C(n, 2k) C(2k, 2 ceil(k/2))^2 diagonal-block terms of the last
-    product (0 at k = 1, which gathers nothing). An upper bound where the
-    largest is w^2: the square kernel gathers half of product_gather_entries."""
+    one of the products that build Q = w^floor(k/2) (_power_steps) and
+    P = Q w, or the C(n, 2k) C(2k, 2 ceil(k/2))^2 diagonal-block terms of
+    the last product (0 at k = 1, which gathers nothing). An upper bound
+    where the largest is a square: the square kernel gathers half of
+    product_gather_entries."""
     if k == 1:
         return 0
     a, b = (k + 1) // 2, k // 2
-    sizes = [product_gather_entries(n, 2 * j, 2 * j, 2, 2) for j in range(1, a)]
+    steps = _power_steps(b) + ([(b, False)] if a > b else [])
+    sizes = [
+        product_gather_entries(n, 2 * i, 2 * i, *((2 * i, 2 * i) if square else (2, 2)))
+        for i, square in steps
+    ]
     return max(sizes + [_trace_blocks(n, a, b)[0].size])
 
 
@@ -229,14 +243,39 @@ def gauss_bonnet(R: DoubleForm, g: DoubleForm, k: int) -> float:
     return float(gauss_bonnet_coeffs(R.dim, k, _orthonormal_components(R, g)[0]))
 
 
+@lru_cache(maxsize=None)
+def _ricci_plan(n: int, k: int) -> np.ndarray:
+    """Gather ranks of ricci_2k's contraction of a (2k,2k) form W down to
+    bidegree (1,1), shaped (C(n,2k-1), n, n) (forms._signed_ranks).
+
+    Entry [S, i, j] reads W[S+i, S+j] times the signs of inserting i and j
+    into the (2k-1)-combination S (insertion_tables, the table
+    forms._contract_plan reads with direction and row swapped), or the zero
+    where S holds i or j. 2k-1 chained contractions count each S once per
+    order of its elements, with the same sign, so they sum to (2k-1)! times
+    the sum of the entries over S.
+    """
+    rows, signs = insertion_tables(n, 2 * k - 1)
+    m = num_indices(n, 2 * k)
+    flat = rows[:, :, None] * m + rows[:, None, :]
+    sign = signs[:, :, None] * signs[:, None, :]
+    return _signed_ranks(flat, sign, m * m)
+
+
 def ricci_2k(R: DoubleForm, g: DoubleForm, k: int) -> DoubleForm:
     """The order-2k Ricci form: contract the k-th power of R down to
-    bidegree (1,1). Its metric trace equals (2k)! times gauss_bonnet."""
+    bidegree (1,1). Its metric trace equals (2k)! times gauss_bonnet.
+
+    The power comes from repeated squaring (_power) and its 2k-1
+    contractions from one gather (_ricci_plan). That gather reads entries of
+    the full power, where gauss_bonnet reads only diagonal blocks of a
+    product it never forms, so the trace identity compares two code paths.
+    """
     _check_order(R.dim, k)
     _validate_curvature(R)
     n = R.dim
     w, E = _orthonormal_components(R, g)
-    out = _power_contract(n, k, w, 2 * k - 1)
+    out = math.factorial(2 * k - 1) * _signed_gather_sum(_ricci_plan(n, k), _power(n, k, w))
     if E is not None:
         out = _to_frame(out, n, 1, 1, np.linalg.inv(E))
     return double_form(n, 1, 1, out)

@@ -129,10 +129,9 @@ def space_form(
     n = check_count("dimension", n, 5)
     if quotient not in _QUOTIENTS:
         raise ValueError(f"unknown quotient {quotient!r}, expected one of {_QUOTIENTS}")
-    for name, value in (("curvature", curvature), ("lambda1", lambda1)):
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
     check_nonzero("curvature", curvature)
+    if lambda1 is not None and not math.isfinite(lambda1):
+        raise ValueError(f"lambda1 must be finite, got {lambda1}")
     if quotient in GRID_PARITY:
         if curvature <= 0:
             raise ValueError(f"{quotient} requires positive curvature")

@@ -143,6 +143,8 @@ def test_spectrum_command(capsys):
         (["kernel-demo", "--nnodes", "48"], "unrecognized arguments: --nnodes 48"),
         (["solve", "--certificate-threshold", "nan"], "threshold must be finite and positive"),
         (["solve", "--certificate-threshold", "-1"], "threshold must be finite and positive"),
+        (["invariants", "--n", "5", "--k", "2", "--mu", "nan"], "background curvature must be finite, got nan"),
+        (["invariants", "--n", "5", "--k", "2", "--mu", "inf"], "background curvature must be finite, got inf"),
         (["invariants", "--n", "5", "--k", "2", "--tol", "nan"], "tol must be finite and non-negative"),
         (["invariants", "--n", "5", "--k", "2", "--tol", "-1"], "tol must be finite and non-negative"),
         (["verify-algebra", "--cases", "2", "--tol", "nan"], "tol must be finite and non-negative"),
@@ -166,6 +168,8 @@ def test_spectrum_command(capsys):
         "kernel-demo-nnodes",
         "solve-threshold-nan",
         "solve-threshold-negative",
+        "invariants-mu-nan",
+        "invariants-mu-inf",
         "invariants-tol-nan",
         "invariants-tol-negative",
         "verify-algebra-tol-nan",

@@ -17,10 +17,17 @@ from gbyamabe import (
     space_form_invariant,
     standard_metric,
 )
-from gbyamabe import invariants, spaceform
-from gbyamabe.forms import double_form
-from gbyamabe.indexing import split_tables
-from gbyamabe.invariants import _power_contract, gauss_bonnet_coeffs, gauss_bonnet_gather_entries
+from gbyamabe import forms, invariants, spaceform
+from gbyamabe.forms import (
+    DENSE_DIM_LIMIT,
+    contract_coeffs,
+    double_form,
+    product_coeffs,
+    product_gather_entries,
+    square_coeffs,
+)
+from gbyamabe.indexing import compound_matrix, split_tables
+from gbyamabe.invariants import _power, _power_steps, gauss_bonnet_coeffs, gauss_bonnet_gather_entries
 
 from reference_forms import brute_kronecker_sum, classical_ricci, classical_scalar, two_block_invariant
 
@@ -72,6 +79,21 @@ def _random_stack(n, batch, rng):
     return (raw + np.swapaxes(raw, -1, -2)) / 2
 
 
+def power_contract_chain(n, k, w, contractions):
+    """Reference route: w^k built left to right, w w w ... with k - 1
+    products (the first, w w, from the square kernel), then `contractions`
+    chained standard-metric contractions. w may carry batch dimensions."""
+    out = w
+    deg = 2
+    for _ in range(k - 1):
+        out = square_coeffs(n, 2, 2, w) if deg == 2 else product_coeffs(n, deg, deg, out, 2, 2, w)
+        deg += 2
+    for _ in range(contractions):
+        out = contract_coeffs(n, deg, deg, out)
+        deg -= 1
+    return out
+
+
 def test_trace_route_matches_power_and_contraction():
     # tr(w^k) from the diagonal blocks of w^ceil(k/2) w^floor(k/2) against
     # the full power contracted 2k times, on stacks with two batch axes
@@ -79,7 +101,7 @@ def test_trace_route_matches_power_and_contraction():
     for n, k in algebra_orders(8):
         w = _random_stack(n, (2, 3), rng)
         got = gauss_bonnet_coeffs(n, k, w)
-        expected = _power_contract(n, k, w, 2 * k)[..., 0, 0] / math.factorial(2 * k)
+        expected = power_contract_chain(n, k, w, 2 * k)[..., 0, 0] / math.factorial(2 * k)
         assert got.shape == (2, 3)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
@@ -93,7 +115,7 @@ def _last_product_trace(n, k, w):
     flat_w = (B[:, :, None] * math.comb(n, 2) + B[:, None, :]).ravel()
     signs = (s[:, :, None] * s[:, None, :]).ravel()
     batch = w.shape[:-2]
-    P = _power_contract(n, k - 1, w, 0).reshape(batch + (-1,))
+    P = power_contract_chain(n, k - 1, w, 0).reshape(batch + (-1,))
     terms = np.take(P, flat_p, axis=-1) * np.take(w.reshape(batch + (-1,)), flat_w, axis=-1)
     return (terms[..., None, :] @ signs[:, None])[..., 0, 0]
 
@@ -126,10 +148,9 @@ def test_balanced_trace_gathers_less_at_k_4():
     assert spaceform._chunk_nodes(9, 4, "warped") == 3
 
 
-@pytest.mark.parametrize("n", [5, 7, 9])
-def test_trace_route_builds_w_w_with_the_square_kernel_only(monkeypatch, n):
-    # k = 2 multiplies nothing; k = 3 (P = w w) and k = 4 (Q = w w) build
-    # one square and no product
+def _record_kernel_calls(monkeypatch):
+    """The (kernel, p, q) of every product and square invariants makes,
+    appended to the returned list."""
     calls = []
 
     def recording(name):
@@ -143,6 +164,14 @@ def test_trace_route_builds_w_w_with_the_square_kernel_only(monkeypatch, n):
 
     for name in ("product_coeffs", "square_coeffs"):
         monkeypatch.setattr(invariants, name, recording(name))
+    return calls
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_trace_route_builds_w_w_with_the_square_kernel_only(monkeypatch, n):
+    # k = 2 multiplies nothing; k = 3 (P = w w) and k = 4 (Q = w w) build
+    # one square and no product
+    calls = _record_kernel_calls(monkeypatch)
     w = _random_stack(n, (2,), np.random.default_rng(n))
     for k in range(2, n // 2 + 1):
         calls.clear()
@@ -163,9 +192,83 @@ def test_trace_route_matches_two_block_closed_form():
         np.testing.assert_allclose(gauss_bonnet_coeffs(n, k, w), expected, rtol=1e-12, atol=0)
 
 
+def test_power_by_squaring_matches_the_left_to_right_power():
+    # the two routes make the same products up to k = 3; from k = 4 squaring
+    # groups them differently, so they agree to rounding, which is relative
+    # to the size of the summed terms: an entry that cancels to 1e-4 of the
+    # largest keeps only the absolute error
+    rng = np.random.default_rng(44)
+    for n, k in algebra_orders(DENSE_DIM_LIMIT):
+        w = _random_stack(n, (2,), rng)
+        got, expected = _power(n, k, w), power_contract_chain(n, k, w, 0)
+        if k <= 3:
+            assert np.array_equal(got, expected)
+        else:
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
+def test_ricci_2k_matches_the_contraction_chain():
+    # one gather against 2k - 1 chained contract_coeffs of the left-to-right
+    # power, in the standard metric and in the Cholesky frame of another one
+    rng = np.random.default_rng(45)
+    for n, k in algebra_orders(DENSE_DIM_LIMIT):
+        A = rng.standard_normal((n, n))
+        G = A @ A.T + n * np.eye(n)
+        E = np.linalg.inv(np.linalg.cholesky(G)).T
+        C2, E_inv = compound_matrix(E, 2), np.linalg.inv(E)
+        R = random_curvature_like(n, rng)
+        got = ricci_2k(R, standard_metric(n), k).coeffs
+        np.testing.assert_allclose(got, power_contract_chain(n, k, R.coeffs, 2 * k - 1), rtol=1e-12, atol=0)
+        got = ricci_2k(R, double_form(n, 1, 1, G), k).coeffs
+        expected = E_inv.T @ power_contract_chain(n, k, C2.T @ R.coeffs @ C2, 2 * k - 1) @ E_inv
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+
+def test_ricci_2k_squares_and_makes_no_contraction_call(monkeypatch):
+    # at k = 4 the power is (w w)(w w): no (6,6) power is formed, and the
+    # 7 contractions are one gather, not contract_coeffs
+    calls = _record_kernel_calls(monkeypatch)
+
+    def refuse(*args):
+        raise AssertionError("contract_coeffs called")
+
+    monkeypatch.setattr(forms, "contract_coeffs", refuse)
+    monkeypatch.setattr(invariants, "contract_coeffs", refuse, raising=False)
+    R = random_curvature_like(8, np.random.default_rng(46))
+    ricci_2k(R, standard_metric(8), 4)
+    assert calls == [("square_coeffs", 2, 2), ("square_coeffs", 4, 4)]
+
+
+def _power_gathers(n, k):
+    # entries gathered by repeated squaring and by the left-to-right chain;
+    # a square gathers half of product_gather_entries
+    squaring = sum(
+        product_gather_entries(n, 2 * i, 2 * i, 2 * i, 2 * i) // 2
+        if square
+        else product_gather_entries(n, 2 * i, 2 * i, 2, 2)
+        for i, square in _power_steps(k)
+    )
+    chain = sum(
+        product_gather_entries(n, 2, 2, 2, 2) // 2 if i == 1 else product_gather_entries(n, 2 * i, 2 * i, 2, 2)
+        for i in range(1, k)
+    )
+    return squaring, chain
+
+
+def test_squaring_gathers_no_more_than_the_chain_in_the_dense_range():
+    # from n = 12 on, squaring the (4,4) power gathers more than the two
+    # products by w it replaces (at k = 4: 605M against 389M entries), so
+    # this test fails if the dense limit is raised past 11
+    assert _power_gathers(8, 4) == (90650, 265384)
+    for n, k in algebra_orders(DENSE_DIM_LIMIT):
+        squaring, chain = _power_gathers(n, k)
+        assert squaring <= chain, (n, k)
+    assert _power_gathers(12, 4)[0] > _power_gathers(12, 4)[1]
+
+
 def test_ricci_trace_recovers_gauss_bonnet():
-    # ricci_2k stays on the product-and-contraction chain, gauss_bonnet on the
-    # trace route: two code paths checked against each other
+    # ricci_2k contracts the full power in one gather, gauss_bonnet reads
+    # diagonal blocks of a product: two code paths checked against each other
     rng = np.random.default_rng(23)
     for n, k in algebra_orders(8):
         g = standard_metric(n)

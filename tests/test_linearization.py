@@ -60,6 +60,13 @@ def test_constants_validation():
         constants(5, 2, 0.0)
 
 
+@pytest.mark.parametrize("mu", [float("nan"), float("inf"), float("-inf")])
+def test_constants_refuse_a_curvature_that_is_not_finite(mu):
+    # a NaN curvature used to pass the nonzero check and return NaN constants
+    with pytest.raises(ValueError, match=f"^background curvature must be finite, got {mu}$"):
+        constants(7, 3, mu)
+
+
 def test_max_order():
     assert [max_order(n) for n in (3, 4, 5, 6, 7, 8)] == [1, 1, 2, 2, 3, 3]
 
