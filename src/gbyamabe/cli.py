@@ -22,7 +22,7 @@ from dataclasses import asdict
 import numpy as np
 
 from ._validate import check_nonzero, check_positive, check_tolerance
-from .forms import DENSE_DIM_LIMIT, algebra_property_suite, standard_metric
+from .forms import algebra_property_suite, check_dense_dim, standard_metric
 from .invariants import (
     gauss_bonnet,
     gauss_bonnet_kronecker,
@@ -177,8 +177,7 @@ def _report_results(report) -> dict:
 
 
 def _cmd_invariants(args):
-    if args.n > DENSE_DIM_LIMIT:
-        raise ValueError(f"--n must be at most {DENSE_DIM_LIMIT} (the dense oracles' memory bound), got {args.n}")
+    check_dense_dim("--n", args.n)
     check_tolerance("tol", args.tol)
     check_nonzero("background curvature", args.mu)
     g = standard_metric(args.n)
@@ -455,9 +454,9 @@ def main(argv=None) -> int:
     try:
         if args.format == "csv" and not args.output:
             raise ValueError("--format csv needs --output")
-        results, csv_rows, code = args.func(args)
-        if args.format == "csv" and csv_rows is None:
+        if args.format == "csv" and args.command not in _CSV_COMMANDS:
             raise ValueError(f"csv output is only available for: {', '.join(_CSV_COMMANDS)}")
+        results, csv_rows, code = args.func(args)
     except ValueError as exc:
         # NondegeneracyViolated lands here too; both are parameter problems
         report = dict(base, error={"type": type(exc).__name__, "message": str(exc)})

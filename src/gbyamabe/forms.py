@@ -27,12 +27,12 @@ The *_coeffs functions at the bottom operate on raw coefficient arrays with
 arbitrary leading batch dimensions; the geometry modules use them to evaluate
 whole grids of curvature tensors in single numpy calls. product_coeffs sums
 each combination's runs of signed splits (indexing.split_tables) in one
-einsum, with no sign matrix and no matmul. square_coeffs is the product
-of a form of even total degree with itself: swapping both splits of a term
-leaves it unchanged, so it sums the first half of every run of row splits
-and doubles the result, through the same kernel body (_expand_and_sum)
-with half the row gathers; the package builds every w w through it, while
-product_coeffs stays the general product. contract_coeffs reads every
+einsum, with no sign matrix and no matmul. It also owns the choice of
+kernel plan: the same array passed as both factors, of even total degree
+with a row split, is a square, whose terms pair up under swapping both
+splits, so it sums the first half of every run of row splits and doubles
+the result, through the same kernel body (_expand_and_sum) with half the
+row gathers. Callers only ask for products. contract_coeffs reads every
 signed term of the contraction in one gather through a table cached per
 bidegree (_contract_plan, from indexing.insertion_tables) and sums over
 the n directions in one reduction (_signed_gather_sum, which
@@ -42,6 +42,8 @@ The kernels write their gathers into buffers kept per thread (_work_array),
 so that repeated calls fault in no fresh memory pages; spaceform sizes
 its grid chunks so that every product gather fits one (a square's gathers
 are half that size, and the chunk rule does not count on it).
+DENSE_DIM_LIMIT bounds the dimension of the dense algebra's oracles, and
+check_dense_dim is the one rule that applies it.
 is_in_symmetry_class and the metric rule _metric_frame share one symmetry
 rule (_is_symmetric).
 """
@@ -284,9 +286,9 @@ def _product_plan(n, p, q, r, s):
 
 @lru_cache(maxsize=None)
 def _square_plan(n, p, q):
-    """Index tables of square_coeffs: those of _product_plan(n, p, q, p, q)
-    with each run of row splits cut to its first half, and the column signs
-    doubled (exact)."""
+    """Index tables of product_coeffs' square route: those of
+    _product_plan(n, p, q, p, q) with each run of row splits cut to its
+    first half, and the column signs doubled (exact)."""
     rows_1, rows_2, cols_1, cols_2, col_signs, (m1, c1, c2, m2) = _product_plan(n, p, q, p, q)
     half = c1 // 2
     rows_1, rows_2 = (rows.reshape(m1, c1)[:, :half].ravel() for rows in (rows_1, rows_2))
@@ -332,34 +334,28 @@ def product_coeffs(n, p, q, w1, r, s, w2) -> np.ndarray:
     of splits in _work_array buffers, with the column splits ordered split
     by split, so that one einsum multiplies them and sums each run of
     C(p+r,p) rows and of C(q+s,q) columns (_expand_and_sum).
-    """
-    return _expand_and_sum(_product_plan(n, p, q, r, s), w1, w2)
 
-
-def square_coeffs(n, p, q, w) -> np.ndarray:
-    """Coefficients of the square w w of a (p,q) form with p >= 1 and
-    p + q even: product_coeffs(n, p, q, w, p, q, w) from half the terms.
-
-    w: array shaped (..., C(n,p), C(n,q)); returns (..., C(n,2p), C(n,2q)).
-    Swapping both splits of a term of entry (M, N), (A, B) to (B, A) in
-    the rows and (A', B') to (B', A') in the columns, maps the terms one
-    to one and changes each sign by (-1)^(p+q) = +1 (double forms of even
-    total degree commute), whether or not w is symmetric. In
-    split_tables(n, p, p) split j of a run has the complement
+    The same array passed as both factors (w1 is w2), of a bidegree with
+    p >= 1 and p + q even, is a square, and takes half the terms
+    (_square_plan). Swapping both splits of a term of entry (M, N), (A, B)
+    to (B, A) in the rows and (A', B') to (B', A') in the columns, maps
+    the terms one to one and changes each sign by (-1)^(p+q) = +1 (double
+    forms of even total degree commute), whether or not w1 is symmetric.
+    In split_tables(n, p, p) split j of a run has the complement
     C(2p,p) - 1 - j, so the entry is twice the sum over the first half of
-    each row run (_square_plan). The row gathers hold half the entries of
-    the product's; the result agrees with the product's up to rounding,
-    not bit for bit.
+    each row run. The row gathers hold half the entries of the general
+    route's. A square agrees with the product of two distinct equal arrays
+    to rounding, not bit for bit.
     """
-    if p < 1 or (p + q) % 2:
-        raise ValueError(f"square_coeffs needs p >= 1 and p + q even, got bidegree {(p, q)}")
-    return _expand_and_sum(_square_plan(n, p, q), w, w)
+    if w1 is w2 and (p, q) == (r, s) and p >= 1 and (p + q) % 2 == 0:
+        return _expand_and_sum(_square_plan(n, p, q), w1, w1)
+    return _expand_and_sum(_product_plan(n, p, q, r, s), w1, w2)
 
 
 def product_gather_entries(n, p, q, r, s) -> int:
     """Entries product_coeffs gathers per product: one per pair of a row
-    split and a column split. For a square (square_coeffs) it is an upper
-    bound: that kernel gathers half as many."""
+    split and a column split. For a square (the same array twice, see
+    product_coeffs) it is an upper bound: that route gathers half as many."""
     return split_tables(n, p, r)[0].size * split_tables(n, q, s)[0].size
 
 
@@ -443,6 +439,16 @@ def _rel(err: float, scale: float) -> float:
 # gathers 9.9M entries per operand at n = 10 (76 MB), 48M at n = 11
 # (366 MB) and 192M at n = 12 (1.47 GB).
 DENSE_DIM_LIMIT = 10
+
+
+def check_dense_dim(name: str, n: int):
+    """The dense oracles' memory bound: refuse n above DENSE_DIM_LIMIT.
+    Every entry point that evaluates the dense algebra on a caller's
+    dimension (gb_field, fd_verify, gbyamabe invariants) checks it before
+    any evaluation."""
+    if n > DENSE_DIM_LIMIT:
+        raise ValueError(f"{name} must be at most {DENSE_DIM_LIMIT} (the dense oracles' memory bound), got {n}")
+
 
 # Dimensions the property suite samples: its symmetry check multiplies a
 # (2,2) by a (1,1) form, so n >= 3.

@@ -4,16 +4,21 @@ Coefficients of a (p,q)-form over R^n are stored as a C(n,p) x C(n,q) matrix
 indexed by strictly increasing multi-indices in lexicographic order. This
 module owns the combinatorial plumbing: rank/unrank maps, the signed split
 tables behind the wedge-type product, the insertion tables behind contraction,
-and compound (minor-determinant) matrices for frame changes.
+and compound (minor-determinant) matrices for frame changes. It is the one
+owner of ranks and signs: every sign of a split or an insertion comes from
+merge_sign, and the other modules read these tables instead of rebuilding
+them (invariants.raw_kronecker_sum reads its pair ranks from
+insertion_tables(n, 1)).
 
 All tables are cached per (n, degree) signature. split_tables lists the
 splits of each (p+r)-combination as one contiguous run, so a product sums
-runs instead of multiplying by a sign matrix, and the invariant's trace
-reads the diagonal blocks of a product from the same runs; its three
-arrays hold C(n, p+r) C(p+r, p) entries each (1260 for the (4,2) split at
-n = 9). insertion_tables holds C(n, p) n entries per array and feeds two
-cached gather plans: forms.contract_coeffs expands a pair of them into a
-table of n entries (one per direction) per coefficient of one
+runs instead of multiplying by a sign matrix (forms.product_coeffs, which
+alone picks between the general plan and a square's half of each run), and
+the invariant's trace reads the diagonal blocks of a product from the same
+runs; its three arrays hold C(n, p+r) C(p+r, p) entries each (1260 for the
+(4,2) split at n = 9). insertion_tables holds C(n, p) n entries per array
+and feeds two cached gather plans: forms.contract_coeffs expands a pair of
+them into a table of n entries (one per direction) per coefficient of one
 contraction, and invariants.ricci_2k expands the table of degree 2k - 1,
 with row and direction swapped, into a table of C(n, 2k - 1) entries (one
 per (2k - 1)-set) per coefficient of 2k - 1 contractions at once. What
@@ -64,7 +69,8 @@ def split_tables(n: int, p: int, r: int) -> tuple[np.ndarray, np.ndarray, np.nda
     For every (p+r)-combination M, enumerate the ways to split M into an
     increasing p-part A and r-part B. Returns (A, B, signs), flat arrays of
     length C(n, p+r) C(p+r, p): the ranks of the parts and the sign of each
-    split (the parity of the shuffle restoring increasing order).
+    split (merge_sign(A, B), the parity of the shuffle restoring increasing
+    order).
 
     Layout: the C(p+r, p) splits of combination m are the contiguous run
     m C(p+r, p), ..., (m+1) C(p+r, p) - 1, in the lexicographic order of
@@ -82,12 +88,9 @@ def split_tables(n: int, p: int, r: int) -> tuple[np.ndarray, np.ndarray, np.nda
     for combo in big:
         for part in combinations(combo, p):
             rest = tuple(i for i in combo if i not in part)
-            # parity of moving the chosen p elements to the front
-            pos = [combo.index(i) for i in part]
-            swaps = sum(pos[j] - j for j in range(p))
             rows_a.append(rank_a[part])
             rows_b.append(rank_b[rest])
-            signs.append(-1.0 if swaps % 2 else 1.0)
+            signs.append(merge_sign(part, rest))
     out = (np.array(rows_a, dtype=np.intp), np.array(rows_b, dtype=np.intp), np.array(signs))
     for arr in out:
         arr.flags.writeable = False

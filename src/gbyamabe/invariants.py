@@ -9,11 +9,12 @@ Two independent evaluation routes are kept deliberately separate:
   R^b R, where R^b comes from repeated squaring). ricci_2k forms the full
   power R^k by repeated squaring and contracts it 2k - 1 times in one
   gather, so tr ricci_2k = (2k)! gauss_bonnet still compares two code
-  paths: the full power against diagonal blocks of a product. Both build
-  every square with the square kernel (forms.square_coeffs, half the terms
-  of the product); gauss_bonnet multiplies nothing at k = 2. Grid chunks
-  keep the size that gauss_bonnet_gather_entries gives, an upper bound
-  where the largest gather is a square; and
+  paths: the full power against diagonal blocks of a product. Both only
+  ask forms.product_coeffs for products: it owns the choice of kernel, and
+  takes every square (the same array twice) by its square route, half the
+  terms of the product; gauss_bonnet multiplies nothing at k = 2. Grid
+  chunks keep the size that gauss_bonnet_gather_entries gives, an upper
+  bound where the largest gather is a square; and
 - the generalized-Kronecker-delta route: enumeration of index tuples with
   antisymmetrized signs, summing each orbit of 4^k k! equal terms once
   (factorial cost, the oracle path, guarded to n <= 7). The raw sum counts
@@ -53,7 +54,6 @@ from .forms import (
     is_in_symmetry_class,
     product_coeffs,
     product_gather_entries,
-    square_coeffs,
     standard_metric,
 )
 from .indexing import index_tuples, insertion_tables, num_indices, split_tables
@@ -148,20 +148,14 @@ def _power_steps(j: int) -> list[tuple[int, bool]]:
     return _power_steps(j // 2) + [(j // 2, True)]
 
 
-def _times_w(n: int, deg: int, P: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """P w for the (deg,deg) power P of the (2,2) stack w: at deg = 2, where
-    P is w, the square kernel, which sums half the terms of the product."""
-    if deg == 2:
-        return square_coeffs(n, 2, 2, w)
-    return product_coeffs(n, deg, deg, P, 2, 2, w)
-
-
 def _power(n: int, j: int, w: np.ndarray) -> np.ndarray:
     """w^j under the double-form product (_power_steps); w may carry leading
-    batch dimensions. Every square comes from the square kernel."""
+    batch dimensions. A square passes the same array twice, so
+    product_coeffs takes its square route."""
     out = w
     for i, square in _power_steps(j):
-        out = square_coeffs(n, 2 * i, 2 * i, out) if square else _times_w(n, 2 * i, out, w)
+        r, factor = (2 * i, out) if square else (2, w)
+        out = product_coeffs(n, 2 * i, 2 * i, out, r, r, factor)
     return out
 
 
@@ -198,8 +192,8 @@ def gauss_bonnet_coeffs(n: int, k: int, w: np.ndarray) -> np.ndarray:
     blocks of the product P Q with Q = w^b and P = w^a, a = ceil(k/2) and
     b = floor(k/2) (_trace_blocks), which is never formed in full. Q comes
     from repeated squaring (_power) and P is Q itself or Q w, so the largest
-    power built is w^a. Every w w (P at k = 3, Q at k = 4) comes from the
-    square kernel.
+    power built is w^a. Every w w (P at k = 3, Q at k = 4) passes w twice,
+    so product_coeffs takes its square route.
     """
     if k == 1:
         return np.trace(w, axis1=-2, axis2=-1)
@@ -207,7 +201,7 @@ def gauss_bonnet_coeffs(n: int, k: int, w: np.ndarray) -> np.ndarray:
     flat_p, flat_q, signs = _trace_blocks(n, a, b)
     batch = w.shape[:-2]
     Q = _power(n, b, w)
-    P = Q if a == b else _times_w(n, 2 * b, Q, w)
+    P = Q if a == b else product_coeffs(n, 2 * b, 2 * b, Q, 2, 2, w)
     terms = np.take(P.reshape(batch + (-1,)), flat_p, axis=-1) * np.take(Q.reshape(batch + (-1,)), flat_q, axis=-1)
     # one dot product per matrix, so a matrix's value never depends on its batch
     return (terms[..., None, :] @ signs[:, None])[..., 0, 0]
@@ -218,8 +212,8 @@ def gauss_bonnet_gather_entries(n: int, k: int) -> int:
     one of the products that build Q = w^floor(k/2) (_power_steps) and
     P = Q w, or the C(n, 2k) C(2k, 2 ceil(k/2))^2 diagonal-block terms of
     the last product (0 at k = 1, which gathers nothing). An upper bound
-    where the largest is a square: the square kernel gathers half of
-    product_gather_entries."""
+    where the largest is a square: product_coeffs' square route gathers
+    half of product_gather_entries."""
     if k == 1:
         return 0
     a, b = (k + 1) // 2, k // 2
@@ -306,16 +300,6 @@ def _pair_orbits(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     return out
 
 
-@lru_cache(maxsize=None)
-def _pair_rank_table(n: int) -> np.ndarray:
-    table = np.zeros((n, n), dtype=np.intp)
-    for r, (a, b) in enumerate(index_tuples(n, 2)):
-        table[a, b] = r
-        table[b, a] = r
-    table.flags.writeable = False
-    return table
-
-
 def raw_kronecker_sum(R: DoubleForm, k: int) -> float:
     """Raw generalized-Kronecker-delta sum of order 2k.
 
@@ -333,7 +317,8 @@ def raw_kronecker_sum(R: DoubleForm, k: int) -> float:
     if n > KRONECKER_DIM_LIMIT:
         raise ValueError(f"Kronecker enumeration is limited to n <= {KRONECKER_DIM_LIMIT}, got {n}")
     _check_order(n, k)
-    rank2 = _pair_rank_table(n)
+    # entry [a, b]: the rank of the pair {a, b} (a dummy 0 where a == b)
+    rank2 = insertion_tables(n, 1)[0]
     combos = np.array(index_tuples(n, 2 * k), dtype=np.intp)
     sigma, sigma_sign, tau, tau_sign = _pair_orbits(2 * k)
 
@@ -377,7 +362,7 @@ def random_curvature_like(n: int, rng: np.random.Generator) -> DoubleForm:
 def space_form_curvature(n: int, mu: float) -> DoubleForm:
     """Curvature operator of constant sectional curvature mu: (mu/2) g^2."""
     g = standard_metric(n)
-    sq = square_coeffs(n, 1, 1, g.coeffs)
+    sq = product_coeffs(n, 1, 1, g.coeffs, 1, 1, g.coeffs)
     return double_form(n, 2, 2, (mu / 2.0) * sq)
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._validate import check_nonzero, check_positive
+from .forms import check_dense_dim
 from .invariants import base_coefficient, check_problem_order
 from .spaceform import (
     ConformalMetric,
@@ -108,8 +109,10 @@ def fd_verify(
     Evaluates the order-2k invariant of e^{+-2 eps f} g_mu, forms the
     symmetric difference quotient, and compares with the closed form for the
     path derivative (the direction is h = 2 f g, hence twice the conformal
-    linearization). Returns (fd, exact, sup relative error).
+    linearization). Returns (fd, exact, sup relative error). Refused above
+    forms.DENSE_DIM_LIMIT, like every dense oracle (check_dense_dim).
     """
+    check_dense_dim("dimension", sf.n)
     check_positive("eps", eps)
     basis = field.basis
     vals = np.stack([eps * field.values, -eps * field.values])

@@ -55,7 +55,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._validate import check_count, check_integer, check_nonzero
-from .forms import _WORK_RETAIN, DoubleForm, double_form, product_coeffs, product_gather_entries
+from .forms import _WORK_RETAIN, DoubleForm, check_dense_dim, double_form, product_coeffs, product_gather_entries
 from .indexing import num_indices
 from .invariants import check_problem_order, gauss_bonnet_coeffs, gauss_bonnet_gather_entries, space_form_invariant
 
@@ -573,10 +573,12 @@ def gb_field(cm: ConformalMetric, k: int, pipeline: str = "warped") -> LatitudeF
     """The order-2k invariant of the conformal metric as a latitude field.
 
     Values are the raw pointwise evaluations; mode coefficients are their
-    projection onto the field's basis.
+    projection onto the field's basis. The dense evaluator is an oracle,
+    refused above forms.DENSE_DIM_LIMIT (check_dense_dim).
     """
     n = cm.base.n
     check_problem_order(n, k)
+    check_dense_dim("dimension", n)
     phi = cm.phi
     vals = _gb_values(n, cm.base.curvature, k, phi.basis, phi.values, phi.dvalues, phi.ddvalues, pipeline)
     return field_from_values(phi.basis, vals, parity=phi.parity)

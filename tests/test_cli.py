@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import gbyamabe
-from gbyamabe import forms, invariants, spaceform
+from gbyamabe import cli, forms, invariants, spaceform
 from gbyamabe.cli import build_parser, main
 
 
@@ -65,17 +65,24 @@ def test_verify_algebra_rejects_input_that_checks_nothing_or_cannot_run(capsys, 
     assert message in report["error"]["message"]
 
 
-@pytest.mark.parametrize("n", [11, 12])
-def test_invariants_rejects_dimensions_above_the_dense_limit(capsys, monkeypatch, n):
-    # refused before any product: one gathers 366 MB per operand at n = 11
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["invariants", "--n", "11", "--k", "1"], id="11"),
+        pytest.param(["invariants", "--n", "12", "--k", "1"], id="12"),
+        pytest.param(["verify-linearization", "--n", "11", "--k", "2"], id="verify-linearization-11"),
+    ],
+)
+def test_invariants_rejects_dimensions_above_the_dense_limit(capsys, monkeypatch, argv):
+    # refused before any dense evaluation: one product gathers 366 MB per
+    # operand at n = 11
     def refuse(*args):
-        raise AssertionError("a product kernel was called")
+        raise AssertionError("a dense kernel was called")
 
     for module in (forms, invariants, spaceform):
-        for name in ("product_coeffs", "square_coeffs"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, refuse)
-    code, report = run_cli(capsys, ["invariants", "--n", str(n), "--k", "1"])
+        monkeypatch.setattr(module, "product_coeffs", refuse)
+    monkeypatch.setattr(spaceform, "_gb_chunk", refuse)
+    code, report = run_cli(capsys, argv)
     assert code == 2
     assert "results" not in report
     assert report["error"]["type"] == "ValueError"
@@ -353,13 +360,18 @@ def test_csv_needs_output_path(capsys):
     assert "--output" in report["error"]["message"]
 
 
-def test_csv_limited_to_iterative_commands(tmp_path, capsys):
+def test_csv_limited_to_iterative_commands(tmp_path, capsys, monkeypatch):
+    # refused before the handler runs, not after it has computed everything
+    ran = []
+    for handler in ("_cmd_spectrum", "_cmd_invariants"):
+        monkeypatch.setattr(cli, handler, lambda args, handler=handler: ran.append(handler) or ({}, None, 0))
     target = tmp_path / "bad.csv"
-    code, report = run_cli(
-        capsys, ["spectrum", "--n", "5", "--format", "csv", "--output", str(target)]
-    )
-    assert code == 2
-    assert not target.exists()
+    for argv in (["spectrum", "--n", "5"], ["invariants", "--n", "5", "--k", "2"]):
+        code, report = run_cli(capsys, [*argv, "--format", "csv", "--output", str(target)])
+        assert code == 2
+        assert "csv output is only available" in report["error"]["message"]
+        assert not target.exists()
+    assert ran == []
 
 
 def test_reports_are_byte_identical(capsys):

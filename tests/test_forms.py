@@ -25,7 +25,7 @@ from gbyamabe import (
     standard_metric,
 )
 from gbyamabe import forms, spaceform
-from gbyamabe.forms import _random_form, contract_coeffs, product_coeffs, square_coeffs
+from gbyamabe.forms import _random_form, contract_coeffs, product_coeffs
 from gbyamabe.indexing import index_tuples, insertion_tables, rank_map, split_tables
 
 from reference_forms import (
@@ -391,17 +391,26 @@ _SQUARE_CASES = [
 ] + [(10, 2, (1,))]
 
 
+def _square(n, p, q, w):
+    # the same array twice: product_coeffs takes its square route
+    return product_coeffs(n, p, q, w, p, q, w)
+
+
 @pytest.mark.parametrize("n, p, batch", _SQUARE_CASES)
 def test_square_coeffs_against_dense_signs(n, p, batch):
+    # the square route against the dense-sign reference and against the
+    # general route, which a copy of w takes
     rng = np.random.default_rng([n, p, len(batch)])
     w = rng.standard_normal(batch + (math.comb(n, p),) * 2)
     expected = _split_product(n, p, p, w, p, p, w)
-    out = square_coeffs(n, p, p, w)
+    out = _square(n, p, p, w)
     assert out.shape == expected.shape
-    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
+    atol = 1e-13 * np.abs(expected).max()
+    np.testing.assert_allclose(out, expected, rtol=0, atol=atol)
+    np.testing.assert_allclose(out, product_coeffs(n, p, p, w, p, p, w.copy()), rtol=0, atol=atol)
     # each matrix's square is computed as if it were alone
     for idx in np.ndindex(batch):
-        assert np.array_equal(out[idx], square_coeffs(n, p, p, w[idx]))
+        assert np.array_equal(out[idx], _square(n, p, p, w[idx]))
 
 
 def test_square_coeffs_on_mixed_bidegrees_and_broadcast_views():
@@ -410,43 +419,58 @@ def test_square_coeffs_on_mixed_bidegrees_and_broadcast_views():
     for n, p, q in [(6, 1, 3), (6, 3, 1), (7, 3, 1), (8, 1, 3)]:
         w = rng.standard_normal((2, math.comb(n, p), math.comb(n, q)))
         expected = _split_product(n, p, q, w, p, q, w)
-        np.testing.assert_allclose(square_coeffs(n, p, q, w), expected, rtol=0, atol=1e-13 * np.abs(expected).max())
+        np.testing.assert_allclose(_square(n, p, q, w), expected, rtol=0, atol=1e-13 * np.abs(expected).max())
     w = rng.standard_normal((21, 21))
     view = np.broadcast_to(w, (3, 21, 21))
-    out = square_coeffs(7, 2, 2, view)
-    assert all(np.array_equal(out[i], square_coeffs(7, 2, 2, w)) for i in range(3))
+    out = _square(7, 2, 2, view)
+    assert all(np.array_equal(out[i], _square(7, 2, 2, w)) for i in range(3))
 
 
 @pytest.mark.parametrize("p, q", [(0, 2), (1, 2), (2, 1)])
 def test_square_coeffs_needs_even_total_degree_and_a_row_split(p, q):
-    w = np.ones((math.comb(5, p), math.comb(5, q)))
-    with pytest.raises(ValueError, match="p >= 1 and p \\+ q even"):
-        square_coeffs(5, p, q, w)
+    # the same array of odd total degree, or with no row split (p = 0),
+    # takes the general route; at odd total degree w w cancels to rounding,
+    # so the bound is relative to the largest sum of term sizes
+    w = np.random.default_rng([p, q]).standard_normal((math.comb(5, p), math.comb(5, q)))
+    out = _square(5, p, q, w)
+    assert np.array_equal(out, product_coeffs(5, p, q, w, p, q, w.copy()))
+    scale = math.comb(2 * p, p) * math.comb(2 * q, q) * np.abs(w).max() ** 2
+    np.testing.assert_allclose(out, _split_product(5, p, q, w, p, q, w), rtol=0, atol=1e-13 * scale)
+
+
+def _kernel_takes(monkeypatch, kernel):
+    # the sizes of the arrays every np.take of the call returns, in order
+    real_take = np.take
+    sizes = []
+
+    def recording(a, indices, *args, **kwargs):
+        out = real_take(a, indices, *args, **kwargs)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(np, "take", recording)
+    kernel()
+    monkeypatch.setattr(np, "take", real_take)
+    return sizes
 
 
 def test_square_coeffs_gathers_half_the_rows_of_the_product(monkeypatch):
-    # both kernels expand w's columns alike; the square's two row gathers
-    # keep the first half of every run of row splits
-    real_take = np.take
-
-    def kernel_takes(kernel):
-        sizes = []
-
-        def recording(a, indices, *args, **kwargs):
-            out = real_take(a, indices, *args, **kwargs)
-            sizes.append(out.size)
-            return out
-
-        monkeypatch.setattr(np, "take", recording)
-        kernel()
-        monkeypatch.setattr(np, "take", real_take)
-        return sizes
-
+    # both routes expand w's columns alike; the square route's two row
+    # gathers keep the first half of every run of row splits
     w = np.random.default_rng(4).standard_normal((5, 21, 21))
-    full = kernel_takes(lambda: product_coeffs(7, 2, 2, w, 2, 2, w))
-    half = kernel_takes(lambda: square_coeffs(7, 2, 2, w))
+    full = _kernel_takes(monkeypatch, lambda: product_coeffs(7, 2, 2, w, 2, 2, w.copy()))
+    half = _kernel_takes(monkeypatch, lambda: _square(7, 2, 2, w))
     assert full[2:] == [5 * forms.product_gather_entries(7, 2, 2, 2, 2)] * 2
     assert half == full[:2] + [size // 2 for size in full[2:]]
+
+
+def test_product_of_a_form_with_itself_takes_the_square_route(monkeypatch):
+    a = double_form(7, 2, 2, np.random.default_rng(10).standard_normal((21, 21)))
+    b = double_form(7, 2, 2, a.coeffs)  # equal, but a distinct array
+    square = _kernel_takes(monkeypatch, lambda: product(a, a))
+    general = _kernel_takes(monkeypatch, lambda: product(a, b))
+    assert square == general[:2] + [size // 2 for size in general[2:]]
+    np.testing.assert_allclose(product(a, a).coeffs, product(a, b).coeffs, rtol=0, atol=1e-13 * np.abs(a.coeffs).max() ** 2)
 
 
 def test_product_and_square_plans_hand_take_writeable_contiguous_tables():
@@ -468,7 +492,9 @@ def test_product_coeffs_reuses_its_work_buffers():
     first = product_coeffs(8, 2, 2, w, 2, 2, w)
     kept = first.copy()
     buffers = dict(forms._work.buffers)
-    second = product_coeffs(8, 2, 2, w[::-1], 2, 2, w[::-1])
+    # one view passed twice, so that both calls take the square route
+    flipped = w[::-1]
+    second = product_coeffs(8, 2, 2, flipped, 2, 2, flipped)
     assert all(forms._work.buffers[slot] is buf for slot, buf in buffers.items())
     assert not any(np.shares_memory(out, buf) for out in (first, second) for buf in buffers.values())
     assert np.array_equal(first, kept)

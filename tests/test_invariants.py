@@ -24,7 +24,6 @@ from gbyamabe.forms import (
     double_form,
     product_coeffs,
     product_gather_entries,
-    square_coeffs,
 )
 from gbyamabe.indexing import compound_matrix, split_tables
 from gbyamabe.invariants import _power, _power_steps, gauss_bonnet_coeffs, gauss_bonnet_gather_entries
@@ -81,12 +80,13 @@ def _random_stack(n, batch, rng):
 
 def power_contract_chain(n, k, w, contractions):
     """Reference route: w^k built left to right, w w w ... with k - 1
-    products (the first, w w, from the square kernel), then `contractions`
-    chained standard-metric contractions. w may carry batch dimensions."""
+    products (the first, w w, passes w twice and takes the square route),
+    then `contractions` chained standard-metric contractions. w may carry
+    batch dimensions."""
     out = w
     deg = 2
     for _ in range(k - 1):
-        out = square_coeffs(n, 2, 2, w) if deg == 2 else product_coeffs(n, deg, deg, out, 2, 2, w)
+        out = product_coeffs(n, deg, deg, out, 2, 2, w)
         deg += 2
     for _ in range(contractions):
         out = contract_coeffs(n, deg, deg, out)
@@ -149,34 +149,29 @@ def test_balanced_trace_gathers_less_at_k_4():
 
 
 def _record_kernel_calls(monkeypatch):
-    """The (kernel, p, q) of every product and square invariants makes,
-    appended to the returned list."""
+    """The (p, q, r, s, same array) of every product_coeffs call invariants
+    makes, appended to the returned list: a square passes one array twice."""
     calls = []
+    real = invariants.product_coeffs
 
-    def recording(name):
-        real = getattr(invariants, name)
+    def recording(n, p, q, w1, r, s, w2):
+        calls.append((p, q, r, s, w1 is w2))
+        return real(n, p, q, w1, r, s, w2)
 
-        def call(n, p, q, *rest):
-            calls.append((name, p, q))
-            return real(n, p, q, *rest)
-
-        return call
-
-    for name in ("product_coeffs", "square_coeffs"):
-        monkeypatch.setattr(invariants, name, recording(name))
+    monkeypatch.setattr(invariants, "product_coeffs", recording)
     return calls
 
 
 @pytest.mark.parametrize("n", [5, 7, 9])
 def test_trace_route_builds_w_w_with_the_square_kernel_only(monkeypatch, n):
     # k = 2 multiplies nothing; k = 3 (P = w w) and k = 4 (Q = w w) build
-    # one square and no product
+    # one square and no other product
     calls = _record_kernel_calls(monkeypatch)
     w = _random_stack(n, (2,), np.random.default_rng(n))
     for k in range(2, n // 2 + 1):
         calls.clear()
         gauss_bonnet_coeffs(n, k, w)
-        assert calls == ([] if k == 2 else [("square_coeffs", 2, 2)])
+        assert calls == ([] if k == 2 else [(2, 2, 2, 2, True)])
 
 
 def test_trace_route_matches_two_block_closed_form():
@@ -236,7 +231,7 @@ def test_ricci_2k_squares_and_makes_no_contraction_call(monkeypatch):
     monkeypatch.setattr(invariants, "contract_coeffs", refuse, raising=False)
     R = random_curvature_like(8, np.random.default_rng(46))
     ricci_2k(R, standard_metric(8), 4)
-    assert calls == [("square_coeffs", 2, 2), ("square_coeffs", 4, 4)]
+    assert calls == [(2, 2, 2, 2, True), (4, 4, 4, 4, True)]
 
 
 def _power_gathers(n, k):

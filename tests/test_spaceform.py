@@ -12,6 +12,7 @@ from gbyamabe import (
     conformal_curvature,
     conformal_metric,
     double_form,
+    fd_verify,
     field_from_modes,
     field_from_values,
     gauss_bonnet,
@@ -493,6 +494,23 @@ def test_gb_field_order_guard():
         gb_field(cm, 3)
 
 
+def test_dense_oracles_refuse_dimensions_above_the_dense_limit(monkeypatch):
+    # refused before any dense evaluation: at n = 11 one (4,4).(2,2) product
+    # gathers 48M entries per operand; the solver's closed form has no limit
+    def refuse(*args):
+        raise AssertionError("the dense evaluator was called")
+
+    monkeypatch.setattr(spaceform, "_gb_chunk", refuse)
+    n = DENSE_DIM_LIMIT + 1
+    sf = space_form(n, 1.0, FULL_SPHERE)
+    f = mode_field(zonal_basis(n, 4), 2, 0.05)
+    for k in (1, 2, max_order(n)):
+        with pytest.raises(ValueError, match=f"at most {DENSE_DIM_LIMIT}"):
+            gb_field(conformal_metric(sf, f), k)
+        with pytest.raises(ValueError, match=f"at most {DENSE_DIM_LIMIT}"):
+            fd_verify(sf, f, k)
+
+
 def test_gb_values_chunking_does_not_change_results(monkeypatch):
     rng = np.random.default_rng(39)
     basis = zonal_basis(6, 10)
@@ -512,21 +530,18 @@ def test_gb_values_gathers_stay_within_budget(monkeypatch):
     # w^2 w (84 * 15^2 entries per node)
     import gbyamabe.invariants as invariants
 
-    real_product, real_square = invariants.product_coeffs, invariants.square_coeffs
+    real_product = invariants.product_coeffs
     gathered = []
 
     def recording_product(n, p, q, w1, r, s, w2):
         batch = math.prod(np.broadcast_shapes(w1.shape[:-2], w2.shape[:-2]))
-        gathered.append(batch * split_tables(n, p, r)[0].size * split_tables(n, q, s)[0].size)
+        rows = split_tables(n, p, r)[0].size
+        if w1 is w2:  # a (2,2) square: the square route gathers half the rows
+            rows //= 2
+        gathered.append(batch * rows * split_tables(n, q, s)[0].size)
         return real_product(n, p, q, w1, r, s, w2)
 
-    def recording_square(n, p, q, w):
-        batch = math.prod(w.shape[:-2])
-        gathered.append(batch * split_tables(n, p, p)[0].size // 2 * split_tables(n, q, q)[0].size)
-        return real_square(n, p, q, w)
-
     monkeypatch.setattr(invariants, "product_coeffs", recording_product)
-    monkeypatch.setattr(invariants, "square_coeffs", recording_square)
     n, k = 9, 3
     basis = zonal_basis(n, 2)
     cm = conformal_metric(space_form(n, 1.0, FULL_SPHERE), mode_field(basis, 2, 0.05))
