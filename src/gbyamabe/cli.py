@@ -17,7 +17,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -61,16 +61,8 @@ _GRID_QUOTIENTS = tuple(name for name, quotient in _QUOTIENTS.items() if quotien
 _CSV_COMMANDS = ("solve", "solve-g", "sweep")
 
 
-def _json_default(obj):
-    """The numpy values json.dumps does not take itself, as Python values
-    (numpy float64 is a float and needs nothing)."""
-    if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
 def _dumps(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n"
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 def _field_payload(field) -> dict:
@@ -119,12 +111,7 @@ def _parse_mode_coeffs(text: str) -> dict[int, float]:
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        mode_cutoff=args.mode_cutoff,
-        max_iterations=args.max_iterations,
-        tol_residual=args.tol_residual,
-        tol_volume=args.tol_volume,
-    )
+    return SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)})
 
 
 def _profile_field(args, basis):
@@ -323,10 +310,10 @@ def _add_output_flags(sub):
 
 
 def _add_solver_flags(sub):
-    sub.add_argument("--mode-cutoff", type=int, default=16, help="highest retained correction mode")
-    sub.add_argument("--max-iterations", type=int, default=30)
-    sub.add_argument("--tol-residual", type=float, default=1e-10)
-    sub.add_argument("--tol-volume", type=float, default=1e-10)
+    """One flag per SolverConfig field, defaulting to the field's default."""
+    for f in fields(SolverConfig):
+        help_text = "highest retained correction mode" if f.name == "mode_cutoff" else None
+        sub.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default), default=f.default, help=help_text)
 
 
 def _add_background_flags(sub):
@@ -412,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--mu", type=float, default=1.0)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--mode-cutoff", type=int, default=16)
+    p.add_argument("--mode-cutoff", type=int, default=SolverConfig.mode_cutoff)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_kernel_demo)
 

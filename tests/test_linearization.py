@@ -21,6 +21,7 @@ from gbyamabe import (
     mode_field,
     shifted_laplacian,
     space_form,
+    spaceform,
     sup_norm,
     zonal_basis,
 )
@@ -117,7 +118,7 @@ def test_fd_verify_error_scales_quadratically():
     assert 50.0 <= coarse / fine <= 200.0
 
 
-def test_fd_verify_validation():
+def test_fd_verify_validation(monkeypatch):
     sf = space_form(5, 1.0, FULL_SPHERE)
     basis = zonal_basis(5, 8)
     f = mode_field(basis, 2, 0.05)
@@ -125,6 +126,16 @@ def test_fd_verify_validation():
         fd_verify(sf, f, 2, eps=0.0)
     with pytest.raises(ValueError):
         fd_verify(sf, _constant_field(basis, 0.0), 2)
+
+    def refuse(*args):
+        raise AssertionError("the invariant kernel was called")
+
+    monkeypatch.setattr(spaceform, "gauss_bonnet_coeffs", refuse)
+    with pytest.raises(ValueError, match="unknown pipeline"):
+        fd_verify(sf, f, 2, pipeline="bogus")
+    for k in (0, 3, 2.0):
+        with pytest.raises(ValueError, match="order k"):
+            fd_verify(sf, f, k)
 
 
 @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1e-3])

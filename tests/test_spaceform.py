@@ -355,11 +355,14 @@ def test_pipelines_agree_pointwise():
         basis = zonal_basis(n, 10)
         for _ in range(3):
             cm = conformal_metric(sf, random_phi(basis, rng, sup=0.2))
-            for node in (0, basis.x.size // 2, basis.x.size - 1):
+            for node in (0, basis.x.size // 2, basis.x.size - 1, -1):
                 Rw = warped_curvature(cm, node)
                 Rc = conformal_curvature(cm, node)
                 scale = max(np.abs(Rw.coeffs).max(), 1e-30)
                 assert np.abs(Rw.coeffs - Rc.coeffs).max() <= 1e-12 * scale
+            # a negative node counts from the end on both pipelines
+            for curvature in (warped_curvature, conformal_curvature):
+                np.testing.assert_array_equal(curvature(cm, -1).coeffs, curvature(cm, basis.x.size - 1).coeffs)
 
 
 def test_gb_field_matches_pointwise_operator_route():
@@ -402,10 +405,7 @@ def test_two_block_values_match_gauss_bonnet_on_both_pipelines():
         phi = random_phi(basis, rng, sup=0.15)
         grids = (basis.x, basis.sin_theta, phi.values, phi.dvalues, phi.ddvalues)
         for mu in (1.0, -0.7):
-            stacks = (
-                spaceform._diagonal_curvature_stack(n, *spaceform._sectional_blocks(mu, *grids)),
-                spaceform._conformal_curvature_stack(n, mu, *grids),
-            )
+            stacks = [spaceform._curvature_stack(n, mu, *grids, pipeline) for pipeline in ("warped", "conformal")]
             for k in range(1, n // 2 + 1):
                 closed = _two_block_values(n, mu, k, basis, phi.values, phi.dvalues, phi.ddvalues)
                 for stack in stacks:
@@ -486,12 +486,19 @@ def test_gb_field_constant_conformal_shift_scales_invariant():
     )
 
 
-def test_gb_field_order_guard():
+def test_gb_field_order_guard(monkeypatch):
     sf = space_form(5, 1.0, FULL_SPHERE)
     basis = zonal_basis(5, 6)
     cm = conformal_metric(sf, _constant_field(basis, 0.0))
     with pytest.raises(ValueError):
         gb_field(cm, 3)
+
+    def refuse(*args):
+        raise AssertionError("the invariant kernel was called")
+
+    monkeypatch.setattr(spaceform, "gauss_bonnet_coeffs", refuse)
+    with pytest.raises(ValueError, match="unknown pipeline"):
+        gb_field(cm, 2, "bogus")
 
 
 def test_dense_oracles_refuse_dimensions_above_the_dense_limit(monkeypatch):
