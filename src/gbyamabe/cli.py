@@ -211,10 +211,7 @@ def _cmd_verify_algebra(args):
 
 def _cmd_verify_linearization(args):
     check_tolerance("max_relerr", args.max_relerr)
-    if args.mu > 0:
-        sf = space_form(args.n, args.mu, FULL_SPHERE)
-    else:
-        sf = space_form(args.n, args.mu, SYNTHETIC_HYPERBOLIC, lambda1=1.0)
+    sf = space_form(args.n, args.mu, FULL_SPHERE if args.mu > 0 else SYNTHETIC_HYPERBOLIC)
     basis = zonal_basis(args.n, max(args.max_mode, args.mode))
     f = mode_field(basis, args.mode, args.amp)
     _, _, fine = fd_verify(sf, f, args.k, eps=args.eps)
@@ -233,7 +230,7 @@ def _cmd_verify_linearization(args):
 
 
 def _cmd_spectrum(args):
-    sf = space_form(args.n, args.mu, _QUOTIENTS[args.quotient], lambda1=args.lambda1)
+    sf = space_form(args.n, args.mu, _QUOTIENTS[args.quotient])
     lam1, critical, ok = spectrum_gap_check(sf)
     results = {"lambda1": lam1, "critical_level": critical, "gap_clears": ok}
     return results, None, 0
@@ -373,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mu", type=float, default=1.0)
     p.add_argument("--quotient", choices=tuple(_QUOTIENTS), default="rp")
-    p.add_argument("--lambda1", type=float, default=None, help="declared gap (hyperbolic quotient only)")
     _add_output_flags(p)
     p.set_defaults(func=_cmd_spectrum)
 

@@ -38,6 +38,9 @@ each admits: real projective space identifies antipodes, so only fields
 even under theta -> pi - theta descend to it, and _sphere_factor halves its
 volume. _grid_parity and _admissible apply the table for volume,
 conformal_metric and the solver; _even_modes is the parity rule of modes.
+The synthetic hyperbolic quotient carries no spectral data: on a closed
+hyperbolic manifold Delta >= 0 > n mu, so Delta - n mu >= n |mu| is
+invertible and spectrum_gap_check decides its gap in closed form.
 
 The curvature operator of either pipeline has only two eigenvalues, k_rad on
 the n - 1 radial planes and k_sph on the rest, so the order-2k invariant is a
@@ -101,16 +104,14 @@ class SpaceForm:
     """Background geometry: dimension, sectional curvature, quotient type.
 
     reference_volume is the volume of a spherical quotient at curvature
-    `curvature`; lambda1 is the declared first eigenvalue of the synthetic
-    quotient, where no grid exists and the spectrum is declared instead of
-    computed. Each is None on the quotients of the other kind.
+    `curvature`, and None on the synthetic hyperbolic quotient, which has no
+    grid and, since Delta - n mu >= n |mu| there, needs no spectrum either.
     """
 
     n: int
     curvature: float
     quotient: str
     reference_volume: float | None = None
-    lambda1: float | None = None
 
 
 def _sphere_factor(quotient: str, m: int, curvature: float, power: int) -> float:
@@ -120,34 +121,23 @@ def _sphere_factor(quotient: str, m: int, curvature: float, power: int) -> float
     return factor / 2.0 if quotient == REAL_PROJECTIVE else factor
 
 
-def space_form(
-    n: int,
-    curvature: float,
-    quotient: str = REAL_PROJECTIVE,
-    lambda1: float | None = None,
-) -> SpaceForm:
+def space_form(n: int, curvature: float, quotient: str = REAL_PROJECTIVE) -> SpaceForm:
     """Validated SpaceForm constructor. n is an integer of at least 5 and
-    every number must be finite. The spherical quotients compute their
-    reference volume and spectrum; the synthetic quotient needs a declared
-    lambda1 > 0 and has no reference volume."""
+    the curvature is finite: positive on the spherical quotients, which
+    compute their reference volume, negative on the synthetic hyperbolic
+    quotient, which has none."""
     n = check_count("dimension", n, 5)
     if quotient not in _QUOTIENTS:
         raise ValueError(f"unknown quotient {quotient!r}, expected one of {_QUOTIENTS}")
     check_nonzero("curvature", curvature)
-    if lambda1 is not None and not math.isfinite(lambda1):
-        raise ValueError(f"lambda1 must be finite, got {lambda1}")
     if quotient in GRID_PARITY:
         if curvature <= 0:
             raise ValueError(f"{quotient} requires positive curvature")
-        if lambda1 is not None:
-            raise ValueError(f"{quotient} computes lambda1; it cannot be declared")
         vol = _sphere_factor(quotient, n + 1, curvature, n)
         return SpaceForm(n=n, curvature=float(curvature), quotient=quotient, reference_volume=vol)
     if curvature >= 0:
         raise ValueError("synthetic hyperbolic quotient requires negative curvature")
-    if lambda1 is None or lambda1 <= 0:
-        raise ValueError("synthetic hyperbolic quotient needs a declared lambda1 > 0")
-    return SpaceForm(n=n, curvature=float(curvature), quotient=quotient, lambda1=float(lambda1))
+    return SpaceForm(n=n, curvature=float(curvature), quotient=quotient)
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +479,13 @@ def _curvature_stack(n, mu, x, sin_t, vals, dv, ddv, pipeline):
 
 
 def _node_curvature(cm: ConformalMetric, node: int, pipeline: str) -> DoubleForm:
-    """The curvature operator at one node; node indexes the grids as numpy
-    does, so a negative node counts from the last."""
+    """The curvature operator at one node; node is an integer that indexes
+    the grids as numpy does, so a negative node counts from the last."""
     phi = cm.phi
+    size = phi.basis.x.size
+    node = check_integer("node", node)
+    if not -size <= node < size:
+        raise ValueError(f"node {node} outside {-size}..{size - 1}")
     grids = (phi.basis.x, phi.basis.sin_theta, phi.values, phi.dvalues, phi.ddvalues)
     stack = _curvature_stack(cm.base.n, cm.base.curvature, *(a[node] for a in grids), pipeline)
     return double_form(cm.base.n, 2, 2, stack)
@@ -599,23 +593,28 @@ def volume(cm: ConformalMetric) -> float:
     return float(_volume_from_values(cm.base, cm.phi.basis, cm.phi.values))
 
 
+def _laplace_eigenvalue(ell, sf: SpaceForm):
+    """The Laplace eigenvalue l (l + n - 1) mu of zonal mode l (geometer
+    sign, positive for mu > 0); ell may be an array of modes."""
+    return ell * (ell + sf.n - 1) * sf.curvature
+
+
 def laplacian(sf: SpaceForm, field: LatitudeField) -> LatitudeField:
-    """Laplace-Beltrami operator of the background (geometer sign: the
-    eigenvalue on mode l is l (l + n - 1) mu, positive for mu > 0)."""
+    """Laplace-Beltrami operator of the background (geometer sign): mode l
+    scales by _laplace_eigenvalue."""
     if field.basis.n != sf.n:
         raise ValueError("field dimension does not match the space form")
-    ells = np.arange(field.basis.max_mode + 1, dtype=float)
-    eig = ells * (ells + sf.n - 1) * sf.curvature
+    eig = _laplace_eigenvalue(np.arange(field.basis.max_mode + 1, dtype=float), sf)
     return field_from_modes(field.basis, field.modes * eig, parity=field.parity)
 
 
-def spectrum_gap_check(sf: SpaceForm) -> tuple[float, float, bool]:
-    """First nonzero Laplace eigenvalue on the quotient's function sector,
-    the critical level n mu, and whether the gap clears it strictly."""
-    critical = sf.n * sf.curvature
-    if sf.quotient in GRID_PARITY:
-        ell = 2 if GRID_PARITY[sf.quotient] == "even" else 1  # lowest nonconstant mode the quotient admits
-        lam1 = float(ell * (ell + sf.n - 1) * sf.curvature)
-    else:
-        lam1 = float(sf.lambda1)
-    return lam1, float(critical), bool(lam1 > critical)
+def spectrum_gap_check(sf: SpaceForm) -> tuple[float | None, float, bool]:
+    """First nonzero Laplace eigenvalue on the quotient's function sector
+    (None on the synthetic hyperbolic quotient), the critical level n mu,
+    and whether the gap clears it strictly."""
+    critical = float(sf.n * sf.curvature)
+    if sf.quotient not in GRID_PARITY:
+        return None, critical, True  # Delta >= 0 > n mu there, whatever the spectrum
+    ell = 2 if GRID_PARITY[sf.quotient] == "even" else 1  # lowest nonconstant mode the quotient admits
+    lam1 = float(_laplace_eigenvalue(ell, sf))
+    return lam1, critical, lam1 > critical

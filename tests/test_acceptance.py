@@ -58,9 +58,7 @@ def _verdict(num: int, ok: bool, detail: str, elapsed: float, budget: float) -> 
 
 
 def _positive_background(n: int, mu: float):
-    if mu > 0:
-        return space_form(n, mu, FULL_SPHERE)
-    return space_form(n, mu, SYNTHETIC_HYPERBOLIC, lambda1=1.0)
+    return space_form(n, mu, FULL_SPHERE if mu > 0 else SYNTHETIC_HYPERBOLIC)
 
 
 def test_criterion_1_closed_form_reproduction():

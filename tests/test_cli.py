@@ -1,8 +1,10 @@
 """CLI: exit codes, JSON report shape, CSV output, determinism."""
 
+import argparse
 import csv
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -136,12 +138,10 @@ def test_spectrum_command(capsys):
     code, report = run_cli(capsys, ["spectrum", "--n", "5", "--quotient", "sphere"])
     assert code == 0
     assert report["results"]["gap_clears"] is False
-    code, report = run_cli(
-        capsys,
-        ["spectrum", "--n", "6", "--mu", "-1", "--quotient", "hyperbolic", "--lambda1", "0.75"],
-    )
+    # the hyperbolic gap clears n mu in closed form, with no eigenvalue to report
+    code, report = run_cli(capsys, ["spectrum", "--n", "6", "--mu", "-1", "--quotient", "hyperbolic"])
     assert code == 0
-    assert report["results"]["lambda1"] == 0.75
+    assert report["results"] == {"lambda1": None, "critical_level": -6.0, "gap_clears": True}
 
 
 @pytest.mark.parametrize(
@@ -150,7 +150,7 @@ def test_spectrum_command(capsys):
         (["solve", "--mu", "inf"], "curvature must be finite"),
         (["spectrum", "--n", "5", "--mu", "nan"], "curvature must be finite"),
         (["spectrum", "--n", "5", "--mu", "inf"], "curvature must be finite"),
-        (["spectrum", "--n", "5", "--quotient", "rp", "--lambda1", "5"], "cannot be declared"),
+        (["spectrum", "--n", "5", "--quotient", "rp", "--lambda1", "5"], "unrecognized arguments: --lambda1 5"),
         (["solve", "--tol-residual", "nan", "--max-iterations", "3"], "tol_residual must be finite and positive"),
         (["solve", "--damping", "nan"], "unrecognized arguments: --damping nan"),
         (["solve-g", "--g-coeffs", "1", "--damping", "0.5"], "unrecognized arguments: --damping 0.5"),
@@ -199,7 +199,7 @@ def test_spectrum_command(capsys):
 )
 def test_non_finite_or_undeclarable_parameters_exit_2(capsys, argv, message):
     if message.startswith("unrecognized arguments"):
-        # a removed solver flag: argparse refuses it before any report is written
+        # a removed flag: argparse refuses it before any report is written
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -416,10 +416,15 @@ def test_module_entry_point():
     assert report["results"]["routes_agree"] is True
 
 
+def _readme_section():
+    """The README's Command line section, up to the next heading."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+
+
 def _readme_commands():
     """The gbyamabe lines of the README's Command line block."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    block = _readme_section().split("```sh\n", 1)[1].split("```", 1)[0]
     return [line for line in block.splitlines() if line.startswith("gbyamabe ")]
 
 
@@ -434,3 +439,13 @@ def test_readme_commands_parse(line):
         build_parser().parse_args(shlex.split(line)[1:])
     except SystemExit:
         pytest.fail(f"README documents a command the parser refuses: {line}")
+
+
+def test_readme_flags_exist():
+    # every --flag the Command line section names, exit-code table included,
+    # is an option of some subcommand: a removed flag cannot stay documented
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", _readme_section()))
+    (subs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {opt for sub in subs.choices.values() for action in sub._actions for opt in action.option_strings}
+    assert len(flags) >= 20
+    assert sorted(flags - options) == []

@@ -110,7 +110,7 @@ def test_fd_verify_small_relative_error():
 
 
 def test_fd_verify_error_scales_quadratically():
-    sf = space_form(6, -1.0, SYNTHETIC_HYPERBOLIC, lambda1=1.0)
+    sf = space_form(6, -1.0, SYNTHETIC_HYPERBOLIC)
     basis = zonal_basis(6, 10)
     f = mode_field(basis, 4, 0.05)
     _, _, coarse = fd_verify(sf, f, 2, eps=1e-2)

@@ -210,7 +210,7 @@ def test_solver_input_guards():
         newton_solve(sf, psi, 3)  # 2k >= n
     with pytest.raises(ValueError):
         newton_solve(sf, default_psi(amp=0.35), 2)
-    hyp = space_form(5, -1.0, SYNTHETIC_HYPERBOLIC, lambda1=1.0)
+    hyp = space_form(5, -1.0, SYNTHETIC_HYPERBOLIC)
     with pytest.raises(ValueError):
         newton_solve(hyp, psi, 2)
     odd = default_psi(ell=3)

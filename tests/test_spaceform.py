@@ -1,5 +1,6 @@
 """Zonal basis, latitude fields, curvature pipelines, volume, spectrum."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from gbyamabe import (
     FULL_SPHERE,
     REAL_PROJECTIVE,
     SYNTHETIC_HYPERBOLIC,
+    SpaceForm,
     conformal_curvature,
     conformal_metric,
     double_form,
@@ -274,29 +276,34 @@ def test_space_form_factory_validation():
         space_form(4, 1.0, REAL_PROJECTIVE)
     with pytest.raises(ValueError):
         space_form(5, -1.0, REAL_PROJECTIVE)
-    with pytest.raises(ValueError):
-        space_form(5, 1.0, SYNTHETIC_HYPERBOLIC, lambda1=1.0)
-    with pytest.raises(ValueError):
-        space_form(5, -1.0, SYNTHETIC_HYPERBOLIC)  # missing lambda1
+    with pytest.raises(ValueError, match="requires negative curvature"):
+        space_form(5, 1.0, SYNTHETIC_HYPERBOLIC)
     with pytest.raises(ValueError):
         space_form(5, 1.0, "klein_bottle")
     # the synthetic quotient has no grid, so no volume: nothing would read one
-    hyp = space_form(6, -1.0, SYNTHETIC_HYPERBOLIC, lambda1=0.5)
+    hyp = space_form(6, -1.0, SYNTHETIC_HYPERBOLIC)
     assert hyp.reference_volume is None
     with pytest.raises(TypeError, match="reference_volume"):
-        space_form(6, -1.0, SYNTHETIC_HYPERBOLIC, lambda1=0.5, reference_volume=3.0)
+        space_form(6, -1.0, SYNTHETIC_HYPERBOLIC, reference_volume=3.0)
     with pytest.raises(TypeError, match="reference_volume"):
         space_form(5, 1.0, REAL_PROJECTIVE, reference_volume=7.0)
     for bad in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match="curvature must be finite"):
             space_form(5, bad, REAL_PROJECTIVE)
-    with pytest.raises(ValueError, match="lambda1 must be finite"):
-        space_form(6, -1.0, SYNTHETIC_HYPERBOLIC, lambda1=float("nan"))
-    # the spherical quotients compute their spectrum, so it may not be declared
-    with pytest.raises(ValueError, match="cannot be declared"):
-        space_form(5, 1.0, REAL_PROJECTIVE, lambda1=5.0)
-    with pytest.raises(ValueError, match="cannot be declared"):
-        space_form(5, 1.0, FULL_SPHERE, lambda1=5.0)
+    # no quotient takes a declared spectrum
+    assert [f.name for f in dataclasses.fields(SpaceForm)] == ["n", "curvature", "quotient", "reference_volume"]
+    with pytest.raises(TypeError, match="lambda1"):
+        space_form(6, -1.0, SYNTHETIC_HYPERBOLIC, lambda1=1.0)
+
+
+@pytest.mark.parametrize("n", [5, 6, 21])
+@pytest.mark.parametrize("mu", [-1e-9, -1.0, -50.0])
+def test_hyperbolic_quotient_needs_no_spectral_data(n, mu):
+    # Delta >= 0 > n mu on every closed hyperbolic manifold, so the gap
+    # clears the critical level with nothing declared
+    sf = space_form(n, mu, SYNTHETIC_HYPERBOLIC)
+    assert (sf.n, sf.curvature, sf.reference_volume) == (n, mu, None)
+    assert spectrum_gap_check(sf) == (None, n * mu, True)
 
 
 @pytest.mark.parametrize(
@@ -348,7 +355,7 @@ def test_round_metric_curvature_is_constant():
         assert gauss_bonnet(R, g, 2) == pytest.approx(30.0, rel=1e-13)
 
 
-def test_pipelines_agree_pointwise():
+def test_pipelines_agree_pointwise(monkeypatch):
     rng = np.random.default_rng(35)
     for n in (5, 6):
         sf = space_form(n, 1.0, FULL_SPHERE)
@@ -363,6 +370,16 @@ def test_pipelines_agree_pointwise():
             # a negative node counts from the end on both pipelines
             for curvature in (warped_curvature, conformal_curvature):
                 np.testing.assert_array_equal(curvature(cm, -1).coeffs, curvature(cm, basis.x.size - 1).coeffs)
+    # a node that is not an integer in -size..size - 1 is refused before any
+    # curvature is built (a bool would index every node as a mask)
+    def refuse(*args):
+        raise AssertionError("a curvature stack was built")
+
+    monkeypatch.setattr(spaceform, "_curvature_stack", refuse)
+    for curvature in (warped_curvature, conformal_curvature):
+        for node, message in ((True, "integer"), (2.0, "integer"), (99, "outside"), (-99, "outside")):
+            with pytest.raises(ValueError, match=message):
+                curvature(cm, node)
 
 
 def test_gb_field_matches_pointwise_operator_route():
@@ -464,10 +481,7 @@ def test_two_block_values_reach_past_the_dense_limit_in_bounded_memory():
 
 def test_gb_field_round_value_and_negative_curvature():
     for n, k, mu in [(5, 2, 1.0), (6, 2, -1.0), (7, 3, -2.0)]:
-        if mu > 0:
-            sf = space_form(n, mu, FULL_SPHERE)
-        else:
-            sf = space_form(n, mu, SYNTHETIC_HYPERBOLIC, lambda1=1.0)
+        sf = space_form(n, mu, FULL_SPHERE if mu > 0 else SYNTHETIC_HYPERBOLIC)
         basis = zonal_basis(n, 6)
         cm = conformal_metric(sf, _constant_field(basis, 0.0))
         field = gb_field(cm, k)
@@ -614,7 +628,7 @@ def test_volume_of_round_and_shifted_metrics():
             sf_n = space_form(basis.n, 1.0, quotient)
             zero_n = _constant_field(basis, 0.0)
             assert volume(conformal_metric(sf_n, zero_n)) == pytest.approx(sf_n.reference_volume, rel=1e-14)
-    hyp = space_form(5, -1.0, SYNTHETIC_HYPERBOLIC, lambda1=1.0)
+    hyp = space_form(5, -1.0, SYNTHETIC_HYPERBOLIC)
     with pytest.raises(ValueError):
         volume(conformal_metric(hyp, zero))
 
@@ -636,10 +650,7 @@ def test_laplacian_mode_eigenvalues_and_differential_formula():
 def test_spectrum_gap_check_all_quotients():
     assert spectrum_gap_check(space_form(5, 1.0, REAL_PROJECTIVE)) == (12.0, 5.0, True)
     assert spectrum_gap_check(space_form(5, 1.0, FULL_SPHERE)) == (5.0, 5.0, False)
-    lam1, critical, ok = spectrum_gap_check(
-        space_form(6, -1.0, SYNTHETIC_HYPERBOLIC, lambda1=0.75)
-    )
-    assert (lam1, critical, ok) == (0.75, -6.0, True)
+    assert spectrum_gap_check(space_form(6, -1.0, SYNTHETIC_HYPERBOLIC)) == (None, -6.0, True)
     # scaling: curvature mu scales both sides
     lam1, critical, ok = spectrum_gap_check(space_form(7, 2.0, REAL_PROJECTIVE))
     assert lam1 == pytest.approx(2 * 8 * 2.0)
