@@ -39,9 +39,10 @@ the n directions in one reduction (_signed_gather_sum, which
 invariants.ricci_2k shares). The cached plans hold their index
 tables C-contiguous and writeable, so np.take reads them without a copy.
 The kernels write their gathers into buffers kept per thread (_work_array),
-so that repeated calls fault in no fresh memory pages; spaceform sizes
-its grid chunks so that every product gather fits one (a square's gathers
-are half that size, and the chunk rule does not count on it).
+and so does invariants.gauss_bonnet_coeffs for its diagonal blocks, so
+that repeated calls fault in no fresh memory pages; spaceform sizes its
+grid chunks so that every gather fits one (a square's gathers are half
+that size, and the chunk rule does not count on it).
 DENSE_DIM_LIMIT bounds the dimension of the dense algebra's oracles, and
 check_dense_dim is the one rule that applies it.
 is_in_symmetry_class and the metric rule _metric_frame share one symmetry
@@ -249,6 +250,12 @@ def _work_array(slot: int, shape: tuple[int, ...]) -> np.ndarray:
     next request for the same slot on this thread: a kernel must never
     return one, and must not call another kernel that uses the slot while
     holding one.
+
+    Slots by owner: 0-4, product_coeffs (_expand_and_sum: the row gathers
+    in 0 and 1, the signed copy of w1 in 2, the column gathers in 3 and 4);
+    5 and 6, _signed_gather_sum; 0 and 1 again, the diagonal-block gathers
+    of invariants.gauss_bonnet_coeffs, taken only after its products have
+    returned.
     """
     size = math.prod(shape)
     if size > _WORK_RETAIN:

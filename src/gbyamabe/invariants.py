@@ -50,6 +50,7 @@ from .forms import (
     _signed_gather_sum,
     _signed_ranks,
     _to_frame,
+    _work_array,
     double_form,
     is_in_symmetry_class,
     product_coeffs,
@@ -178,8 +179,9 @@ def _trace_blocks(n: int, a: int, b: int) -> tuple[np.ndarray, np.ndarray, np.nd
     flat_p = (A[:, :, None] * rows_p + A[:, None, :]).ravel()
     flat_q = (B[:, :, None] * rows_q + B[:, None, :]).ravel()
     signs = (s[:, :, None] * s[:, None, :]).ravel()
-    for arr in (flat_p, flat_q, signs):
-        arr.flags.writeable = False
+    signs.flags.writeable = False
+    # the index tables are C-contiguous and left writeable: np.take copies
+    # any other index array on every call
     return flat_p, flat_q, signs
 
 
@@ -194,15 +196,24 @@ def gauss_bonnet_coeffs(n: int, k: int, w: np.ndarray) -> np.ndarray:
     from repeated squaring (_power) and P is Q itself or Q w, so the largest
     power built is w^a. Every w w (P at k = 3, Q at k = 4) passes w twice,
     so product_coeffs takes its square route.
+
+    Both diagonal-block gathers go into forms._work_array slots 0 and 1,
+    taken after the products have returned, and are multiplied in place,
+    so repeated calls fault in no fresh memory pages.
     """
     if k == 1:
         return np.trace(w, axis1=-2, axis2=-1)
     a, b = (k + 1) // 2, k // 2
     flat_p, flat_q, signs = _trace_blocks(n, a, b)
+    w = np.asarray(w, dtype=float)
     batch = w.shape[:-2]
     Q = _power(n, b, w)
     P = Q if a == b else product_coeffs(n, 2 * b, 2 * b, Q, 2, 2, w)
-    terms = np.take(P.reshape(batch + (-1,)), flat_p, axis=-1) * np.take(Q.reshape(batch + (-1,)), flat_q, axis=-1)
+    # P and Q are w or fresh einsum results, so slots 0 and 1 (the product's
+    # row gathers) are free; mode="clip" writes straight into out
+    terms = np.take(P.reshape(batch + (-1,)), flat_p, axis=-1, out=_work_array(0, batch + flat_p.shape), mode="clip")
+    q_terms = np.take(Q.reshape(batch + (-1,)), flat_q, axis=-1, out=_work_array(1, batch + flat_q.shape), mode="clip")
+    np.multiply(terms, q_terms, out=terms)
     # one dot product per matrix, so a matrix's value never depends on its batch
     return (terms[..., None, :] @ signs[:, None])[..., 0, 0]
 

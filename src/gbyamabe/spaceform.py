@@ -50,7 +50,9 @@ evaluator _gb_values builds each pipeline's curvature stack and runs the
 double-form algebra; it is the oracle behind gb_field, fd_verify and
 constancy_diagnostic, and the solver's k = 2 path. It runs in chunks of nodes
 whose largest gather fits one retained work buffer of the forms kernels
-(_GATHER_BUDGET is forms._WORK_RETAIN), so no chunk maps fresh memory.
+(_GATHER_BUDGET is forms._WORK_RETAIN). Every gather, the products' and the
+invariant's diagonal blocks alike, goes into such a buffer, so no chunk maps
+fresh memory.
 """
 
 from __future__ import annotations
@@ -501,8 +503,8 @@ def conformal_curvature(cm: ConformalMetric, node: int) -> DoubleForm:
     return _node_curvature(cm, node, "conformal")
 
 
-# Float64 entries one product gather may hold: the size of one buffer the
-# forms kernels keep (16 MB), so a chunk's gathers reuse memory instead of
+# Float64 entries one gather may hold: the size of one buffer the forms
+# kernels keep (16 MB), so a chunk's gathers reuse memory instead of
 # mapping fresh arrays on every call.
 _GATHER_BUDGET = _WORK_RETAIN
 
@@ -524,11 +526,8 @@ def _chunk_nodes(n, k, pipeline):
 
 
 def _gb_chunk(n, mu, k, x, sin_t, vals, dv, ddv, pipeline):
-    # R is held here so that it is freed after gauss_bonnet_coeffs'
-    # temporaries, not before them: passed inline, the stack went first and
-    # the k = 2 solves took 30-70% more page faults on glibc's heap
-    R = _curvature_stack(n, mu, x, sin_t, vals, dv, ddv, pipeline)
-    return gauss_bonnet_coeffs(n, k, R)
+    """One chunk of _gb_values: the pipeline's curvature stack and its invariant."""
+    return gauss_bonnet_coeffs(n, k, _curvature_stack(n, mu, x, sin_t, vals, dv, ddv, pipeline))
 
 
 def _gb_values(n, mu, k, basis: ZonalBasis, vals, dv, ddv, pipeline="warped"):

@@ -1,9 +1,18 @@
 """Curvature invariants: closed forms, classical traces, Kronecker route."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 from gbyamabe import (
     contract,
@@ -26,7 +35,7 @@ from gbyamabe.forms import (
     product_gather_entries,
 )
 from gbyamabe.indexing import compound_matrix, split_tables
-from gbyamabe.invariants import _power, _power_steps, gauss_bonnet_coeffs, gauss_bonnet_gather_entries
+from gbyamabe.invariants import _power, _power_steps, _trace_blocks, gauss_bonnet_coeffs, gauss_bonnet_gather_entries
 
 from reference_forms import brute_kronecker_sum, classical_ricci, classical_scalar, two_block_invariant
 
@@ -172,6 +181,89 @@ def test_trace_route_builds_w_w_with_the_square_kernel_only(monkeypatch, n):
         calls.clear()
         gauss_bonnet_coeffs(n, k, w)
         assert calls == ([] if k == 2 else [(2, 2, 2, 2, True)])
+
+
+def test_trace_blocks_hand_take_writeable_contiguous_tables():
+    # np.take copies a read-only or non-contiguous index array on every call
+    for n, a, b in ((5, 1, 1), (7, 2, 1), (8, 2, 2)):
+        flat_p, flat_q, signs = _trace_blocks(n, a, b)
+        for table in (flat_p, flat_q):
+            assert table.flags.writeable and table.flags.c_contiguous
+        assert not signs.flags.writeable
+
+
+def _plain_trace(n, k, w):
+    # gauss_bonnet_coeffs' formula with fresh arrays: both diagonal-block
+    # gathers by plain np.take, and their product
+    a, b = (k + 1) // 2, k // 2
+    flat_p, flat_q, signs = _trace_blocks(n, a, b)
+    batch = w.shape[:-2]
+    Q = _power(n, b, w)
+    P = Q if a == b else product_coeffs(n, 2 * b, 2 * b, Q, 2, 2, w)
+    terms = np.take(P.reshape(batch + (-1,)), flat_p, axis=-1) * np.take(Q.reshape(batch + (-1,)), flat_q, axis=-1)
+    return (terms[..., None, :] @ signs[:, None])[..., 0, 0]
+
+
+@pytest.mark.parametrize("n, k", [(7, 2), (7, 3), (8, 4)])
+def test_gauss_bonnet_coeffs_reuses_its_work_buffers(monkeypatch, n, k):
+    # the diagonal blocks are gathered into slots 0 and 1, which at k >= 3
+    # the product's row gathers held just before
+    w = _random_stack(n, (3,), np.random.default_rng([n, k]))
+    first = gauss_bonnet_coeffs(n, k, w)
+    kept = first.copy()
+    buffers = dict(forms._work.buffers)
+    assert {0, 1} <= set(buffers)
+    outs, real_take = [], np.take
+
+    def recording(a, indices, *args, out=None, **kwargs):
+        outs.append(out)
+        return real_take(a, indices, *args, out=out, **kwargs)
+
+    monkeypatch.setattr(np, "take", recording)
+    flipped = w[::-1]
+    second = gauss_bonnet_coeffs(n, k, flipped)
+    monkeypatch.undo()
+    assert len(outs) >= 2
+    assert all(out is not None and any(np.shares_memory(out, buf) for buf in buffers.values()) for out in outs)
+    assert all(forms._work.buffers[slot] is buf for slot, buf in buffers.items())
+    assert not any(np.shares_memory(out, buf) for out in (first, second) for buf in buffers.values())
+    assert np.array_equal(first, kept)
+    assert np.array_equal(second, kept[::-1])
+    assert np.array_equal(first, _plain_trace(n, k, w))
+
+
+_K2_TRACE_FAULTS = """
+import resource
+import numpy as np
+from gbyamabe.invariants import gauss_bonnet_coeffs
+raw = np.random.default_rng(12).standard_normal((864, 21, 21))
+w = (raw + np.swapaxes(raw, -1, -2)) / 2
+gauss_bonnet_coeffs(7, 2, w)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    gauss_bonnet_coeffs(7, 2, w)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(resource is None or not sys.platform.startswith("linux"), reason="counts Linux page faults")
+def test_repeated_k2_traces_fault_in_no_fresh_pages():
+    # one RP^7 k = 2 Jacobian evaluates 864 matrices; each diagonal-block
+    # gather holds 864 * 35 * 6^2 entries (8.7 MB, 2126 pages). A fresh
+    # array per call maps and faults those pages in anew, but only while
+    # glibc's mmap threshold is below its size: frees of larger arrays
+    # raise it, so this process's history can hide the faults. The calls
+    # therefore run in a child with the threshold pinned at glibc's default.
+    pages = 864 * _trace_blocks(7, 1, 1)[0].size * 8 // 4096
+    assert pages == 2126
+    src = str(Path(invariants.__file__).resolve().parents[1])
+    env = dict(
+        os.environ,
+        MALLOC_MMAP_THRESHOLD_="131072",
+        PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+    )
+    proc = subprocess.run([sys.executable, "-c", _K2_TRACE_FAULTS], capture_output=True, text=True, env=env, check=True)
+    assert int(proc.stdout) < pages // 10
 
 
 def test_trace_route_matches_two_block_closed_form():
