@@ -4,20 +4,24 @@ Given a background space form and an axisymmetric profile psi, the solver
 looks for a correction w (a latitude field on the same mode window) and a
 constant c such that the conformal metric e^{2 (psi + w)} g has its order-2k
 curvature invariant identically equal to c, at fixed total volume. The
-unknowns are the parity-admissible mode coefficients of w together with c;
-the equations are the projections of the pointwise invariant onto the same
-modes plus the relative volume defect.
+unknowns are the mode coefficients of w together with c; the equations are
+the projections of the pointwise invariant onto the same modes plus the
+relative volume defect. Those modes are spaceform._gauged_modes: the modes
+the quotient admits minus the kernel of Delta - n mu. On projective space
+that kernel is empty. On the full sphere it is l = 1, the Moebius
+directions along which the solutions form a one-parameter orbit; the gauge
+fixes w's l = 1 mode at zero, and the dropped l = 1 equation holds at any
+solution by the Kazdan-Warner identity (Ann. of Math. 101, 1975). The
+pointwise residual that decides convergence still sees it.
 
 The pointwise invariant comes from the two-block closed form
 (spaceform._two_block_values) at every order but k = 2, which still runs the
 dense double-form evaluator _gb_values. The Jacobian is assembled by batched
 central differences in one curvature evaluation per iteration (the column
-for c is analytic). Every step is the truncated pseudo-inverse (singular
-values below 1e-10 of the largest are dropped). On projective quotients the
-system is square and uniformly invertible near the round metric, so a
-dropped direction aborts with a dedicated status; on the full sphere the
-lowest nonconstant mode genuinely annihilates the linearization, so the step
-is the minimum-norm one. That distinction is the point of sphere_kernel_demo.
+for c is analytic). Every step is one square solve through the SVD of the
+Jacobian; a singular value below 1e-10 of the largest stops the solve with
+the singular_jacobian status on either quotient. sphere_kernel_demo builds
+the ungauged full window of the sphere to show the kernel the gauge removes.
 """
 
 from __future__ import annotations
@@ -31,10 +35,13 @@ from .invariants import check_problem_order
 from .linearization import LinearFunctional, generalized_constants
 from .spaceform import (
     FULL_SPHERE,
+    REAL_PROJECTIVE,
     LatitudeField,
     SpaceForm,
     ZonalBasis,
     _admissible,
+    _admitted_modes,
+    _gauged_modes,
     _gb_values,
     _grid_parity,
     _two_block_values,
@@ -103,7 +110,8 @@ class SolverReport:
 
     - "converged": residual and volume drift below their tolerances;
     - "max_iterations": the iteration budget ran out first;
-    - "singular_jacobian": a projective Jacobian lost numerical rank;
+    - "singular_jacobian": the Jacobian lost numerical rank (its smallest
+      singular value fell to 1e-10 of the largest), on either quotient;
     - "line_search_failed": none of the 12 step fractions 1, 1/2, ...,
       1/2^11 along the last Newton direction decreased the residual enough,
       so the solve stopped at the last accepted iterate instead of taking a
@@ -178,22 +186,17 @@ def _assemble_jacobian(sf, weights, basis, sel, phi_modes):
     mode of the projection sees a shift of c).
     """
     m = sel.size
-    pert_v = basis.values[:, sel].T
-    pert_d = basis.dtheta[:, sel].T
-    pert_dd = basis.ddtheta[:, sel].T
-    base_v, base_d, base_dd = _phi_grids(basis, phi_modes)
-    vals = np.concatenate([base_v + _FD_STEP * pert_v, base_v - _FD_STEP * pert_v])
-    dv = np.concatenate([base_d + _FD_STEP * pert_d, base_d - _FD_STEP * pert_d])
-    ddv = np.concatenate([base_dd + _FD_STEP * pert_dd, base_dd - _FD_STEP * pert_dd])
+    perts = (basis.values[:, sel].T, basis.dtheta[:, sel].T, basis.ddtheta[:, sel].T)
+    grids = zip(_phi_grids(basis, phi_modes), perts)
+    vals, dv, ddv = (np.concatenate([base + _FD_STEP * pert, base - _FD_STEP * pert]) for base, pert in grids)
     S = _combined_values(sf, weights, basis, vals, dv, ddv)
     vols = np.asarray(_volume_from_values(sf, basis, vals))
     dS = (S[:m] - S[m:]) / (2.0 * _FD_STEP)
     dvol = (vols[:m] - vols[m:]) / (2.0 * _FD_STEP)
-    J = np.empty((m + 1, m + 1))
+    J = np.zeros((m + 1, m + 1))
     J[:m, :m] = basis.projection[sel] @ dS.T
     J[m, :m] = dvol / sf.reference_volume
     J[:m, m] = -_projected_ones(basis)[sel]
-    J[m, m] = 0.0
     return J
 
 
@@ -208,8 +211,7 @@ def _solve_core(sf, psi, weights, config, w0, c0):
         raise ValueError(
             f"profile sup norm {sup_norm(psi_b):.3f} exceeds the validated neighborhood ({_SUP_NORM_LIMIT})"
         )
-    projective = parity == "even"
-    sel = np.arange(0, cfg.mode_cutoff + 1, 2 if projective else 1)
+    sel = _gauged_modes(sf, cfg.mode_cutoff)
 
     wm = np.zeros(basis.max_mode + 1)
     if w0 is not None:
@@ -236,11 +238,10 @@ def _solve_core(sf, psi, weights, config, w0, c0):
         J = _assemble_jacobian(sf, weights, basis, sel, psi_b.modes + wm)
         U, svals, Vt = np.linalg.svd(J)
         smin = float(svals[-1])
-        keep = svals > 1e-10 * svals[0]
-        if projective and not keep.all():
+        if smin <= 1e-10 * svals[0]:
             status = "singular_jacobian"
             break
-        delta = Vt.T @ np.divide(U.T @ F, svals, out=np.zeros_like(svals), where=keep)
+        delta = Vt.T @ ((U.T @ F) / svals)
 
         lam = 1.0
         old_norm = float(np.abs(F).max())
@@ -265,12 +266,11 @@ def _solve_core(sf, psi, weights, config, w0, c0):
         J = _assemble_jacobian(sf, weights, basis, sel, psi_b.modes + wm)
         smin = float(np.linalg.svd(J, compute_uv=False)[-1])
 
-    w_field = field_from_modes(basis, wm, parity=parity)
     return SolverReport(
         status=status,
         iterations=tuple(records),
         achieved_constant=float(c),
-        w=w_field,
+        w=field_from_modes(basis, wm, parity=parity),
         jacobian_min_singular_value=smin,
     )
 
@@ -284,6 +284,9 @@ def newton_solve(
     c0: float | None = None,
 ) -> SolverReport:
     """Solve for a constant order-2k invariant in the class of e^{2 psi} g.
+
+    w0 and c0 are an optional initial correction and constant. On the full
+    sphere w0's l = 1 mode is ignored, because the gauge fixes it at zero.
 
     The classical k = 1 problem is excluded here (its full-sphere kernel is
     the subject of sphere_kernel_demo); pass a one-term LinearFunctional to
@@ -319,7 +322,8 @@ def sphere_kernel_demo(
 
     The full window contains the lowest nonconstant mode, which the
     linearization annihilates identically, so the second number collapses
-    (to finite-difference roundoff) while the first stays order one.
+    (to finite-difference roundoff) while the first stays order one. The
+    solver gauges that mode out; this demo keeps the ungauged window.
     """
     cfg = config if config is not None else SolverConfig()
     check_problem_order(n, k)
@@ -328,8 +332,8 @@ def sphere_kernel_demo(
     weights = {k: 1.0}
     phi0 = np.zeros(basis.max_mode + 1)
     out = []
-    for step in (2, 1):  # the even modes, then the full window
-        J = _assemble_jacobian(sf, weights, basis, np.arange(0, cfg.mode_cutoff + 1, step), phi0)
+    for quotient in (REAL_PROJECTIVE, FULL_SPHERE):  # the even modes, then the full window
+        J = _assemble_jacobian(sf, weights, basis, _admitted_modes(quotient, cfg.mode_cutoff), phi0)
         out.append(float(np.linalg.svd(J, compute_uv=False)[-1]))
     return out[0], out[1]
 

@@ -38,6 +38,8 @@ each admits: real projective space identifies antipodes, so only fields
 even under theta -> pi - theta descend to it, and _sphere_factor halves its
 volume. _grid_parity and _admissible apply the table for volume,
 conformal_metric and the solver; _even_modes is the parity rule of modes.
+_admitted_modes lists the modes a quotient admits, and _gauged_modes drops
+from them the kernel of Delta - n mu: those are the solver's unknowns.
 The synthetic hyperbolic quotient carries no spectral data: on a closed
 hyperbolic manifold Delta >= 0 > n mu, so Delta - n mu >= n |mu| is
 invertible and spectrum_gap_check decides its gap in closed form.
@@ -99,6 +101,19 @@ SYNTHETIC_HYPERBOLIC = "synthetic_hyperbolic"
 # they admit; the synthetic hyperbolic quotient has none.
 GRID_PARITY = {REAL_PROJECTIVE: "even", FULL_SPHERE: "any"}
 _QUOTIENTS = (*GRID_PARITY, SYNTHETIC_HYPERBOLIC)
+
+
+def _admitted_modes(quotient: str, max_mode: int) -> np.ndarray:
+    """The zonal modes 0..max_mode of the fields a grid quotient admits."""
+    return np.arange(0, max_mode + 1, 2 if GRID_PARITY[quotient] == "even" else 1)
+
+
+def _gauged_modes(sf: SpaceForm, max_mode: int) -> np.ndarray:
+    """The solver's unknowns and equations: the admitted modes minus the
+    kernel of Delta - n mu, which is l = 1 (the Moebius directions) on the
+    full sphere and empty on projective space."""
+    ell = _admitted_modes(sf.quotient, max_mode)
+    return ell[_laplace_eigenvalue(ell, sf) != sf.n * sf.curvature]
 
 
 @dataclass(frozen=True)
@@ -614,6 +629,6 @@ def spectrum_gap_check(sf: SpaceForm) -> tuple[float | None, float, bool]:
     critical = float(sf.n * sf.curvature)
     if sf.quotient not in GRID_PARITY:
         return None, critical, True  # Delta >= 0 > n mu there, whatever the spectrum
-    ell = 2 if GRID_PARITY[sf.quotient] == "even" else 1  # lowest nonconstant mode the quotient admits
+    ell = _admitted_modes(sf.quotient, 2)[1]  # lowest nonconstant mode the quotient admits
     lam1 = float(_laplace_eigenvalue(ell, sf))
     return lam1, critical, lam1 > critical

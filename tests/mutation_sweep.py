@@ -1,0 +1,129 @@
+"""Mutation sweep of the solver's honesty checks.
+
+Each mutant is a one-line edit of a gate or a reported number. For each, the
+sweep copies the repository to a temporary directory, applies the edit, runs
+the Tier-1 suite there and prints the tests that caught it: those that failed
+and failed again when rerun on the mutant. A test that passes on the rerun
+is printed as flaky. A mutant that no test catches is printed as SURVIVED.
+
+Run from the repository root (standard library only; about 15 s per mutant):
+
+    python tests/mutation_sweep.py            # every mutant
+    python tests/mutation_sweep.py gauge      # the mutants whose name contains "gauge"
+
+The exit status is the number of mutants that survived.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+NEWTON = "src/gbyamabe/newton.py"
+SPACEFORM = "src/gbyamabe/spaceform.py"
+
+# (name, file, old text, new text, why); each old text occurs once in its file
+MUTANTS = [
+    (
+        "singular-gate",
+        NEWTON,
+        "        if smin <= 1e-10 * svals[0]:\n",
+        "        if smin < 0.0:\n",
+        "a rank-deficient Jacobian is solved through anyway",
+    ),
+    (
+        "gauge",
+        SPACEFORM,
+        "    return ell[_laplace_eigenvalue(ell, sf) != sf.n * sf.curvature]\n",
+        "    return ell\n",
+        "the sphere keeps its l = 1 Moebius kernel among the unknowns",
+    ),
+    (
+        "tol-volume",
+        NEWTON,
+        "if resid_sup <= cfg.tol_residual and drift <= cfg.tol_volume:",
+        "if resid_sup <= cfg.tol_residual:",
+        "converged ignores the volume tolerance",
+    ),
+    (
+        "drift-report",
+        NEWTON,
+        "    drift = abs(vol - sf.reference_volume) / sf.reference_volume\n    return IterationRecord(",
+        "    drift = abs(vol - sf.reference_volume) / sf.reference_volume / 10\n    return IterationRecord(",
+        "the reported volume drift is ten times too small",
+    ),
+    (
+        "certificate-and",
+        NEWTON,
+        "passed = variation <= threshold and sup_dev <= threshold",
+        "passed = variation <= threshold or sup_dev <= threshold",
+        "the certificate passes a constant invariant that is not the reported one",
+    ),
+    (
+        "sup-norm-gate",
+        NEWTON,
+        "    if sup_norm(psi_b) > _SUP_NORM_LIMIT:\n",
+        "    if sup_norm(psi_b) > 10 * _SUP_NORM_LIMIT:\n",
+        "profiles outside the validated neighborhood are solved",
+    ),
+    (
+        "line-search-decrease",
+        NEWTON,
+        "new_norm <= (1.0 - 1e-4 * lam) * old_norm",
+        "new_norm <= (1.0 + 0.1 * lam) * old_norm",
+        "a step that grows the residual by up to 10% is accepted",
+    ),
+]
+
+TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", "results", "*.egg-info")
+
+
+def _failures(tree: Path, tests: list[str]) -> list[str]:
+    env = {**os.environ, "PYTHONPATH": "src"}
+    done = subprocess.run(TIER1 + tests, cwd=tree, capture_output=True, text=True, env=env)
+    return re.findall(r"^(?:FAILED|ERROR) (\S+)", done.stdout, flags=re.MULTILINE)
+
+
+def run_mutant(file: str, old: str, new: str) -> tuple[list[str], list[str]]:
+    """Tier-1 on a copy of the repository with old replaced by new: the tests
+    that failed, then failed again when rerun (caught), and those that
+    passed on the rerun (flaky, so they prove nothing)."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        tree = Path(tmp) / "repo"
+        shutil.copytree(ROOT, tree, ignore=IGNORE)
+        path = tree / file
+        text = path.read_text()
+        if text.count(old) != 1:
+            raise SystemExit(f"{file}: the text to mutate occurs {text.count(old)} times, expected once")
+        path.write_text(text.replace(old, new))
+        failed = _failures(tree, [])
+        again = set(_failures(tree, failed)) if failed else set()
+    return [t for t in failed if t in again], [t for t in failed if t not in again]
+
+
+def main(argv: list[str]) -> int:
+    survivors = 0
+    for name, file, old, new, why in MUTANTS:
+        if argv and not any(pattern in name for pattern in argv):
+            continue
+        caught, flaky = run_mutant(file, old, new)
+        survivors += not caught
+        print(f"{name}: {why}")
+        for test in caught:
+            print(f"  caught by {test}")
+        for test in flaky:
+            print(f"  flaky, passed on rerun: {test}")
+        if not caught:
+            print("  SURVIVED")
+    return survivors
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

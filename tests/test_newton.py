@@ -27,6 +27,7 @@ from gbyamabe import (
     space_form,
     space_form_invariant,
     sphere_kernel_demo,
+    volume,
     zonal_basis,
 )
 from gbyamabe.spaceform import _reflect_field
@@ -75,19 +76,62 @@ def test_warm_start_skips_iteration():
     assert report.steps == 0
 
 
-def test_sphere_solve_uses_minimum_norm_steps():
+def gauged_round_correction(psi):
+    """The gauged S^n answer w* = -psi - log(alpha + beta cos theta) on psi's
+    grid: e^{2 (psi + w*)} g is the round metric pulled back by a Moebius map
+    (alpha^2 - beta^2 = 1 keeps the volume), and bisection on beta picks the
+    one orbit point whose w* has no l = 1 mode."""
+    basis = psi.basis
+
+    def correction(beta):
+        return -psi.values - np.log(np.sqrt(1.0 + beta * beta) + beta * basis.x)
+
+    lo, hi = -0.5, 0.5  # the l = 1 mode of correction(beta) decreases in beta
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if basis.projection[1] @ correction(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return correction(0.5 * (lo + hi))
+
+
+@pytest.mark.parametrize(
+    "n, weights, profile",
+    [
+        (5, {2: 1.0}, {1: 0.03, 2: 0.01}),
+        (6, {2: 1.0}, {1: 0.02, 2: 0.01, 3: -0.01}),
+        (7, {3: 1.0}, {1: 0.02, 3: 0.01}),
+        (5, {1: 1.0, 2: 0.2}, {1: 0.02, 2: 0.01, 3: 0.01}),
+    ],
+    ids=["S5-k2", "S6-k2", "S7-k3", "S5-combined"],
+)
+def test_sphere_solve_is_the_gauged_round_metric(n, weights, profile):
+    # the gauge drops l = 1 from the unknowns and the equations, so the
+    # Newton system stays square and nonsingular and the answer is the one
+    # point of the Moebius orbit without l = 1 content
+    sf = space_form(n, 1.0, FULL_SPHERE)
+    basis = zonal_basis(n, 16)
+    psi = field_from_modes(basis, sum(mode_field(basis, ell, amp).modes for ell, amp in profile.items()))
+    functional = LinearFunctional(tuple(weights.get(k, 0.0) for k in range(1, max(weights) + 1)))
+    report = generalized_solve(sf, psi, functional)
+    assert report.status == "converged"
+    assert report.w.modes[1] == 0.0
+    assert np.abs(report.w.values - gauged_round_correction(psi)).max() <= 1e-12
+    assert report.jacobian_min_singular_value >= 1e-3
+    round_value = sum(c * space_form_invariant(n, k, 1.0) for k, c in weights.items())
+    assert report.achieved_constant == pytest.approx(round_value, rel=1e-12)
+    assert fixed_point_certificate(sf, psi, report, weights=weights).passed
+
+
+def test_sphere_warm_start_ignores_the_first_mode():
     sf = space_form(5, 1.0, FULL_SPHERE)
     psi = default_psi(ell=3)
-    report = newton_solve(sf, psi, 2)
-    assert report.status == "converged"
-    assert report.final_residual <= 1e-10
-    # the Jacobian carries the first-mode kernel yet the solve still lands;
-    # the landing point is a different member of the solution family than
-    # -psi (first-mode content appears), so certify it rather than compare
-    assert report.jacobian_min_singular_value <= 1e-6
-    assert abs(report.w.modes[1]) > 1e-4
-    cert = fixed_point_certificate(sf, psi, report, k=2)
-    assert cert.passed
+    cold = newton_solve(sf, psi, 2)
+    w0 = field_from_modes(psi.basis, cold.w.modes + mode_field(psi.basis, 1, 0.01).modes)
+    warm = newton_solve(sf, psi, 2, w0=w0, c0=cold.achieved_constant)
+    assert warm.status == "converged" and warm.steps == 0
+    assert warm.w.modes[1] == 0.0
 
 
 def test_sphere_solve_is_reflection_equivariant():
@@ -185,6 +229,46 @@ def test_singular_projective_jacobian_stops_at_the_initial_iterate(monkeypatch, 
     results = json.loads(capsys.readouterr().out)["results"]
     assert results["status"] == "singular_jacobian"
     assert "certificate" not in results
+
+
+def test_singular_sphere_jacobian_stops_at_the_initial_iterate(monkeypatch):
+    # the gauged sphere system is square as well, so the same gate applies
+    import gbyamabe.newton as newton
+
+    real = newton._assemble_jacobian
+
+    def rank_deficient(*args):
+        J = real(*args)
+        J[:, 1] = 0.0
+        return J
+
+    monkeypatch.setattr(newton, "_assemble_jacobian", rank_deficient)
+    report = newton_solve(space_form(5, 1.0, FULL_SPHERE), default_psi(ell=3), 2)
+    assert report.status == "singular_jacobian"
+    assert report.steps == 0
+    assert np.all(report.w.modes == 0.0)
+
+
+def test_converged_needs_the_volume_tolerance_too():
+    # the residual meets its loose tolerance two steps before the volume
+    # drift meets its tight one, so the solve must keep going
+    cfg = SolverConfig(tol_residual=1e-2, tol_volume=1e-13)
+    report = newton_solve(rp5(), default_psi(), 2, cfg)
+    assert report.status == "converged"
+    assert report.steps == 4
+    assert report.iterations[2].residual <= 1e-2 and report.iterations[2].volume_drift > 1e-13
+    assert report.final_volume_drift <= 1e-13
+
+
+def test_reported_volume_drift_is_the_solved_metric_volume():
+    sf = space_form(5, 1.0, FULL_SPHERE)
+    psi = field_from_modes(zonal_basis(5, 16), default_psi(0.03, ell=1).modes + default_psi(0.01).modes)
+    tight = SolverConfig(max_iterations=1, tol_residual=1e-18, tol_volume=1e-18)
+    for config in (tight, None):
+        report = newton_solve(sf, psi, 2, config)
+        phi = field_from_modes(psi.basis, psi.modes + report.w.modes)
+        drift = abs(volume(conformal_metric(sf, phi)) - sf.reference_volume) / sf.reference_volume
+        assert report.final_volume_drift == drift
 
 
 def test_non_integer_orders_are_refused():
