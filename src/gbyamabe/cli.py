@@ -399,7 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(func=_cmd_kernel_demo)
 
-    p = subs.add_parser("sweep", help="warm-started continuation in the profile amplitude")
+    p = subs.add_parser(
+        "sweep", help="continuation in the profile amplitude, started by a secant predictor anchored at the space form"
+    )
     _add_background_flags(p)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--mode", type=int, default=2, help="profile direction: single mode index")

@@ -22,6 +22,13 @@ for c is analytic). Every step is one square solve through the SVD of the
 Jacobian; a singular value below 1e-10 of the largest stops the solve with
 the singular_jacobian status on either quotient. sphere_kernel_demo builds
 the ungauged full window of the sphere to show the kernel the gauge removes.
+
+continuation_sweep walks the branch psi = a d through the space form (a = 0,
+w = 0, c its invariant), which the implicit function theorem provides near a
+non-degenerate space form. It starts each solve from a secant predictor
+anchored at the space form. The secant is exact wherever the branch is linear
+in a (projective space, and sphere profiles without l = 1 content), so those
+solves take 0 steps; elsewhere it is a second-order start.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._validate import check_count, check_integer, check_positive
-from .invariants import check_problem_order
+from .invariants import check_problem_order, space_form_invariant
 from .linearization import LinearFunctional, generalized_constants
 from .spaceform import (
     FULL_SPHERE,
@@ -200,17 +207,24 @@ def _assemble_jacobian(sf, weights, basis, sel, phi_modes):
     return J
 
 
+def _solver_profile(sf, psi, basis):
+    """psi on the solver's basis, refused unless sf admits its parity and its
+    sup norm lies in the validated neighborhood."""
+    psi_b = _admissible(sf, psi if psi.basis is basis else resample(psi, basis), "profile")
+    if sup_norm(psi_b) > _SUP_NORM_LIMIT:
+        raise ValueError(
+            f"profile sup norm {sup_norm(psi_b):.3f} exceeds the validated neighborhood ({_SUP_NORM_LIMIT})"
+        )
+    return psi_b
+
+
 def _solve_core(sf, psi, weights, config, w0, c0):
     cfg = config if config is not None else SolverConfig()
     parity = _grid_parity(sf, "the solver")
     for k in weights:
         check_problem_order(sf.n, k)
     basis = zonal_basis(sf.n, cfg.mode_cutoff)
-    psi_b = _admissible(sf, psi if psi.basis is basis else resample(psi, basis), "profile")
-    if sup_norm(psi_b) > _SUP_NORM_LIMIT:
-        raise ValueError(
-            f"profile sup norm {sup_norm(psi_b):.3f} exceeds the validated neighborhood ({_SUP_NORM_LIMIT})"
-        )
+    psi_b = _solver_profile(sf, psi, basis)
     sel = _gauged_modes(sf, cfg.mode_cutoff)
 
     wm = np.zeros(basis.max_mode + 1)
@@ -345,24 +359,48 @@ def continuation_sweep(
     k: int,
     config: SolverConfig | None = None,
 ) -> list[tuple[float, SolverReport]]:
-    """Family of solves along psi = amplitude * direction, warm-started.
+    """Family of solves along psi = amplitude * direction, each started from
+    a secant predictor on the branch through the space form.
 
-    Each solve reuses the previous converged correction and constant as the
-    initial guess. Non-converged entries are recorded and do not stop the
-    sweep (the next solve falls back to a cold start).
+    Every amplitude's profile passes the solver's profile checks before the
+    first solve. The branch starts at the space form (amplitude 0, w = 0,
+    c = its invariant); each solve starts from the secant through the last
+    two converged points of distinct amplitude, extrapolated to its own
+    amplitude (Allgower & Georg, Introduction to Numerical Continuation
+    Methods, 1990, ch. 2). The first solve starts cold, and a repeated
+    amplitude starts from the last converged point. Where the branch is
+    linear in the amplitude (projective space, and sphere profiles without
+    l = 1 content) the secant is exact, so those solves stop at step 0;
+    elsewhere it is a second-order start. Non-converged entries are recorded
+    and do not stop the sweep: the branch restarts from the space form and
+    the next solve starts cold.
     """
+    cfg = config if config is not None else SolverConfig()
+    parity = _grid_parity(sf, "the solver")
+    basis = zonal_basis(sf.n, cfg.mode_cutoff)
+    amplitudes = [float(amp) for amp in amplitudes]
+    profiles = [
+        _solver_profile(sf, field_from_modes(direction.basis, amp * direction.modes, parity=direction.parity), basis)
+        for amp in amplitudes
+    ]
     reports: list[tuple[float, SolverReport]] = []
-    w_prev = None
-    c_prev = None
-    for amp in amplitudes:
-        amp = float(amp)
-        psi = field_from_modes(direction.basis, amp * direction.modes, parity=direction.parity)
-        report = newton_solve(sf, psi, k, config, w0=w_prev, c0=c_prev)
+    branch = []  # the last two converged (amplitude, w modes, c) of distinct amplitude; empty: start cold
+    for amp, psi in zip(amplitudes, profiles):
+        w0 = c0 = None
+        if branch:
+            (a0, w_a, c_a), (a1, w_b, c_b) = branch[0], branch[-1]
+            ratio = (amp - a1) / (a1 - a0) if len(branch) == 2 else 0.0
+            w0 = field_from_modes(basis, w_b + ratio * (w_b - w_a), parity=parity)
+            c0 = c_b + ratio * (c_b - c_a)
+        report = newton_solve(sf, psi, k, cfg, w0=w0, c0=c0)
         reports.append((amp, report))
-        if report.status == "converged":
-            w_prev, c_prev = report.w, report.achieved_constant
-        else:
-            w_prev, c_prev = None, None
+        if report.status != "converged":
+            branch = []
+            continue
+        if not branch:
+            branch = [(0.0, np.zeros(basis.max_mode + 1), space_form_invariant(sf.n, k, sf.curvature))]
+        point = (amp, report.w.modes, report.achieved_constant)
+        branch = [branch[-1], point] if amp != branch[-1][0] else [*branch[:-1], point]
     return reports
 
 

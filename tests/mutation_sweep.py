@@ -79,6 +79,27 @@ MUTANTS = [
         "new_norm <= (1.0 + 0.1 * lam) * old_norm",
         "a step that grows the residual by up to 10% is accepted",
     ),
+    (
+        "predictor-zero-order",
+        NEWTON,
+        "            ratio = (amp - a1) / (a1 - a0) if len(branch) == 2 else 0.0\n",
+        "            ratio = 0.0\n",
+        "the sweep starts each solve from the last converged point, not the secant",
+    ),
+    (
+        "predictor-keeps-branch-after-failure",
+        NEWTON,
+        "            branch = []\n            continue\n",
+        "            continue\n",
+        "a solve after a non-converged one starts from the old branch, not cold",
+    ),
+    (
+        "sweep-gate-late",
+        NEWTON,
+        "        _solver_profile(sf, field_from_modes(direction.basis, amp * direction.modes, parity=direction.parity), basis)\n",
+        "        field_from_modes(direction.basis, amp * direction.modes, parity=direction.parity)\n",
+        "the sweep checks an amplitude only when its solve starts, after earlier solves ran",
+    ),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]

@@ -346,6 +346,21 @@ def test_sweep_exit_code_when_a_run_does_not_converge(capsys):
     assert report["results"]["all_converged"] is False
 
 
+def test_sweep_refuses_a_large_amplitude_before_any_solve(capsys, monkeypatch):
+    from gbyamabe import newton
+
+    def no_solve(*args):
+        raise AssertionError("a solve ran before the amplitude check")
+
+    monkeypatch.setattr(newton, "_solve_core", no_solve)
+    code, report = run_cli(capsys, ["sweep", "--amplitudes", "0.05,0.4"])
+    assert code == 2
+    assert report["error"] == {
+        "type": "ValueError",
+        "message": "profile sup norm 0.400 exceeds the validated neighborhood (0.3)",
+    }
+
+
 def test_csv_output(tmp_path, capsys):
     target = tmp_path / "history.csv"
     code, report = run_cli(capsys, ["solve", "--output", str(target), "--format", "csv"])

@@ -337,6 +337,63 @@ def test_continuation_sweep_warm_starts():
     for amp, report in sweep:
         assert report.status == "converged"
         assert np.abs(report.w.modes + amp * direction.modes).max() <= 1e-9
+    # the first solve starts cold, bit for bit
+    psi = field_from_modes(direction.basis, 0.01 * direction.modes, parity="even")
+    assert sweep[0][1].iterations == newton_solve(sf, psi, 2).iterations
+    # on RP^n the branch w = -a d is linear in a, so the secant from the
+    # space form lands on it
+    for amp, report in sweep[1:]:
+        assert report.steps == 0
+        assert np.abs(report.w.modes + amp * direction.modes).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "amplitudes",
+    [[0.01, 0.02, 0.03, 0.04], [0.05, -0.03, 0.06, 0.01]],
+    ids=["monotone", "non-monotone"],
+)
+def test_continuation_sweep_secant_on_a_curved_branch(amplitudes):
+    # l = 1 content bends the gauged S^n branch, so the secant is a
+    # second-order start: exact answers in fewer steps than a cold start
+    sf = space_form(5, 1.0, FULL_SPHERE)
+    basis = zonal_basis(5, 16)
+    modes = np.zeros(basis.max_mode + 1)
+    modes[1:4] = [0.7, 0.4, -0.5]
+    direction = field_from_modes(basis, modes / np.abs(basis.values @ modes).max())
+    sweep = continuation_sweep(sf, direction, amplitudes, 2)
+    assert [amp for amp, _ in sweep] == amplitudes
+    for i, (amp, report) in enumerate(sweep):
+        psi = field_from_modes(direction.basis, amp * direction.modes)
+        assert report.status == "converged"
+        assert fixed_point_certificate(sf, psi, report, k=2).passed
+        assert np.abs(report.w.values - gauged_round_correction(psi)).max() <= 1e-12
+        if i:
+            assert report.steps < newton_solve(sf, psi, 2).steps
+
+
+def test_continuation_sweep_restarts_cold_after_a_failure():
+    sf = rp5()
+    direction = default_psi(amp=1.0)
+    cfg = SolverConfig(max_iterations=1)
+    sweep = continuation_sweep(sf, direction, [0.0, 0.02, 0.04], 2, cfg)
+    assert [report.status for _, report in sweep] == ["converged", "max_iterations", "max_iterations"]
+    cold = newton_solve(sf, field_from_modes(direction.basis, 0.04 * direction.modes, parity="even"), 2, cfg)
+    assert sweep[2][1].iterations[0] == cold.iterations[0]
+    # a repeated amplitude starts from the last converged point
+    sweep = continuation_sweep(sf, direction, [0.03, 0.03], 2)
+    assert [report.status for _, report in sweep] == ["converged", "converged"]
+    assert sweep[1][1].steps == 0
+
+
+def test_continuation_sweep_checks_every_amplitude_before_solving(monkeypatch):
+    from gbyamabe import newton
+
+    def no_solve(*args):
+        raise AssertionError("a solve ran before the amplitude check")
+
+    monkeypatch.setattr(newton, "_solve_core", no_solve)
+    with pytest.raises(ValueError, match=r"profile sup norm 0\.400 exceeds the validated neighborhood \(0\.3\)"):
+        continuation_sweep(rp5(), default_psi(amp=1.0), [0.05, 0.4], 2)
 
 
 def test_fixed_point_certificate_passes_on_solution():
