@@ -51,10 +51,12 @@ O(nodes) and is what the solver uses at every order but k = 2. The dense
 evaluator _gb_values builds each pipeline's curvature stack and runs the
 double-form algebra; it is the oracle behind gb_field, fd_verify and
 constancy_diagnostic, and the solver's k = 2 path. It runs in chunks of nodes
-whose largest gather fits one retained work buffer of the forms kernels
-(_GATHER_BUDGET is forms._WORK_RETAIN). Every gather, the products' and the
+whose largest gather holds at most _GATHER_BUDGET entries, a cache-sized
+budget far below the size up to which the forms kernels retain their work
+buffers (forms._WORK_RETAIN). Every gather, the products' and the
 invariant's diagonal blocks alike, goes into such a buffer, so no chunk maps
-fresh memory.
+fresh memory, and the buffers a grid evaluation leaves behind are a chunk's
+size, not the whole batch's.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._validate import check_count, check_integer, check_nonzero
-from .forms import _WORK_RETAIN, DoubleForm, check_dense_dim, double_form, product_coeffs, product_gather_entries
+from .forms import DoubleForm, check_dense_dim, double_form, product_coeffs, product_gather_entries
 from .indexing import num_indices
 from .invariants import check_problem_order, gauss_bonnet_coeffs, gauss_bonnet_gather_entries, space_form_invariant
 
@@ -518,10 +520,14 @@ def conformal_curvature(cm: ConformalMetric, node: int) -> DoubleForm:
     return _node_curvature(cm, node, "conformal")
 
 
-# Float64 entries one gather may hold: the size of one buffer the forms
-# kernels keep (16 MB), so a chunk's gathers reuse memory instead of
-# mapping fresh arrays on every call.
-_GATHER_BUDGET = _WORK_RETAIN
+# Float64 entries one gather of a grid chunk may hold (1 MiB), unless one
+# node alone needs more. The budget is sized to the cache, not to the forms
+# work buffers (16 MB each): the k = 2 invariant's two diagonal-block gathers
+# then fit a 2 MiB L2 together, and the buffers that the thread keeps after
+# a grid evaluation hold one chunk instead of the whole batch. An RP^7 k = 2
+# Jacobian (18 fields x 48 nodes) runs in 9 chunks of up to 104 nodes; at a
+# budget of 2^21 it would be one chunk, leaving 17 MB in the buffers.
+_GATHER_BUDGET = 2**17
 
 
 def _gather_entries(n, k, pipeline):
@@ -550,9 +556,10 @@ def _gb_values(n, mu, k, basis: ZonalBasis, vals, dv, ddv, pipeline="warped"):
 
     vals/dv/ddv may carry leading batch dimensions in front of the node
     axis. Work runs in chunks sized so that no gather exceeds
-    _GATHER_BUDGET entries, which is the size of a retained forms work
-    buffer: every chunk's gathers reuse memory. Chunking does not change
-    results: outputs are concatenated, never reduced across chunks.
+    _GATHER_BUDGET entries (one node at least), well within the retained
+    forms work buffers: every chunk's gathers reuse memory, and the memory
+    a call holds is set by the chunk, not by the batch. Chunking does not
+    change results: outputs are concatenated, never reduced across chunks.
     """
     batch = np.shape(vals)
     grid = np.stack([np.broadcast_to(a, batch).reshape(-1) for a in (basis.x, basis.sin_theta, vals, dv, ddv)])

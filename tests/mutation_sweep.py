@@ -1,10 +1,12 @@
-"""Mutation sweep of the solver's honesty checks.
+"""Mutation sweep of the solver's honesty checks and the dense evaluator's
+memory bound.
 
-Each mutant is a one-line edit of a gate or a reported number. For each, the
-sweep copies the repository to a temporary directory, applies the edit, runs
-the Tier-1 suite there and prints the tests that caught it: those that failed
-and failed again when rerun on the mutant. A test that passes on the rerun
-is printed as flaky. A mutant that no test catches is printed as SURVIVED.
+Each mutant is a one-line edit of a gate, a bound or a reported number. For
+each, the sweep copies the repository to a temporary directory, applies the
+edit, runs the Tier-1 suite there and prints the tests that caught it: those
+that failed and failed again when rerun on the mutant. A test that passes on
+the rerun is printed as flaky. A mutant that no test catches is printed as
+SURVIVED.
 
 Run from the repository root (standard library only; about 15 s per mutant):
 
@@ -99,6 +101,13 @@ MUTANTS = [
         "        _solver_profile(sf, field_from_modes(direction.basis, amp * direction.modes, parity=direction.parity), basis)\n",
         "        field_from_modes(direction.basis, amp * direction.modes, parity=direction.parity)\n",
         "the sweep checks an amplitude only when its solve starts, after earlier solves ran",
+    ),
+    (
+        "chunk-ignores-budget",
+        SPACEFORM,
+        "    return max(1, _GATHER_BUDGET // _gather_entries(n, k, pipeline))\n",
+        "    return 1 << 62\n",
+        "the dense evaluator runs a whole batch as one chunk, whatever its gathers hold",
     ),
 ]
 

@@ -150,9 +150,11 @@ def test_balanced_trace_matches_the_last_product_trace(n, k, batch):
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
 
-def test_balanced_trace_gathers_less_at_k_4():
+def test_balanced_trace_gathers_less_at_k_4(monkeypatch):
     # the largest gather is the product that builds w^2; w^3 w would need
-    # the (4,4).(2,2) product, 1,587,600 entries
+    # the (4,4).(2,2) product, 1,587,600 entries. Under a 2^21-entry budget
+    # the balanced plan fits 3 nodes in a chunk, where w^3 w would fit 1
+    monkeypatch.setattr(spaceform, "_GATHER_BUDGET", 2**21)
     assert gauss_bonnet_gather_entries(9, 4) == 571536
     assert spaceform._chunk_nodes(9, 4, "warped") == 3
 

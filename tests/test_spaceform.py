@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +39,7 @@ from gbyamabe import (
 from gbyamabe import spaceform
 from gbyamabe.indexing import split_tables
 from gbyamabe.forms import DENSE_DIM_LIMIT
-from gbyamabe.spaceform import _GATHER_BUDGET, _constant_field, _gb_values, _reflect_field, _two_block_values
+from gbyamabe.spaceform import _constant_field, _gb_values, _reflect_field, _two_block_values
 
 from reference_forms import two_block_invariant
 
@@ -548,8 +552,14 @@ def test_gb_values_gathers_stay_within_budget(monkeypatch):
     # n = 9, k = 3 builds w^2 with one square that gathers 378 * 756 entries
     # per node (half the product's 756^2), so 20 nodes in one chunk would
     # hold 5.7e6 entries; the last step reads only the diagonal blocks of
-    # w^2 w (84 * 15^2 entries per node)
+    # w^2 w (84 * 15^2 entries per node). One node alone exceeds the
+    # default budget, so the test pins one under which the chunk rule's
+    # bound (the product's 756^2 entries per node) fits 4 nodes in a chunk
     import gbyamabe.invariants as invariants
+
+    per_node = 378 * 756
+    budget = 4 * 756**2
+    monkeypatch.setattr(spaceform, "_GATHER_BUDGET", budget)
 
     real_product = invariants.product_coeffs
     gathered = []
@@ -568,7 +578,7 @@ def test_gb_values_gathers_stay_within_budget(monkeypatch):
     cm = conformal_metric(space_form(n, 1.0, FULL_SPHERE), mode_field(basis, 2, 0.05))
     field = gb_field(cm, k)
     assert basis.x.size == 20
-    assert 0 < max(gathered) <= _GATHER_BUDGET
+    assert 3 * per_node < max(gathered) <= budget
     for node in (0, 7, 19):
         R = warped_curvature(cm, node)
         expected = two_block_invariant(n, k, R.coeffs[0, 0], R.coeffs[-1, -1])
@@ -607,6 +617,39 @@ def test_gb_values_diagonal_block_gathers_stay_within_budget(monkeypatch):
     assert budget // 2 < max(taken) <= budget
     assert products == []
     assert np.array_equal(chunked, whole)
+
+
+_JACOBIAN_PEAK = """
+import tracemalloc
+import numpy as np
+from gbyamabe.spaceform import _GATHER_BUDGET, _gb_values, mode_field, zonal_basis
+basis = zonal_basis(7, 16, 48)
+phi = mode_field(basis, 2, 0.05)
+vals, dv, ddv = (
+    grid + 1e-3 * np.concatenate([table[:, ::2].T, -table[:, ::2].T])
+    for grid, table in ((phi.values, basis.values), (phi.dvalues, basis.dtheta), (phi.ddvalues, basis.ddtheta))
+)
+tracemalloc.start()
+_gb_values(7, 1.0, 2, basis, vals, dv, ddv)
+print(vals.shape[0], vals.shape[1], tracemalloc.get_traced_memory()[1], _GATHER_BUDGET)
+"""
+
+
+def test_k2_jacobian_batch_peaks_at_a_chunk_not_the_batch():
+    # the RP^7 k = 2 Jacobian evaluates 18 perturbed fields at 48 nodes, and
+    # each of the invariant's two diagonal-block gathers holds 1260 entries
+    # per node: 8.7 MB each for the whole batch. Chunked, a call holds two
+    # gathers of at most the budget, the chunk's curvature stack and the
+    # outputs. The work buffers persist per thread, so a process that has
+    # already grown them would hide the peak: the call runs in a child.
+    src = str(Path(spaceform.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", _JACOBIAN_PEAK], capture_output=True, text=True, env=env, check=True)
+    fields, nodes, peak, budget = map(int, proc.stdout.split())
+    assert (fields, nodes) == (18, 48)
+    assert budget * 8 <= 2**20  # one gather in 1 MiB, so both fit a 2 MiB L2
+    assert peak <= 4 * budget * 8
+    assert peak < fields * nodes * 1260 * 8
 
 
 # ---------------------------------------------------------------------------
