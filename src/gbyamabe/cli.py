@@ -189,9 +189,8 @@ def _cmd_invariants(args):
         results["tensor_coefficient"] = lin.tensor_coefficient
         results["conformal_coefficient"] = lin.conformal_coefficient
     scale = max(1.0, abs(closed))
-    ok = abs(measured - closed) <= args.tol * scale and abs(ricci_factor - ricci_closed) <= args.tol * max(
-        1.0, abs(ricci_closed)
-    )
+    ricci_ok = abs(ricci_factor - ricci_closed) <= args.tol * max(1.0, abs(ricci_closed))
+    ok = abs(measured - closed) <= args.tol * scale and ricci_ok
     if args.kronecker:
         kron = gauss_bonnet_kronecker(R, args.k)
         results["kronecker"] = kron

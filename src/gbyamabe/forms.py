@@ -40,12 +40,9 @@ invariants.ricci_2k shares). The cached plans hold their index
 tables C-contiguous and writeable, so np.take reads them without a copy.
 The kernels write their gathers into buffers kept per thread (_work_array),
 and so does invariants.gauss_bonnet_coeffs for its diagonal blocks, so
-that repeated calls fault in no fresh memory pages. spaceform sizes its
-grid chunks to its own cache-sized gather budget (_GATHER_BUDGET), far
-below the size up to which a buffer is retained (_WORK_RETAIN), so every
-chunk's gathers fit the buffers and the buffers stay a chunk's size (a
-square's gathers are half a product's, and the chunk rule does not count
-on it).
+that repeated calls fault in no fresh memory pages, up to _WORK_RETAIN
+entries. spaceform sizes its grid chunks by its own rule
+(spaceform._GATHER_BUDGET).
 DENSE_DIM_LIMIT bounds the dimension of the dense algebra's oracles, and
 check_dense_dim is the one rule that applies it.
 is_in_symmetry_class and the metric rule _metric_frame share one symmetry
@@ -236,9 +233,7 @@ def _random_form(n: int, p: int, q: int, rng: np.random.Generator) -> DoubleForm
 # Entries above which _work_array allocates per call instead of keeping the
 # buffer (16 MB): a rare huge call then leaves nothing behind, and in calls
 # that large the page faults are a small share of the work. This is not the
-# grid chunk size: spaceform's chunks gather at most its _GATHER_BUDGET
-# (2^17 entries), so a chunk of a grid evaluation takes the per-call branch
-# only where one node alone needs more than this. The dense oracles' single
+# grid chunk size (spaceform._GATHER_BUDGET). The dense oracles' single
 # products need the headroom: the largest, (4,4).(2,2) at n = 8, gathers
 # 176,400 entries, and allocating per call made the verify benchmark 40%
 # slower.

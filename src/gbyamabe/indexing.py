@@ -24,9 +24,7 @@ with row and direction swapped, into a table of C(n, 2k - 1) entries (one
 per (2k - 1)-set) per coefficient of 2k - 1 contractions at once. What
 grows with n and k is the arrays the kernels gather through these tables,
 which the forms work buffers keep from faulting in fresh pages and
-spaceform bounds by chunking grids of nodes to its cache-sized gather
-budget (spaceform._GATHER_BUDGET, 2^17 entries), not to the size of a
-buffer.
+spaceform bounds per grid chunk (spaceform._GATHER_BUDGET).
 """
 
 from functools import lru_cache

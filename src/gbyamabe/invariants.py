@@ -12,9 +12,9 @@ Two independent evaluation routes are kept deliberately separate:
   paths: the full power against diagonal blocks of a product. Both only
   ask forms.product_coeffs for products: it owns the choice of kernel, and
   takes every square (the same array twice) by its square route, half the
-  terms of the product; gauss_bonnet multiplies nothing at k = 2. Grid
-  chunks keep the size that gauss_bonnet_gather_entries gives, an upper
-  bound where the largest gather is a square; and
+  terms of the product; gauss_bonnet multiplies nothing at k = 2.
+  gauss_bonnet_gather_entries reports its largest gather to spaceform's
+  chunk rule (spaceform._GATHER_BUDGET); and
 - the generalized-Kronecker-delta route: enumeration of index tuples with
   antisymmetrized signs, summing each orbit of 4^k k! equal terms once
   (factorial cost, the oracle path, guarded to n <= 7). The raw sum counts
@@ -32,6 +32,11 @@ spaceform, linearization and newton call); both take an order only as an
 integer (_validate.check_integer). So does the batched trace kernel
 (gauss_bonnet_coeffs) that spaceform's grid evaluator shares with the
 dense oracles.
+
+The closed forms at the space form live here too: every constant
+(space_form_invariant, invariant_constants, linearization.constants and
+spaceform's two-block evaluator) derives from the two integers of
+_two_block_coefficients.
 """
 
 from __future__ import annotations
@@ -79,8 +84,9 @@ KRONECKER_DIM_LIMIT = 7
 class InvariantConstants:
     """Closed-form constants attached to the order-2k invariant in dimension n.
 
-    base_coefficient is (2k)!(n-3)!/(2^k (n-2k)!) and ricci_coefficient is
-    (2k)!(n-1)!/(2^k (n-2k)!).
+    ricci_coefficient is (2k-1)! B = (2k)!(n-1)!/(2^k (n-2k)!) and
+    base_coefficient is ricci_coefficient / ((n-1)(n-2)), with B from
+    _two_block_coefficients.
     """
 
     n: int
@@ -111,16 +117,25 @@ def check_problem_order(n: int, k: int):
         raise ValueError(f"order k={k} must satisfy 1 <= k and 2k < n (n={n})")
 
 
-def base_coefficient(n: int, k: int) -> float:
-    """(2k)!(n-3)!/(2^k (n-2k)!), the base coefficient of InvariantConstants
-    and of the linearization constants."""
-    return math.factorial(2 * k) * math.factorial(n - 3) / (2**k * math.factorial(n - 2 * k))
+@lru_cache(maxsize=None)
+def _two_block_coefficients(n: int, k: int) -> tuple[int, int]:
+    """The integers A = (2k)!/2^k C(n-1, 2k) and B = (2k)!/2^k C(n-1, 2k-1).
+
+    A curvature operator that is diagonal, with a on the n - 1 planes
+    through one axis and s on the other planes, has the order-2k invariant
+    s^(k-1) (A s + B a): the invariant sums over the k! orderings of every
+    perfect matching of every 2k-set of axes, and a matching holds at most
+    one plane through the axis. Every closed-form constant at the space form
+    derives from A and B.
+    """
+    lead = math.factorial(2 * k) // 2**k
+    return lead * math.comb(n - 1, 2 * k), lead * math.comb(n - 1, 2 * k - 1)
 
 
 def invariant_constants(n: int, k: int) -> InvariantConstants:
     _check_order(n, k)
-    ricci = math.factorial(2 * k) * math.factorial(n - 1) / (2**k * math.factorial(n - 2 * k))
-    return InvariantConstants(n=n, k=k, base_coefficient=base_coefficient(n, k), ricci_coefficient=ricci)
+    ricci = math.factorial(2 * k - 1) * _two_block_coefficients(n, k)[1]
+    return InvariantConstants(n=n, k=k, base_coefficient=ricci / ((n - 1) * (n - 2)), ricci_coefficient=float(ricci))
 
 
 def _validate_curvature(R: DoubleForm):
@@ -379,7 +394,7 @@ def space_form_curvature(n: int, mu: float) -> DoubleForm:
 
 def space_form_invariant(n: int, k: int, mu: float) -> float:
     """Closed-form order-2k invariant of the curvature-mu space form:
-    n! / ((n-2k)! 2^k) mu^k."""
+    (A + B) mu^k = n! / ((n-2k)! 2^k) mu^k (_two_block_coefficients)."""
     _check_order(n, k)
-    return math.factorial(n) / (math.factorial(n - 2 * k) * 2**k) * float(mu) ** k
+    return sum(_two_block_coefficients(n, k)) * float(mu) ** k
 

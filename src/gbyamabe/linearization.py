@@ -16,7 +16,7 @@ import numpy as np
 
 from ._validate import check_nonzero, check_positive
 from .forms import check_dense_dim
-from .invariants import base_coefficient, check_problem_order
+from .invariants import _two_block_coefficients, check_problem_order, invariant_constants
 from .spaceform import (
     ConformalMetric,
     LatitudeField,
@@ -53,10 +53,11 @@ class LinearizationConstants:
     """Closed-form coefficients at the (n, mu) background, order k.
 
     base_coefficient scales the pointwise invariant of the background,
-    tensor_coefficient multiplies Laplacian tr h + div div h - (n - 1) mu
-    tr h in a general metric direction h (geometer-sign Laplacian), and
-    conformal_coefficient = (n - 1) * tensor_coefficient multiplies the
-    shifted Laplacian in conformal directions.
+    tensor_coefficient = B / (2 (n - 1)) mu^(k-1) multiplies Laplacian tr h
+    + div div h - (n - 1) mu tr h in a general metric direction h
+    (geometer-sign Laplacian), and conformal_coefficient = B / 2 mu^(k-1),
+    (n - 1) times it, multiplies the shifted Laplacian in conformal
+    directions (B from invariants._two_block_coefficients).
     """
 
     n: int
@@ -70,15 +71,14 @@ class LinearizationConstants:
 def constants(n: int, k: int, mu: float) -> LinearizationConstants:
     check_problem_order(n, k)
     check_nonzero("background curvature", mu)
-    base = base_coefficient(n, k)
-    tensor = (n - 2) * k * base * float(mu) ** (k - 1) / math.factorial(2 * k)
+    B = _two_block_coefficients(n, k)[1]
     return LinearizationConstants(
         n=n,
         k=k,
         mu=float(mu),
-        base_coefficient=base,
-        tensor_coefficient=tensor,
-        conformal_coefficient=(n - 1) * tensor,
+        base_coefficient=invariant_constants(n, k).base_coefficient,
+        tensor_coefficient=B / (2 * (n - 1)) * float(mu) ** (k - 1),
+        conformal_coefficient=B / 2 * float(mu) ** (k - 1),
     )
 
 

@@ -122,7 +122,9 @@ class SolverReport:
     - "line_search_failed": none of the 12 step fractions 1, 1/2, ...,
       1/2^11 along the last Newton direction decreased the residual enough,
       so the solve stopped at the last accepted iterate instead of taking a
-      step that makes things worse.
+      step that makes things worse. This also ends a solve whose projected
+      residual is already at round-off while the pointwise one is not: no
+      step can decrease it any further.
 
     w and achieved_constant are always the last accepted iterate.
     """
@@ -266,7 +268,7 @@ def _solve_core(sf, psi, weights, config, w0, c0):
             c_t = c - lam * delta[-1]
             F_t, S_t, vol_t = _evaluate(sf, weights, basis, sel, psi_b.modes + wm_t, c_t)
             new_norm = float(np.abs(F_t).max())
-            if new_norm <= (1.0 - 1e-4 * lam) * old_norm or new_norm <= cfg.tol_residual:
+            if new_norm <= (1.0 - 1e-4 * lam) * old_norm:
                 accepted = (wm_t, c_t, F_t, S_t, vol_t, lam)
                 break
             lam *= 0.5

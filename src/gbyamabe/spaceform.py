@@ -70,7 +70,7 @@ import numpy as np
 from ._validate import check_count, check_integer, check_nonzero
 from .forms import DoubleForm, check_dense_dim, double_form, product_coeffs, product_gather_entries
 from .indexing import num_indices
-from .invariants import check_problem_order, gauss_bonnet_coeffs, gauss_bonnet_gather_entries, space_form_invariant
+from .invariants import _two_block_coefficients, check_problem_order, gauss_bonnet_coeffs, gauss_bonnet_gather_entries
 
 __all__ = [
     "REAL_PROJECTIVE",
@@ -570,15 +570,15 @@ def _gb_values(n, mu, k, basis: ZonalBasis, vals, dv, ddv, pipeline="warped"):
 
 def _two_block_values(n, mu, k, basis: ZonalBasis, vals, dv, ddv):
     """Pointwise order-2k invariant of e^{2 phi} g_mu by the two-block closed
-    form c / n k_sph^(k-1) ((n - 2k) k_sph + 2k k_rad), c the unit space
-    form's invariant (Labbi, Trans. AMS 357 (2005)).
+    form k_sph^(k-1) (A k_sph + B k_rad), with the integers A and B of
+    invariants._two_block_coefficients (Labbi, Trans. AMS 357 (2005)).
 
     vals/dv/ddv may carry leading batch dimensions in front of the node
     axis. O(nodes): no tables, chunks or work buffers, at every n.
     """
     k_rad, k_sph = _sectional_blocks(mu, basis.x, basis.sin_theta, vals, dv, ddv)
-    c = space_form_invariant(n, k, 1.0) / n
-    return c * k_sph ** (k - 1) * ((n - 2 * k) * k_sph + 2 * k * k_rad)
+    A, B = _two_block_coefficients(n, k)
+    return k_sph ** (k - 1) * (A * k_sph + B * k_rad)
 
 
 def gb_field(cm: ConformalMetric, k: int, pipeline: str = "warped") -> LatitudeField:

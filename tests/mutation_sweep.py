@@ -1,5 +1,5 @@
-"""Mutation sweep of the solver's honesty checks and the dense evaluator's
-memory bound.
+"""Mutation sweep of the solver's honesty checks, the closed-form constants
+and the dense evaluator's memory bound.
 
 Each mutant is a one-line edit of a gate, a bound or a reported number. For
 each, the sweep copies the repository to a temporary directory, applies the
@@ -29,6 +29,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 NEWTON = "src/gbyamabe/newton.py"
 SPACEFORM = "src/gbyamabe/spaceform.py"
+INVARIANTS = "src/gbyamabe/invariants.py"
 
 # (name, file, old text, new text, why); each old text occurs once in its file
 MUTANTS = [
@@ -80,6 +81,20 @@ MUTANTS = [
         "new_norm <= (1.0 - 1e-4 * lam) * old_norm",
         "new_norm <= (1.0 + 0.1 * lam) * old_norm",
         "a step that grows the residual by up to 10% is accepted",
+    ),
+    (
+        "line-search-floor",
+        NEWTON,
+        "            if new_norm <= (1.0 - 1e-4 * lam) * old_norm:\n",
+        "            if new_norm <= (1.0 - 1e-4 * lam) * old_norm or new_norm <= cfg.tol_residual:\n",
+        "any step is accepted once the projected residual is below the tolerance",
+    ),
+    (
+        "two-block-radial",
+        INVARIANTS,
+        "    return lead * math.comb(n - 1, 2 * k), lead * math.comb(n - 1, 2 * k - 1)\n",
+        "    return lead * math.comb(n - 1, 2 * k), lead * math.comb(n - 1, 2 * k - 1) + 1\n",
+        "the radial coefficient B of the two-block closed form is off by one",
     ),
     (
         "predictor-zero-order",

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,14 @@ from gbyamabe.forms import (
     product_gather_entries,
 )
 from gbyamabe.indexing import compound_matrix, split_tables
-from gbyamabe.invariants import _power, _power_steps, _trace_blocks, gauss_bonnet_coeffs, gauss_bonnet_gather_entries
+from gbyamabe.invariants import (
+    _power,
+    _power_steps,
+    _trace_blocks,
+    _two_block_coefficients,
+    gauss_bonnet_coeffs,
+    gauss_bonnet_gather_entries,
+)
 
 from reference_forms import brute_kronecker_sum, classical_ricci, classical_scalar, two_block_invariant
 
@@ -489,6 +497,40 @@ def test_curvature_validation():
         gauss_bonnet(R, g, 3)  # 2k > n
     with pytest.raises(ValueError):
         gauss_bonnet(R, g, 0)
+
+
+@lru_cache(maxsize=None)
+def matchings(m, j):
+    """The j-pair matchings of m points: the last point is left out or
+    paired with one of the other m - 1."""
+    if j == 0:
+        return 1
+    if m < 2 * j:
+        return 0
+    return matchings(m - 1, j) + (m - 1) * matchings(m - 2, j - 1)
+
+
+def test_two_block_coefficients_count_perfect_matchings():
+    # in Python integers, no dense algebra: A (resp. B) counts the k!
+    # orderings of the k-pair matchings that avoid (resp. hold) axis 0,
+    # whose n - 1 planes are the radial ones
+    for n, k in algebra_orders(61):
+        A, B = _two_block_coefficients(n, k)
+        assert type(A) is int and type(B) is int
+        assert A == math.factorial(k) * matchings(n - 1, k), (n, k)
+        assert B == math.factorial(k) * (n - 1) * matchings(n - 2, k - 1), (n, k)
+        assert (A + B) * math.factorial(n - 2 * k) * 2**k == math.factorial(n), (n, k)
+
+
+def test_space_form_constants_are_the_correctly_rounded_rationals():
+    # int / int rounds correctly, so each constant is pinned to the bit
+    f = math.factorial
+    for n, k in algebra_orders(61):
+        lead = f(2 * k) * f(n - 1)
+        assert space_form_invariant(n, k, 1.0) == f(n) / (f(n - 2 * k) * 2**k), (n, k)
+        consts = invariant_constants(n, k)
+        assert consts.ricci_coefficient == lead / (2**k * f(n - 2 * k)), (n, k)
+        assert consts.base_coefficient == lead / (2**k * f(n - 2 * k) * (n - 1) * (n - 2)), (n, k)
 
 
 def test_invariant_constants_values():

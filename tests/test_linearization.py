@@ -1,5 +1,6 @@
 """Linearization constants, finite-difference checks, generalized functionals."""
 
+import math
 import warnings
 
 import numpy as np
@@ -26,6 +27,17 @@ from gbyamabe import (
     zonal_basis,
 )
 from gbyamabe.spaceform import _constant_field
+
+
+def test_constants_at_unit_curvature_are_the_correctly_rounded_rationals():
+    # tensor k (n-2)!/(2^k (n-2k)!) and conformal (n - 1) times it, formed
+    # as rationals before rounding (int / int rounds correctly)
+    f = math.factorial
+    for n in range(3, 62):
+        for k in range(1, max_order(n) + 1):
+            c = constants(n, k, 1.0)
+            assert c.tensor_coefficient == k * f(n - 2) / (2**k * f(n - 2 * k)), (n, k)
+            assert c.conformal_coefficient == (n - 1) * k * f(n - 2) / (2**k * f(n - 2 * k)), (n, k)
 
 
 def test_constants_closed_values():

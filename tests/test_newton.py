@@ -174,6 +174,16 @@ def test_line_search_failure_status(monkeypatch):
     assert np.all(report.w.modes == 0.0)
 
 
+def test_a_projected_root_that_is_not_a_solution_ends_the_solve_early():
+    # this profile leads to a root of the projected system whose pointwise
+    # residual is about 22 c; once the projected residual is at round-off
+    # no step decreases it, so the line search ends the solve there
+    report = newton_solve(rp5(), default_psi(amp=-0.06, ell=6), 2)
+    assert report.status == "line_search_failed"
+    assert report.steps <= 8
+    assert report.final_residual > 10 * report.achieved_constant
+
+
 def test_config_validation():
     fields = [field.name for field in dataclasses.fields(SolverConfig)]
     assert fields == ["mode_cutoff", "max_iterations", "tol_residual", "tol_volume"]

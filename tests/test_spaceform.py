@@ -466,10 +466,18 @@ def test_two_block_values_reach_past_the_dense_limit_in_bounded_memory():
     for n in range(3, 22):
         basis = zonal_basis(n, 4)
         zero = np.zeros(basis.x.size)
+        t = np.linspace(-0.5, 0.5, basis.x.size)
         for k in range(1, max_order(n) + 1):
+            lead = math.factorial(2 * k) // 2**k
+            A, B = lead * math.comb(n - 1, 2 * k), lead * math.comb(n - 1, 2 * k - 1)
             for mu in (1.0, -1.0):
                 values = _two_block_values(n, mu, k, basis, zero, zero, zero)
                 np.testing.assert_allclose(values, space_form_invariant(n, k, mu), rtol=1e-14)
+                # phi'' = t alone gives k_rad = mu (1 - t) and k_sph = mu,
+                # so the radial coefficient B is checked apart from A + B
+                values = _two_block_values(n, mu, k, basis, zero, zero, t)
+                expected = mu ** (k - 1) * (A * mu + B * mu * (1.0 - t))
+                np.testing.assert_allclose(values, expected, rtol=1e-14, err_msg=f"n={n} k={k} mu={mu}")
     basis = zonal_basis(21, 16)
     phi = mode_field(basis, 2, 0.05)
     vals, dv, ddv = (np.broadcast_to(a, (18, basis.x.size)).copy() for a in (phi.values, phi.dvalues, phi.ddvalues))
