@@ -26,22 +26,24 @@ Conventions (fixed once, relied on everywhere):
 The *_coeffs functions at the bottom operate on raw coefficient arrays with
 arbitrary leading batch dimensions; the geometry modules use them to evaluate
 whole grids of curvature tensors in single numpy calls. product_coeffs sums
-each combination's runs of signed splits (indexing.split_tables) in one
-einsum, with no sign matrix and no matmul. It also owns the choice of
-kernel plan: the same array passed as both factors, of even total degree
-with a row split, is a square, whose terms pair up under swapping both
-splits, so it sums the first half of every run of row splits and doubles
-the result, through the same kernel body (_expand_and_sum) with half the
-row gathers. Callers only ask for products. contract_coeffs reads every
-signed term of the contraction in one gather through a table cached per
-bidegree (_contract_plan, from indexing.insertion_tables) and sums over
-the n directions in one reduction (_signed_gather_sum, which
-invariants.ricci_2k shares). The cached plans hold their index
-tables C-contiguous and writeable, so np.take reads them without a copy.
-The kernels write their gathers into buffers kept per thread (_work_array),
-and so does invariants.gauss_bonnet_coeffs for its diagonal blocks, so
-that repeated calls fault in no fresh memory pages, up to _WORK_RETAIN
-entries. spaceform sizes its grid chunks by its own rule
+the signed splits of indexing.split_tables in two stages, with no sign
+matrix (_two_stage_sum): for each row combination, one batched matmul
+(BLAS) sums its run of row splits for every pair of columns, and the
+column splits then gather single entries of that result and sum them with
+their signs in one einsum. It also owns the choice of kernel plan: the same
+array passed as both factors, of even total degree with a row split, is a
+square, whose terms pair up under swapping both splits, so its row stage
+sums the first half of every run of row splits and its column signs are
+doubled, through the same kernel body. Callers only ask for products.
+contract_coeffs reads every signed term of the contraction in one gather
+through a table cached per bidegree (_contract_plan, from
+indexing.insertion_tables) and sums over the n directions in one reduction
+(_signed_gather_sum, which invariants.ricci_2k shares). The cached plans
+hold their index tables C-contiguous and writeable, so np.take reads them
+without a copy. The kernels build their intermediates in buffers kept per
+thread (_work_array), and so does invariants.gauss_bonnet_coeffs for its
+diagonal blocks, so that repeated calls fault in no fresh memory pages, up
+to _WORK_RETAIN entries. spaceform sizes its grid chunks by its own rule
 (spaceform._GATHER_BUDGET).
 DENSE_DIM_LIMIT bounds the dimension of the dense algebra's oracles, and
 check_dense_dim is the one rule that applies it.
@@ -234,9 +236,11 @@ def _random_form(n: int, p: int, q: int, rng: np.random.Generator) -> DoubleForm
 # buffer (16 MB): a rare huge call then leaves nothing behind, and in calls
 # that large the page faults are a small share of the work. This is not the
 # grid chunk size (spaceform._GATHER_BUDGET). The dense oracles' single
-# products need the headroom: the largest, (4,4).(2,2) at n = 8, gathers
-# 176,400 entries, and allocating per call made the verify benchmark 40%
-# slower.
+# products need the headroom: their largest array is the row stage's
+# result of a (4,4).(2,2) product or a (4,4) square, 54,880 entries at
+# n = 8 and 1,984,500 at n = 10 (DENSE_DIM_LIMIT), so every product the
+# package makes keeps its buffers; allocating per call made the verify
+# benchmark 40% slower.
 _WORK_RETAIN = 2**21
 _work = threading.local()
 
@@ -253,8 +257,9 @@ def _work_array(slot: int, shape: tuple[int, ...]) -> np.ndarray:
     return one, and must not call another kernel that uses the slot while
     holding one.
 
-    Slots by owner: 0-4, product_coeffs (_expand_and_sum: the row gathers
-    in 0 and 1, the signed copy of w1 in 2, the column gathers in 3 and 4);
+    Slots by owner: 0-4, product_coeffs (_two_stage_sum: the row gathers
+    U and V in 0 and 1, the signed copy of w1 in 2, the row stage's result
+    Y in 3, the column gather in 4);
     5 and 6, _signed_gather_sum; 0 and 1 again, the diagonal-block gathers
     of invariants.gauss_bonnet_coeffs, taken only after its products have
     returned.
@@ -276,21 +281,24 @@ def _product_plan(n, p, q, r, s):
     """Index tables of product_coeffs for one bidegree signature.
 
     Returns the row ranks into w1 stacked over -w1 (a negative split takes
-    its row from the second half), the row ranks into w2, the column ranks
-    into w1 and w2 and the column signs ordered split by split, shaped
-    (C(q+s,q), C(n,q+s)), and the run shape (C(n,p+r), C(p+r,p),
-    C(q+s,q), C(n,q+s)) of the expanded operands.
+    its row from the second half) and the row ranks into w2, shaped
+    (C(n,p+r), C(p+r,p)): one run of row splits per (p+r)-combination; then
+    the flat column ranks A2 C(n,s) + B2 into the row stage's C(n,q) x C(n,s)
+    matrices and the column signs, shaped (C(q+s,q), C(n,q+s)): ordered
+    split by split.
     """
     A1, B1, s1 = split_tables(n, p, r)
     A2, B2, s2 = split_tables(n, q, s)
     c1, c2 = math.comb(p + r, p), math.comb(q + s, q)
-    m1, m2 = A1.size // c1, A2.size // c2
-    signed_rows = A1 + num_indices(n, p) * (s1 < 0)
-    cols_1, cols_2, col_signs = (table.reshape(m2, c2).T.copy() for table in (A2, B2, s2))
+    runs, splits = (A1.size // c1, c1), (A2.size // c2, c2)
+    rows_1 = (A1 + num_indices(n, p) * (s1 < 0)).reshape(runs)
+    rows_2 = B1.reshape(runs).copy()
+    cols = (A2 * num_indices(n, s) + B2).reshape(splits).T.copy()
+    col_signs = s2.reshape(splits).T.copy()
     col_signs.flags.writeable = False
     # the index tables are C-contiguous copies, left writeable: np.take
     # copies any other index array on every call
-    return signed_rows, B1.copy(), cols_1, cols_2, col_signs, (m1, c1, c2, m2)
+    return rows_1, rows_2, cols, col_signs
 
 
 @lru_cache(maxsize=None)
@@ -298,35 +306,42 @@ def _square_plan(n, p, q):
     """Index tables of product_coeffs' square route: those of
     _product_plan(n, p, q, p, q) with each run of row splits cut to its
     first half, and the column signs doubled (exact)."""
-    rows_1, rows_2, cols_1, cols_2, col_signs, (m1, c1, c2, m2) = _product_plan(n, p, q, p, q)
-    half = c1 // 2
-    rows_1, rows_2 = (rows.reshape(m1, c1)[:, :half].ravel() for rows in (rows_1, rows_2))
+    rows_1, rows_2, cols, col_signs = _product_plan(n, p, q, p, q)
+    half = rows_1.shape[1] // 2
     col_signs = 2.0 * col_signs
     col_signs.flags.writeable = False
-    return rows_1, rows_2, cols_1, cols_2, col_signs, (m1, half, c2, m2)
+    return rows_1[:, :half].copy(), rows_2[:, :half].copy(), cols, col_signs
 
 
-def _expand_and_sum(plan, w1, w2) -> np.ndarray:
-    """The product kernel on the tables of a plan: both operands expanded
-    to every listed pair of a row split and a column split in _work_array
-    buffers, and each run summed in one einsum."""
-    rows_1, rows_2, cols_1, cols_2, col_signs, runs = plan
-    splits = runs[2:]
+def _two_stage_sum(plan, w1, w2) -> np.ndarray:
+    """The product kernel on the tables of a plan, in two stages, every
+    intermediate in a _work_array buffer.
+
+    Row stage: for each (p+r)-combination M, the signed rows U of w1 and the
+    rows V of w2 of its row splits, shaped (..., C(n,p+r), c1, C(n,q)) and
+    (..., C(n,p+r), c1, C(n,s)), are contracted over the c1 splits in one
+    batched matmul: Y[M] = U[M]^T V[M], a C(n,q) x C(n,s) matrix. Column
+    stage: Y's entries at the flat column ranks of every column split,
+    gathered split by split, are summed with the column signs in one
+    einsum."""
+    rows_1, rows_2, cols, col_signs = plan
     w1 = np.asarray(w1, dtype=float)
     w2 = np.asarray(w2, dtype=float)
     batch1, batch2 = w1.shape[:-2], w2.shape[:-2]
-    nrows = w1.shape[-2]
-    signed = _work_array(2, batch1 + (2 * nrows, w1.shape[-1]))
+    batch = batch1 if batch1 == batch2 else np.broadcast_shapes(batch1, batch2)
+    (nrows, q_size), s_size = w1.shape[-2:], w2.shape[-1]
+    combos = rows_1.shape[0]
+    signed = _work_array(2, batch1 + (2 * nrows, q_size))
     signed[..., :nrows, :] = w1
     np.negative(w1, out=signed[..., nrows:, :])
     # mode="clip" writes straight into out (mode="raise" buffers it); the
     # ranks are in range by construction
-    x1 = np.take(signed, cols_1, axis=-1, out=_work_array(3, batch1 + (2 * nrows,) + splits), mode="clip")
-    x2 = np.take(w2, cols_2, axis=-1, out=_work_array(4, batch2 + (w2.shape[-2],) + splits), mode="clip")
-    np.multiply(x2, col_signs, out=x2)
-    g1 = np.take(x1, rows_1, axis=-3, out=_work_array(0, batch1 + rows_1.shape + splits), mode="clip")
-    g2 = np.take(x2, rows_2, axis=-3, out=_work_array(1, batch2 + rows_2.shape + splits), mode="clip")
-    return np.einsum("...ijt,...ijt->...t", g1.reshape(batch1 + runs), g2.reshape(batch2 + runs))
+    U = np.take(signed, rows_1, axis=-2, out=_work_array(0, batch1 + rows_1.shape + (q_size,)), mode="clip")
+    V = np.take(w2, rows_2, axis=-2, out=_work_array(1, batch2 + rows_2.shape + (s_size,)), mode="clip")
+    Y = np.matmul(np.swapaxes(U, -1, -2), V, out=_work_array(3, batch + (combos, q_size, s_size)))
+    flat = Y.reshape(batch + (combos, q_size * s_size))
+    terms = np.take(flat, cols, axis=-1, out=_work_array(4, batch + (combos,) + cols.shape), mode="clip")
+    return np.einsum("...mcn,cn->...mn", terms, col_signs)
 
 
 def product_coeffs(n, p, q, w1, r, s, w2) -> np.ndarray:
@@ -337,12 +352,11 @@ def product_coeffs(n, p, q, w1, r, s, w2) -> np.ndarray:
 
     Entry (M, N) sums w1[A1, A2] w2[B1, B2], times the signs of both
     splits, over the row splits (A1, B1) of M and the column splits
-    (A2, B2) of N (split_tables). The signs go into small gathers: the row
-    signs pick rows of w1 or of -w1, and the column signs multiply the
-    gather of w2's columns. Both operands are then expanded to every pair
-    of splits in _work_array buffers, with the column splits ordered split
-    by split, so that one einsum multiplies them and sums each run of
-    C(p+r,p) rows and of C(q+s,q) columns (_expand_and_sum).
+    (A2, B2) of N (split_tables). The row splits go first: the row signs
+    pick rows of w1 or of -w1, and one batched matmul sums each run of
+    C(p+r,p) row splits, for every pair of columns at once. The column
+    splits then read single entries of that result, and one einsum sums
+    each run of C(q+s,q) of them with the column signs (_two_stage_sum).
 
     The same array passed as both factors (w1 is w2), of a bidegree with
     p >= 1 and p + q even, is a square, and takes half the terms
@@ -352,20 +366,26 @@ def product_coeffs(n, p, q, w1, r, s, w2) -> np.ndarray:
     forms of even total degree commute), whether or not w1 is symmetric.
     In split_tables(n, p, p) split j of a run has the complement
     C(2p,p) - 1 - j, so the entry is twice the sum over the first half of
-    each row run. The row gathers hold half the entries of the general
-    route's. A square agrees with the product of two distinct equal arrays
-    to rounding, not bit for bit.
+    each row run: the row stage contracts half the row splits, and the
+    column signs are doubled. A square agrees with the product of two
+    distinct equal arrays to rounding, not bit for bit.
     """
     if w1 is w2 and (p, q) == (r, s) and p >= 1 and (p + q) % 2 == 0:
-        return _expand_and_sum(_square_plan(n, p, q), w1, w1)
-    return _expand_and_sum(_product_plan(n, p, q, r, s), w1, w2)
+        return _two_stage_sum(_square_plan(n, p, q), w1, w1)
+    return _two_stage_sum(_product_plan(n, p, q, r, s), w1, w2)
 
 
 def product_gather_entries(n, p, q, r, s) -> int:
-    """Entries product_coeffs gathers per product: one per pair of a row
-    split and a column split. For a square (the same array twice, see
-    product_coeffs) it is an upper bound: that route gathers half as many."""
-    return split_tables(n, p, r)[0].size * split_tables(n, q, s)[0].size
+    """Entries of the largest array product_coeffs builds per product: the
+    signed copy of w1, the row gathers U and V, the row stage's result Y or
+    the column gather (_two_stage_sum). For a square (the same array twice,
+    see product_coeffs) it is an upper bound, as that route's row gathers
+    hold half the row splits; for a (p,p) square it is exact, since there
+    the row gathers are no larger than Y (C(2p,p) <= C(n,p))."""
+    rows, _, cols, _ = _product_plan(n, p, q, r, s)
+    q_size, s_size = num_indices(n, q), num_indices(n, s)
+    combos = rows.shape[0]
+    return max(2 * num_indices(n, p) * q_size, rows.size * max(q_size, s_size), combos * q_size * s_size, combos * cols.size)
 
 
 def _signed_ranks(flat: np.ndarray, sign: np.ndarray, size: int) -> np.ndarray:
@@ -443,10 +463,12 @@ def _rel(err: float, scale: float) -> float:
     return err / max(scale, 1e-30)
 
 
-# Largest dimension the dense algebra is run in: a product of a (4,4) by a
+# Largest dimension the dense algebra is run in. The largest array a product
+# builds (product_gather_entries) is the row stage's result of a (4,4) by a
 # (2,2) form, which the property suite and the order k >= 3 oracles make,
-# gathers 9.9M entries per operand at n = 10 (76 MB), 48M at n = 11
-# (366 MB) and 192M at n = 12 (1.47 GB).
+# or of a (4,4) square (order k >= 4): 1,984,500 entries at n = 10 (16 MB)
+# for both, and for the square 18.0M at n = 11 (144 MB) and 121M at n = 12
+# (970 MB).
 DENSE_DIM_LIMIT = 10
 
 

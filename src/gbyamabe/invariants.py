@@ -13,8 +13,8 @@ Two independent evaluation routes are kept deliberately separate:
   ask forms.product_coeffs for products: it owns the choice of kernel, and
   takes every square (the same array twice) by its square route, half the
   terms of the product; gauss_bonnet multiplies nothing at k = 2.
-  gauss_bonnet_gather_entries reports its largest gather to spaceform's
-  chunk rule (spaceform._GATHER_BUDGET); and
+  gauss_bonnet_gather_entries reports the largest array it builds to
+  spaceform's chunk rule (spaceform._GATHER_BUDGET); and
 - the generalized-Kronecker-delta route: enumeration of index tuples with
   antisymmetrized signs, summing each orbit of 4^k k! equal terms once
   (factorial cost, the oracle path, guarded to n <= 7). The raw sum counts
@@ -234,12 +234,12 @@ def gauss_bonnet_coeffs(n: int, k: int, w: np.ndarray) -> np.ndarray:
 
 
 def gauss_bonnet_gather_entries(n: int, k: int) -> int:
-    """Entries of the largest array gauss_bonnet_coeffs gathers per matrix:
-    one of the products that build Q = w^floor(k/2) (_power_steps) and
-    P = Q w, or the C(n, 2k) C(2k, 2 ceil(k/2))^2 diagonal-block terms of
-    the last product (0 at k = 1, which gathers nothing). An upper bound
-    where the largest is a square: product_coeffs' square route gathers
-    half of product_gather_entries."""
+    """Entries of the largest array gauss_bonnet_coeffs builds per matrix:
+    one of the arrays of a product that builds Q = w^floor(k/2)
+    (_power_steps) or P = Q w (forms.product_gather_entries, exact for the
+    squares among them), or the C(n, 2k) C(2k, 2 ceil(k/2))^2
+    diagonal-block terms of the last product (0 at k = 1, which gathers
+    nothing)."""
     if k == 1:
         return 0
     a, b = (k + 1) // 2, k // 2
@@ -385,11 +385,18 @@ def random_curvature_like(n: int, rng: np.random.Generator) -> DoubleForm:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _metric_square(n: int) -> np.ndarray:
+    """The coefficients of g g for the standard metric of R^n (read-only)."""
+    g = standard_metric(n).coeffs
+    sq = product_coeffs(n, 1, 1, g, 1, 1, g)
+    sq.flags.writeable = False
+    return sq
+
+
 def space_form_curvature(n: int, mu: float) -> DoubleForm:
     """Curvature operator of constant sectional curvature mu: (mu/2) g^2."""
-    g = standard_metric(n)
-    sq = product_coeffs(n, 1, 1, g.coeffs, 1, 1, g.coeffs)
-    return double_form(n, 2, 2, (mu / 2.0) * sq)
+    return double_form(n, 2, 2, (mu / 2.0) * _metric_square(n))
 
 
 def space_form_invariant(n: int, k: int, mu: float) -> float:

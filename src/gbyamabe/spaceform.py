@@ -531,9 +531,9 @@ _GATHER_BUDGET = 2**17
 
 
 def _gather_entries(n, k, pipeline):
-    """Entries of the largest per-node array one evaluation gathers: the
-    curvature stack, the product of g and T on the conformal pipeline, or
-    one of the invariant kernel's own gathers."""
+    """Entries of the largest per-node array one evaluation builds: the
+    curvature stack, one of the arrays of the product of g and T on the
+    conformal pipeline, or one of the invariant kernel's own arrays."""
     sizes = [num_indices(n, 2) ** 2, gauss_bonnet_gather_entries(n, k)]
     if pipeline == "conformal":
         sizes.append(product_gather_entries(n, 1, 1, 1, 1))

@@ -1,5 +1,5 @@
-"""Mutation sweep of the solver's honesty checks, the closed-form constants
-and the dense evaluator's memory bound.
+"""Mutation sweep of the solver's honesty checks, the closed-form constants,
+the dense evaluator's memory bound and the product kernel's signs.
 
 Each mutant is a one-line edit of a gate, a bound or a reported number. For
 each, the sweep copies the repository to a temporary directory, applies the
@@ -30,6 +30,7 @@ ROOT = Path(__file__).resolve().parents[1]
 NEWTON = "src/gbyamabe/newton.py"
 SPACEFORM = "src/gbyamabe/spaceform.py"
 INVARIANTS = "src/gbyamabe/invariants.py"
+FORMS = "src/gbyamabe/forms.py"
 
 # (name, file, old text, new text, why); each old text occurs once in its file
 MUTANTS = [
@@ -123,6 +124,20 @@ MUTANTS = [
         "    return max(1, _GATHER_BUDGET // _gather_entries(n, k, pipeline))\n",
         "    return 1 << 62\n",
         "the dense evaluator runs a whole batch as one chunk, whatever its gathers hold",
+    ),
+    (
+        "square-undoubled",
+        FORMS,
+        "    col_signs = 2.0 * col_signs\n",
+        "    col_signs = 1.0 * col_signs\n",
+        "the square route sums half of each run of row splits without doubling the result",
+    ),
+    (
+        "column-signs-dropped",
+        FORMS,
+        '    return np.einsum("...mcn,cn->...mn", terms, col_signs)\n',
+        "    return terms.sum(axis=-2)\n",
+        "the product sums each run of column splits without their signs",
     ),
 ]
 

@@ -1,5 +1,6 @@
 """Double-form algebra against the dense-tensor reference implementation."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -75,6 +76,37 @@ def test_product_against_dense_oracle():
             )
             assert got.bidegree == (p + r, q + s)
             np.testing.assert_allclose(got.coeffs, expected, atol=1e-12)
+
+
+# every bidegree signature (p, q) x (r, s) with p + r, q + s <= n whose dense
+# product holds at most 4^7 entries: all of them for n = 3, all but total
+# degree 8 at n = 4, up to total degree 6 at n = 5 and 5 at n = 6
+_PRODUCT_SIGNATURES = {
+    n: [
+        (p, q, r, s)
+        for p, q, r, s in itertools.product(range(n + 1), repeat=4)
+        if p + r <= n and q + s <= n and n ** (p + q + r + s) <= 4**7
+    ]
+    for n in range(3, 7)
+}
+
+
+@pytest.mark.parametrize("n", sorted(_PRODUCT_SIGNATURES))
+def test_product_coeffs_against_dense_oracle_on_every_signature(n):
+    # batches broadcast against a factor without one, on either side
+    rng = np.random.default_rng(n)
+    for i, (p, q, r, s) in enumerate(_PRODUCT_SIGNATURES[n]):
+        shapes = ((2,), ()) if i % 2 else ((), (2,))
+        w1 = rng.standard_normal(shapes[0] + (math.comb(n, p), math.comb(n, q)))
+        w2 = rng.standard_normal(shapes[1] + (math.comb(n, r), math.comb(n, s)))
+        out = product_coeffs(n, p, q, w1, r, s, w2)
+        assert out.shape == (2, math.comb(n, p + r), math.comb(n, q + s))
+        b1, b2 = np.broadcast_to(w1, (2,) + w1.shape[-2:]), np.broadcast_to(w2, (2,) + w2.shape[-2:])
+        for j in range(2):
+            dense = dense_product(n, p, q, to_dense(n, p, q, b1[j]), r, s, to_dense(n, r, s, b2[j]))
+            expected = from_dense(n, p + r, q + s, dense)
+            atol = 1e-13 * max(1.0, np.abs(expected).max())
+            np.testing.assert_allclose(out[j], expected, rtol=0, atol=atol, err_msg=str((p, q, r, s)))
 
 
 def test_metric_square_has_value_two_on_plane_pairs():
@@ -455,13 +487,16 @@ def _kernel_takes(monkeypatch, kernel):
 
 
 def test_square_coeffs_gathers_half_the_rows_of_the_product(monkeypatch):
-    # both routes expand w's columns alike; the square route's two row
-    # gathers keep the first half of every run of row splits
+    # the takes are the row gathers U and V, then the column gather; the
+    # square route's row stage contracts the first half of every run of row
+    # splits (3 of 6 per 4-combination), and both routes read the row
+    # stage's result alike
     w = np.random.default_rng(4).standard_normal((5, 21, 21))
     full = _kernel_takes(monkeypatch, lambda: product_coeffs(7, 2, 2, w, 2, 2, w.copy()))
     half = _kernel_takes(monkeypatch, lambda: _square(7, 2, 2, w))
-    assert full[2:] == [5 * forms.product_gather_entries(7, 2, 2, 2, 2)] * 2
-    assert half == full[:2] + [size // 2 for size in full[2:]]
+    assert full == [5 * 35 * 6 * 21] * 2 + [5 * 35 * 6 * 35]
+    assert half == [size // 2 for size in full[:2]] + full[2:]
+    assert forms.product_gather_entries(7, 2, 2, 2, 2) == 35 * 21 * 21
 
 
 def test_product_of_a_form_with_itself_takes_the_square_route(monkeypatch):
@@ -469,16 +504,20 @@ def test_product_of_a_form_with_itself_takes_the_square_route(monkeypatch):
     b = double_form(7, 2, 2, a.coeffs)  # equal, but a distinct array
     square = _kernel_takes(monkeypatch, lambda: product(a, a))
     general = _kernel_takes(monkeypatch, lambda: product(a, b))
-    assert square == general[:2] + [size // 2 for size in general[2:]]
+    assert square == [size // 2 for size in general[:2]] + general[2:]
     np.testing.assert_allclose(product(a, a).coeffs, product(a, b).coeffs, rtol=0, atol=1e-13 * np.abs(a.coeffs).max() ** 2)
 
 
 def test_product_and_square_plans_hand_take_writeable_contiguous_tables():
     # np.take copies a read-only or non-contiguous index array on every call
     for plan in (forms._product_plan(7, 2, 2, 2, 2), forms._square_plan(7, 2, 2)):
-        for table in plan[:4]:
+        rows_1, rows_2, cols, col_signs = plan
+        for table in (rows_1, rows_2, cols):
             assert table.flags.writeable and table.flags.c_contiguous
+        assert rows_1.shape[0] == rows_2.shape[0] == 35 and cols.shape == col_signs.shape == (6, 35)
+        assert col_signs.flags.c_contiguous and not col_signs.flags.writeable
     assert not np.shares_memory(forms._product_plan(7, 2, 2, 2, 2)[1], split_tables(7, 2, 2)[1])
+    assert forms._square_plan(7, 2, 2)[0].shape == (35, 3)
 
 
 def test_product_coeffs_accepts_integer_coefficients():
@@ -501,18 +540,43 @@ def test_product_coeffs_reuses_its_work_buffers():
     assert np.array_equal(second, kept[::-1])
 
 
+_PRODUCT_FAULTS = """
+import resource
+import numpy as np
+from gbyamabe.forms import product_coeffs
+rng = np.random.default_rng(6)
+w1, w2 = rng.standard_normal((70, 70)), rng.standard_normal((28, 28))
+product_coeffs(8, 4, 4, w1, 2, 2, w2)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    product_coeffs(8, 4, 4, w1, 2, 2, w2)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _run_with_pinned_mmap_threshold(script):
+    # the integers the script prints, among them the minor page faults of
+    # its loop, from a child with glibc's mmap threshold pinned at its
+    # default of 128 KB: frees of larger arrays raise it, so this process's
+    # history could hide fresh allocations (other allocators ignore the
+    # variable)
+    src = str(Path(forms.__file__).resolve().parents[1])
+    env = dict(
+        os.environ,
+        MALLOC_MMAP_THRESHOLD_="131072",
+        PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    return [int(word) for word in proc.stdout.split()]
+
+
 @pytest.mark.skipif(resource is None, reason="needs getrusage")
 def test_repeated_products_fault_in_no_fresh_pages():
-    # one n = 8 (2,2) x (2,2) product gathers two 420 x 420 arrays (1.4 MB
-    # each); freshly allocated per call, ten calls would fault in thousands
-    # of pages
-    w = np.random.default_rng(6).standard_normal((28, 28))
-    product_coeffs(8, 2, 2, w, 2, 2, w)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for _ in range(10):
-        product_coeffs(8, 2, 2, w, 2, 2, w)
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-    assert faults < 420 * 420 * 8 // 4096
+    # the n = 8 (4,4) x (2,2) product's row stage builds Y, 28 matrices of
+    # 70 x 28 (54,880 entries, 439 KB); freshly allocated per call, ten
+    # calls would fault in over a thousand pages
+    assert forms.product_gather_entries(8, 4, 4, 2, 2) == 28 * 70 * 28
+    assert _run_with_pinned_mmap_threshold(_PRODUCT_FAULTS)[0] < 28 * 70 * 28 * 8 // 4096
 
 
 _CONTRACT_FAULTS = """
@@ -531,36 +595,39 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 @pytest.mark.skipif(resource is None, reason="needs getrusage")
 def test_repeated_contractions_fault_in_no_fresh_pages():
     # the n = 8 (5,5) -> (4,4) contraction gathers 8 x 70 x 70 = 39,200
-    # entries (314 KB), above glibc's default mmap threshold of 128 KB.
-    # Freshly allocated per call, ten calls would fault in hundreds of
-    # pages, but only while that threshold holds: frees of larger arrays
-    # raise it, so this process's history can hide the faults. The calls
-    # therefore run in a child with the threshold pinned (other allocators
-    # ignore the variable).
-    src = str(Path(forms.__file__).resolve().parents[1])
-    env = dict(
-        os.environ,
-        MALLOC_MMAP_THRESHOLD_="131072",
-        PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
-    )
-    proc = subprocess.run([sys.executable, "-c", _CONTRACT_FAULTS], capture_output=True, text=True, env=env, check=True)
-    assert int(proc.stdout) < 8 * 70 * 70 * 8 // 4096
+    # entries (314 KB), above glibc's default mmap threshold of 128 KB:
+    # freshly allocated per call, ten calls would fault in hundreds of pages
+    assert _run_with_pinned_mmap_threshold(_CONTRACT_FAULTS)[0] < 8 * 70 * 70 * 8 // 4096
+
+
+_GRID_CHUNK_FAULTS = """
+import resource
+import numpy as np
+from gbyamabe import spaceform
+from gbyamabe.forms import product_coeffs
+nodes = spaceform._chunk_nodes(7, 3, "warped")
+w = np.random.default_rng(7).standard_normal((nodes, 21, 21))
+product_coeffs(7, 2, 2, w, 2, 2, w)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    product_coeffs(7, 2, 2, w, 2, 2, w)
+print(nodes, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
 
 
 @pytest.mark.skipif(resource is None, reason="needs getrusage")
 def test_grid_chunk_products_fault_in_no_fresh_pages():
-    # the RP^7 k = 3 grid chunk: its (2,2).(2,2) gathers must fit the
-    # retained buffers; a 90-node chunk (4M entries per gather) would map
-    # fresh 32 MB arrays on every call
-    nodes = spaceform._chunk_nodes(7, 3, "warped")
-    assert nodes * forms.product_gather_entries(7, 2, 2, 2, 2) <= forms._WORK_RETAIN
-    w = np.random.default_rng(7).standard_normal((nodes, 21, 21))
-    product_coeffs(7, 2, 2, w, 2, 2, w)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for _ in range(10):
-        product_coeffs(7, 2, 2, w, 2, 2, w)
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-    assert faults < forms._WORK_RETAIN * 8 // 4096
+    # the RP^7 k = 3 grid chunk: the arrays of its (2,2) square, the largest
+    # a Y of 35 matrices of 21 x 21 per node, must fit the retained
+    # buffers; a chunk of over 135 nodes would map a fresh Y of over 16 MB
+    # on every call, and a fresh Y of one chunk would fault in a chunk's
+    # pages
+    per_node = forms.product_gather_entries(7, 2, 2, 2, 2)
+    assert per_node == 35 * 21 * 21
+    nodes, faults = _run_with_pinned_mmap_threshold(_GRID_CHUNK_FAULTS)
+    assert nodes == spaceform._chunk_nodes(7, 3, "warped") == 8
+    assert nodes * per_node <= forms._WORK_RETAIN
+    assert faults < nodes * per_node * 8 // 4096
 
 
 def test_work_arrays_are_per_thread_and_bounded(monkeypatch):

@@ -53,6 +53,17 @@ def algebra_orders(max_n):
     return [(n, k) for n in range(3, max_n + 1) for k in range(1, n // 2 + 1)]
 
 
+def test_space_form_curvature_scales_one_cached_metric_square():
+    # (mu/2) g g, bit for bit, from one read-only g g per dimension
+    for n in (3, 5, 8):
+        eye = np.eye(n)
+        gg = product_coeffs(n, 1, 1, eye, 1, 1, eye.copy())
+        for mu in (1.0, -0.7, 2.5):
+            assert np.array_equal(space_form_curvature(n, mu).coeffs, (mu / 2.0) * gg)
+    assert invariants._metric_square(6) is invariants._metric_square(6)
+    assert not invariants._metric_square(6).flags.writeable
+
+
 def test_space_form_closed_values():
     g = standard_metric(5)
     assert gauss_bonnet(space_form_curvature(5, 1.0), g, 2) == pytest.approx(30.0, rel=1e-14)
@@ -149,8 +160,9 @@ def test_balanced_trace_is_the_last_product_trace_bitwise_for_k_up_to_3():
 
 @pytest.mark.parametrize("n, k, batch", [(8, 4, (2, 3)), (9, 4, (2, 2)), (10, 4, (2, 1)), (10, 5, (1, 1))])
 def test_balanced_trace_matches_the_last_product_trace(n, k, batch):
-    # n = 10 builds a (4,4).(2,2) product of 9.9M entries per matrix on the
-    # reference route (and at k = 5 on both), so those stacks stay small
+    # n = 10 builds a (4,4).(2,2) product on the reference route (and at
+    # k = 5 on both), whose row stage holds 2M entries per matrix, so those
+    # stacks stay small
     w = _random_stack(n, batch, np.random.default_rng([n, k]))
     got = gauss_bonnet_coeffs(n, k, w)
     expected = np.array([_last_product_trace(n, k, w[idx]) for idx in np.ndindex(batch)]).reshape(batch)
@@ -159,12 +171,21 @@ def test_balanced_trace_matches_the_last_product_trace(n, k, batch):
 
 
 def test_balanced_trace_gathers_less_at_k_4(monkeypatch):
-    # the largest gather is the product that builds w^2; w^3 w would need
-    # the (4,4).(2,2) product, 1,587,600 entries. Under a 2^21-entry budget
-    # the balanced plan fits 3 nodes in a chunk, where w^3 w would fit 1
+    # the largest array is the row stage's result Y of the square that
+    # builds w^2, 126 matrices of 36 x 36; w^3 w would need the (4,4).(2,2)
+    # product, whose Y holds 84 matrices of 126 x 36. Under a 2^21-entry
+    # budget the balanced plan fits 12 nodes in a chunk, where w^3 w would
+    # fit 5
     monkeypatch.setattr(spaceform, "_GATHER_BUDGET", 2**21)
-    assert gauss_bonnet_gather_entries(9, 4) == 571536
-    assert spaceform._chunk_nodes(9, 4, "warped") == 3
+    assert gauss_bonnet_gather_entries(9, 4) == 126 * 36 * 36
+    assert spaceform._chunk_nodes(9, 4, "warped") == 12
+    assert 2**21 // product_gather_entries(9, 4, 4, 2, 2) == 2**21 // (84 * 126 * 36) == 5
+
+
+def test_warped_k2_chunks_are_sized_by_the_diagonal_blocks_alone():
+    # k = 2 makes no product, so its chunk rule does not follow the product
+    # kernel: 2^17 // (36 C(n, 4)) nodes for n = 5..10
+    assert [spaceform._chunk_nodes(n, 2, "warped") for n in range(5, 11)] == [728, 242, 104, 52, 28, 17]
 
 
 def _record_kernel_calls(monkeypatch):
@@ -337,30 +358,24 @@ def test_ricci_2k_squares_and_makes_no_contraction_call(monkeypatch):
 
 
 def _power_gathers(n, k):
-    # entries gathered by repeated squaring and by the left-to-right chain;
-    # a square gathers half of product_gather_entries
+    # the largest arrays of the products of repeated squaring and of the
+    # left-to-right chain, summed over the products
     squaring = sum(
-        product_gather_entries(n, 2 * i, 2 * i, 2 * i, 2 * i) // 2
-        if square
-        else product_gather_entries(n, 2 * i, 2 * i, 2, 2)
-        for i, square in _power_steps(k)
+        product_gather_entries(n, 2 * i, 2 * i, *((2 * i, 2 * i) if square else (2, 2))) for i, square in _power_steps(k)
     )
-    chain = sum(
-        product_gather_entries(n, 2, 2, 2, 2) // 2 if i == 1 else product_gather_entries(n, 2 * i, 2 * i, 2, 2)
-        for i in range(1, k)
-    )
+    chain = sum(product_gather_entries(n, 2 * i, 2 * i, 2, 2) for i in range(1, k))
     return squaring, chain
 
 
 def test_squaring_gathers_no_more_than_the_chain_in_the_dense_range():
-    # from n = 12 on, squaring the (4,4) power gathers more than the two
-    # products by w it replaces (at k = 4: 605M against 389M entries), so
-    # this test fails if the dense limit is raised past 11
-    assert _power_gathers(8, 4) == (90650, 265384)
+    # from n = 11 on, squaring the (4,4) power builds larger arrays than the
+    # two products by w it replaces (at k = 4: 19.0M against 13.6M
+    # entries), so this test fails if the dense limit is raised past 10
+    assert _power_gathers(8, 4) == (64680, 111328)
     for n, k in algebra_orders(DENSE_DIM_LIMIT):
         squaring, chain = _power_gathers(n, k)
         assert squaring <= chain, (n, k)
-    assert _power_gathers(12, 4)[0] > _power_gathers(12, 4)[1]
+    assert _power_gathers(11, 4)[0] > _power_gathers(11, 4)[1]
 
 
 def test_ricci_trace_recovers_gauss_bonnet():

@@ -37,7 +37,6 @@ from gbyamabe import (
     zonal_basis,
 )
 from gbyamabe import spaceform
-from gbyamabe.indexing import split_tables
 from gbyamabe.forms import DENSE_DIM_LIMIT
 from gbyamabe.spaceform import _constant_field, _gb_values, _reflect_field, _two_block_values
 
@@ -528,8 +527,8 @@ def test_gb_field_order_guard(monkeypatch):
 
 
 def test_dense_oracles_refuse_dimensions_above_the_dense_limit(monkeypatch):
-    # refused before any dense evaluation: at n = 11 one (4,4).(2,2) product
-    # gathers 48M entries per operand; the solver's closed form has no limit
+    # refused before any dense evaluation: at n = 11 one (4,4) square builds
+    # an array of 18M entries; the solver's closed form has no limit
     def refuse(*args):
         raise AssertionError("the dense evaluator was called")
 
@@ -557,36 +556,35 @@ def test_gb_values_chunking_does_not_change_results(monkeypatch):
 
 
 def test_gb_values_gathers_stay_within_budget(monkeypatch):
-    # n = 9, k = 3 builds w^2 with one square that gathers 378 * 756 entries
-    # per node (half the product's 756^2), so 20 nodes in one chunk would
-    # hold 5.7e6 entries; the last step reads only the diagonal blocks of
-    # w^2 w (84 * 15^2 entries per node). One node alone exceeds the
-    # default budget, so the test pins one under which the chunk rule's
-    # bound (the product's 756^2 entries per node) fits 4 nodes in a chunk
+    # n = 9, k = 3 builds w^2 with one square whose largest array, the row
+    # stage's result Y, holds 126 matrices of 36 x 36 per node, so 20 nodes
+    # in one chunk would hold 3.3e6 entries; the last step reads only the
+    # diagonal blocks of w^2 w (84 * 15^2 entries per node). One node alone
+    # exceeds the default budget, so the test pins one under which the
+    # chunk rule fits 4 nodes in a chunk, and records every work array the
+    # kernels ask for
+    import gbyamabe.forms as forms
     import gbyamabe.invariants as invariants
 
-    per_node = 378 * 756
-    budget = 4 * 756**2
+    per_node = 126 * 36 * 36
+    budget = 4 * per_node
     monkeypatch.setattr(spaceform, "_GATHER_BUDGET", budget)
 
-    real_product = invariants.product_coeffs
-    gathered = []
+    real_work_array = forms._work_array
+    sizes = []
 
-    def recording_product(n, p, q, w1, r, s, w2):
-        batch = math.prod(np.broadcast_shapes(w1.shape[:-2], w2.shape[:-2]))
-        rows = split_tables(n, p, r)[0].size
-        if w1 is w2:  # a (2,2) square: the square route gathers half the rows
-            rows //= 2
-        gathered.append(batch * rows * split_tables(n, q, s)[0].size)
-        return real_product(n, p, q, w1, r, s, w2)
+    def recording_work_array(slot, shape):
+        sizes.append(math.prod(shape))
+        return real_work_array(slot, shape)
 
-    monkeypatch.setattr(invariants, "product_coeffs", recording_product)
+    monkeypatch.setattr(forms, "_work_array", recording_work_array)
+    monkeypatch.setattr(invariants, "_work_array", recording_work_array)
     n, k = 9, 3
     basis = zonal_basis(n, 2)
     cm = conformal_metric(space_form(n, 1.0, FULL_SPHERE), mode_field(basis, 2, 0.05))
     field = gb_field(cm, k)
     assert basis.x.size == 20
-    assert 3 * per_node < max(gathered) <= budget
+    assert 3 * per_node < max(sizes) <= budget
     for node in (0, 7, 19):
         R = warped_curvature(cm, node)
         expected = two_block_invariant(n, k, R.coeffs[0, 0], R.coeffs[-1, -1])
