@@ -19,9 +19,14 @@ Conventions (fixed once, relied on everywhere):
 - Every metric argument (contract here, gauss_bonnet and ricci_2k in
   invariants) obeys one rule, _metric_frame: a symmetric positive definite
   (1,1) form in the dimension of the other argument. A non-identity metric
-  goes through an explicit g-orthonormal frame (Cholesky by default):
+  goes through an explicit g-orthonormal frame E (Cholesky by default):
   transform in, work there, transform back. The result is frame
   independent and the tests exercise that too.
+- A frame change is itself a product (_to_frame): on a (p, q) form it
+  applies the p-th and q-th exterior powers of E, and the p-th power is the
+  product of p copies of E as a (1,1) form divided by p! (_exterior_power).
+  The product kernel is the package's one implementation of exterior
+  powers.
 
 The *_coeffs functions at the bottom operate on raw coefficient arrays with
 arbitrary leading batch dimensions; the geometry modules use them to evaluate
@@ -61,12 +66,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._validate import check_count, check_tolerance
-from .indexing import (
-    compound_matrix,
-    insertion_tables,
-    num_indices,
-    split_tables,
-)
+from .indexing import insertion_tables, num_indices, split_tables
 
 __all__ = [
     "DoubleForm",
@@ -152,8 +152,20 @@ def product(a: DoubleForm, b: DoubleForm) -> DoubleForm:
     return double_form(n, a.p + b.p, a.q + b.q, out)
 
 
+def _exterior_power(n: int, E: np.ndarray, p: int) -> np.ndarray:
+    """The p-th exterior power of the n x n matrix E on ranked
+    p-combinations: the product of p copies of E as a (1,1) form, divided by
+    p! (its entry [K, I] is p! det E[K, I]). p = 0 gives [[1]]."""
+    power = np.ones((1, 1)) if p == 0 else E
+    for j in range(1, p):
+        power = product_coeffs(n, j, j, power, 1, 1, E)
+    return power / math.factorial(p)
+
+
 def _to_frame(w: np.ndarray, n: int, p: int, q: int, E: np.ndarray) -> np.ndarray:
-    return compound_matrix(E, p).T @ w @ compound_matrix(E, q)
+    """The coefficients of the (p,q) form w in the frame of E's columns:
+    the exterior powers of E applied to each block."""
+    return _exterior_power(n, E, p).T @ w @ _exterior_power(n, E, q)
 
 
 def _metric_frame(g: DoubleForm, dim: int, frame: np.ndarray | None = None) -> np.ndarray | None:
@@ -163,7 +175,8 @@ def _metric_frame(g: DoubleForm, dim: int, frame: np.ndarray | None = None) -> n
     Returns None for the standard metric when no frame is given (the
     coordinate frame is orthonormal); otherwise a g-orthonormal frame E,
     the explicit `frame` or the Cholesky one, checked to satisfy
-    E^T g E = I. Raises ValueError naming the first rule g breaks.
+    E^T g E = I, whose exterior powers move forms into the frame and
+    back (_to_frame). Raises ValueError naming the first rule g breaks.
     """
     if g.bidegree != (1, 1):
         raise ValueError("metric must have bidegree (1,1)")
@@ -190,9 +203,10 @@ def contract(g: DoubleForm, a: DoubleForm, frame: np.ndarray | None = None) -> D
 
     Equals sum_i a(e_i ^ ..., e_i ^ ...) over any g-orthonormal frame {e_i}.
     For the standard metric this is a direct table lookup; otherwise the
-    coefficients are moved to a g-orthonormal frame (Cholesky derived, or the
-    explicit `frame` argument, whose columns must satisfy E^T g E = I),
-    contracted there, and moved back. Requires bidegree at least (1,1).
+    coefficients are moved to a g-orthonormal frame E (Cholesky derived, or
+    the explicit `frame` argument, whose columns must satisfy E^T g E = I)
+    by the exterior powers of E, contracted there, and moved back by those
+    of E^-1 (_to_frame). Requires bidegree at least (1,1).
     """
     n = a.dim
     E = _metric_frame(g, n, frame)

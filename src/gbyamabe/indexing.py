@@ -3,8 +3,8 @@
 Coefficients of a (p,q)-form over R^n are stored as a C(n,p) x C(n,q) matrix
 indexed by strictly increasing multi-indices in lexicographic order. This
 module owns the combinatorial plumbing: rank/unrank maps, the signed split
-tables behind the wedge-type product, the insertion tables behind contraction,
-and compound (minor-determinant) matrices for frame changes. It is the one
+tables behind the wedge-type product and the insertion tables behind
+contraction (frame changes are products: forms._to_frame). It is the one
 owner of ranks and signs: every sign of a split or an insertion comes from
 merge_sign, and the other modules read these tables instead of rebuilding
 them (invariants.raw_kronecker_sum reads its pair ranks from
@@ -117,20 +117,3 @@ def insertion_tables(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     R.flags.writeable = False
     S.flags.writeable = False
     return R, S
-
-
-def compound_matrix(mat: np.ndarray, p: int) -> np.ndarray:
-    """p-th compound of an n x n matrix: entry [K, I] is det(mat[K, I]) over
-    ranked p-combinations K (rows) and I (columns). compound(mat, 1) = mat."""
-    n = mat.shape[0]
-    tuples = index_tuples(n, p)
-    if p == 0:
-        return np.ones((1, 1))
-    if p == 1:
-        return mat.copy()
-    out = np.empty((len(tuples), len(tuples)))
-    for a, K in enumerate(tuples):
-        sub = mat[np.ix_(K, range(n))]
-        for b, I in enumerate(tuples):
-            out[a, b] = np.linalg.det(sub[:, I])
-    return out

@@ -68,9 +68,15 @@ from functools import lru_cache
 import numpy as np
 
 from ._validate import check_count, check_integer, check_nonzero
-from .forms import DoubleForm, check_dense_dim, double_form, product_coeffs, product_gather_entries
+from .forms import DoubleForm, check_dense_dim, double_form, product_coeffs, product_gather_entries, standard_metric
 from .indexing import num_indices
-from .invariants import _two_block_coefficients, check_problem_order, gauss_bonnet_coeffs, gauss_bonnet_gather_entries
+from .invariants import (
+    _metric_square,
+    _two_block_coefficients,
+    check_problem_order,
+    gauss_bonnet_coeffs,
+    gauss_bonnet_gather_entries,
+)
 
 __all__ = [
     "REAL_PROJECTIVE",
@@ -467,9 +473,11 @@ def _conformal_curvature_stack(n, mu, x, sin_t, vals, dv, ddv):
 
     T = Hess phi - dphi (x) dphi + 1/2 |dphi|^2 g is assembled in the base
     orthonormal frame (diagonal for axisymmetric phi), multiplied into the
-    metric with the double-form product, subtracted from the base curvature
-    operator, and the whole thing rescaled by e^{-2 phi} to land in the
-    orthonormal frame of the conformal metric.
+    metric g (the standard metric there) with the double-form product,
+    subtracted from the base curvature operator (mu/2) g^2, read from the
+    algebra's cached g^2 (invariants._metric_square, as in
+    space_form_curvature), and the whole thing rescaled by e^{-2 phi} to
+    land in the orthonormal frame of the conformal metric.
     """
     batch = vals.shape
     cot = x / sin_t
@@ -479,12 +487,9 @@ def _conformal_curvature_stack(n, mu, x, sin_t, vals, dv, ddv):
     T[..., 0, 0] = t_rad
     for i in range(1, n):
         T[..., i, i] = t_sph
-    eye = np.broadcast_to(np.eye(n), batch + (n, n))
-    gT = product_coeffs(n, 1, 1, eye, 1, 1, T)
-    m = num_indices(n, 2)
-    base = np.zeros((m, m))
-    base[np.arange(m), np.arange(m)] = mu  # (mu/2) g^2 has value mu on plane pairs
-    return np.exp(-2.0 * vals)[..., None, None] * (base - gT)
+    g = np.broadcast_to(standard_metric(n).coeffs, batch + (n, n))
+    gT = product_coeffs(n, 1, 1, g, 1, 1, T)
+    return np.exp(-2.0 * vals)[..., None, None] * ((mu / 2) * _metric_square(n) - gT)
 
 
 def _curvature_stack(n, mu, x, sin_t, vals, dv, ddv, pipeline):

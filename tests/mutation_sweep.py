@@ -1,5 +1,7 @@
 """Mutation sweep of the solver's honesty checks, the closed-form constants,
-the dense evaluator's memory bound and the product kernel's signs.
+the dense evaluator's memory bound, the product kernel's signs, the
+normalization of the exterior powers behind every frame change and the
+background curvature of the conformal pipeline.
 
 Each mutant is a one-line edit of a gate, a bound or a reported number. For
 each, the sweep copies the repository to a temporary directory, applies the
@@ -138,6 +140,20 @@ MUTANTS = [
         '    return np.einsum("...mcn,cn->...mn", terms, col_signs)\n',
         "    return terms.sum(axis=-2)\n",
         "the product sums each run of column splits without their signs",
+    ),
+    (
+        "exterior-power-unnormalized",
+        FORMS,
+        "    return power / math.factorial(p)\n",
+        "    return power\n",
+        "a frame change applies p! times the p-th exterior power of the frame",
+    ),
+    (
+        "conformal-base-doubled",
+        SPACEFORM,
+        "((mu / 2) * _metric_square(n) - gT)",
+        "(mu * _metric_square(n) - gT)",
+        "the conformal pipeline starts from twice the space form's curvature operator",
     ),
 ]
 

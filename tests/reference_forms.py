@@ -85,6 +85,18 @@ def dense_contract_metric(p: int, q: int, dense: np.ndarray, g_matrix: np.ndarra
     return np.einsum(ginv, [0, 1], dense, [0] + list(range(2, p + 1)) + [1] + list(range(p + 1, p + q)))
 
 
+def dense_pullback(n: int, p: int, q: int, coeffs: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Ranked coefficients of the (p,q) form pulled back by the n x n matrix
+    A: every slot of the dense tensor contracted with A's rows, so the new
+    form evaluated on e_i equals the old one on column i of A."""
+    dense = to_dense(n, p, q, coeffs)
+    for _ in range(p + q):
+        # contracts the leading axis and appends the new one last, so the
+        # axes are back in order after p + q steps
+        dense = np.tensordot(dense, A, axes=(0, 0))
+    return from_dense(n, p, q, dense)
+
+
 def dense_inner(p: int, q: int, A: np.ndarray, B: np.ndarray) -> float:
     """Full-sum pairing normalized so increasing monomials are orthonormal."""
     return float((A * B).sum()) / (math.factorial(p) * math.factorial(q))

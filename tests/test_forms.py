@@ -34,6 +34,7 @@ from reference_forms import (
     dense_contract_metric,
     dense_inner,
     dense_product,
+    dense_pullback,
     from_dense,
     to_dense,
 )
@@ -271,6 +272,19 @@ def test_contract_frame_independence():
         base = contract(g, a)
         rotated = contract(g, a, frame=E @ Q)
         np.testing.assert_allclose(rotated.coeffs, base.coeffs, atol=1e-10)
+
+
+def test_to_frame_matches_the_dense_pullback():
+    # the exterior powers of E are built as products of copies of E; the
+    # reference contracts every slot of the dense tensor with E instead
+    rng = np.random.default_rng(112)
+    for n in range(1, 6):
+        E = rng.standard_normal((n, n)) + n * np.eye(n)
+        for p, q in itertools.product(range(n + 1), repeat=2):
+            w = _random_form(n, p, q, rng).coeffs
+            expected = dense_pullback(n, p, q, w, E)
+            got = forms._to_frame(w, n, p, q, E)
+            assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max(), (n, p, q)
 
 
 def test_contract_rejects_non_orthonormal_frame():
@@ -643,18 +657,20 @@ def test_work_arrays_are_per_thread_and_bounded(monkeypatch):
 
 
 def test_algebra_property_suite_smoke():
-    report = algebra_property_suite(cases=40, seed=3, dims=(3, 4, 5), tol=1e-12)
-    assert set(report) >= {
-        "adjointness",
-        "associativity",
-        "graded_commutativity",
-        "frame_independence",
-        "metric_trace",
-        "symmetry_closure",
-    }
-    for name, entry in report.items():
-        assert entry["passed"], f"{name}: max error {entry['max_error']:.3e}"
-        assert entry["cases"] >= 40
+    # small dimensions, and the top of SUITE_DIMS
+    for dims in ((3, 4, 5), (9, 10)):
+        report = algebra_property_suite(cases=40, seed=3, dims=dims, tol=1e-12)
+        assert set(report) >= {
+            "adjointness",
+            "associativity",
+            "graded_commutativity",
+            "frame_independence",
+            "metric_trace",
+            "symmetry_closure",
+        }
+        for name, entry in report.items():
+            assert entry["passed"], f"{dims} {name}: max error {entry['max_error']:.3e}"
+            assert entry["cases"] >= 40
     # tol = 0 asks for exact agreement, so it is a valid tolerance
     assert set(algebra_property_suite(cases=1, dims=(3,), tol=0.0)) == set(report)
 

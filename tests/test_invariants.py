@@ -30,12 +30,13 @@ from gbyamabe import (
 from gbyamabe import forms, invariants, spaceform
 from gbyamabe.forms import (
     DENSE_DIM_LIMIT,
+    _to_frame,
     contract_coeffs,
     double_form,
     product_coeffs,
     product_gather_entries,
 )
-from gbyamabe.indexing import compound_matrix, split_tables
+from gbyamabe.indexing import split_tables
 from gbyamabe.invariants import (
     _power,
     _power_steps,
@@ -45,7 +46,7 @@ from gbyamabe.invariants import (
     gauss_bonnet_gather_entries,
 )
 
-from reference_forms import brute_kronecker_sum, classical_ricci, classical_scalar, two_block_invariant
+from reference_forms import brute_kronecker_sum, classical_ricci, classical_scalar, dense_pullback, two_block_invariant
 
 
 def algebra_orders(max_n):
@@ -333,12 +334,13 @@ def test_ricci_2k_matches_the_contraction_chain():
         A = rng.standard_normal((n, n))
         G = A @ A.T + n * np.eye(n)
         E = np.linalg.inv(np.linalg.cholesky(G)).T
-        C2, E_inv = compound_matrix(E, 2), np.linalg.inv(E)
         R = random_curvature_like(n, rng)
         got = ricci_2k(R, standard_metric(n), k).coeffs
         np.testing.assert_allclose(got, power_contract_chain(n, k, R.coeffs, 2 * k - 1), rtol=1e-12, atol=0)
+        # the same frame change on both sides (test_to_frame_matches_the_dense_pullback checks it)
         got = ricci_2k(R, double_form(n, 1, 1, G), k).coeffs
-        expected = E_inv.T @ power_contract_chain(n, k, C2.T @ R.coeffs @ C2, 2 * k - 1) @ E_inv
+        chain = power_contract_chain(n, k, _to_frame(R.coeffs, n, 2, 2, E), 2 * k - 1)
+        expected = _to_frame(chain, n, 1, 1, np.linalg.inv(E))
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
 
@@ -409,10 +411,7 @@ def test_invariants_with_general_metric_are_invariant_under_pullback():
         R = random_curvature_like(n, rng)
         base = gauss_bonnet(R, g, k)
         A = rng.standard_normal((n, n)) + n * np.eye(n)
-        from gbyamabe.indexing import compound_matrix
-
-        C2 = compound_matrix(A, 2)
-        R_pulled = double_form(n, 2, 2, C2.T @ R.coeffs @ C2)
+        R_pulled = double_form(n, 2, 2, dense_pullback(n, 2, 2, R.coeffs, A))
         g_pulled = double_form(n, 1, 1, A.T @ A)
         assert gauss_bonnet(R_pulled, g_pulled, k) == pytest.approx(base, rel=1e-9)
 
