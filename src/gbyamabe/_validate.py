@@ -1,7 +1,8 @@
 """The argument rules every module shares, each stated once: integers and
 counts (bools refused), finite positive numbers (steps, radii, thresholds,
-solver tolerances), finite non-negative verification tolerances and finite
-nonzero curvatures. Each raises ValueError naming the argument."""
+solver tolerances), finite non-negative verification tolerances, finite
+nonzero curvatures and curvature powers that stay finite. Each raises
+ValueError naming the argument."""
 
 import math
 import numbers
@@ -33,6 +34,17 @@ def check_nonzero(name: str, value: float):
         raise ValueError(f"{name} must be finite, got {value}")
     if value == 0:
         raise ValueError(f"{name} must be nonzero")
+
+
+def check_power(name: str, value: float, k: int) -> float:
+    """float(value) ** k, refusing a value whose k-th power overflows."""
+    try:
+        power = float(value) ** k
+    except OverflowError:
+        power = math.inf
+    if not math.isfinite(power):
+        raise ValueError(f"{name} {value} overflows when raised to the power {k}")
+    return power
 
 
 def check_tolerance(name: str, value: float):

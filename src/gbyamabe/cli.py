@@ -3,8 +3,9 @@
 Every subcommand prints a single JSON report to stdout: keys are sorted,
 floats use their shortest round-trip representation, and nothing
 time-dependent is included, so identical invocations produce identical
-bytes. --output writes the same report to a file; --format csv instead
-writes the iteration history as CSV (solve, solve-g and sweep only).
+bytes. --output writes the same report to a file. solve and solve-g
+report every Newton iteration under results.iterations, and each run of a
+sweep carries its own.
 
 Exit codes: 0 success, 2 invalid parameters (including a degenerate
 combined functional), 3 solver finished without converging, 4 internal
@@ -14,14 +15,13 @@ verification failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import asdict, fields
 
 import numpy as np
 
-from ._validate import check_nonzero, check_positive, check_tolerance
+from ._validate import check_nonzero, check_positive, check_power, check_tolerance
 from .forms import algebra_property_suite, check_dense_dim, standard_metric
 from .invariants import (
     gauss_bonnet,
@@ -58,7 +58,6 @@ __all__ = ["main"]
 
 _QUOTIENTS = {"rp": REAL_PROJECTIVE, "sphere": FULL_SPHERE, "hyperbolic": SYNTHETIC_HYPERBOLIC}
 _GRID_QUOTIENTS = tuple(name for name, quotient in _QUOTIENTS.items() if quotient in GRID_PARITY)
-_CSV_COMMANDS = ("solve", "solve-g", "sweep")
 
 
 def _dumps(report: dict) -> str:
@@ -128,14 +127,8 @@ def _profile_field(args, basis):
     return mode_field(basis, args.mode, args.amp)
 
 
-def _iteration_rows(report, amplitude=None):
-    rows = []
-    for i, rec in enumerate(report.iterations):
-        row = [i, rec.residual, rec.volume_drift, rec.step_norm]
-        if amplitude is not None:
-            row = [amplitude] + row
-        rows.append(row)
-    return rows
+def _iteration_records(report) -> list[dict]:
+    return [{"iteration": i, **asdict(rec)} for i, rec in enumerate(report.iterations)]
 
 
 def _report_summary(report) -> dict:
@@ -153,13 +146,13 @@ def _report_results(report) -> dict:
         **_report_summary(report),
         "jacobian_min_singular_value": report.jacobian_min_singular_value,
         "quadratic_tail": quadratic_tail(report),
-        "iterations": [{"iteration": i, **asdict(rec)} for i, rec in enumerate(report.iterations)],
+        "iterations": _iteration_records(report),
         "w": _field_payload(report.w),
     }
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (results, csv_rows, exit_code)
+# Subcommand handlers: each returns (results, exit_code)
 # ---------------------------------------------------------------------------
 
 
@@ -167,6 +160,7 @@ def _cmd_invariants(args):
     check_dense_dim("--n", args.n)
     check_tolerance("tol", args.tol)
     check_nonzero("background curvature", args.mu)
+    mu_k = check_power("background curvature", args.mu, args.k)
     g = standard_metric(args.n)
     R = space_form_curvature(args.n, args.mu)
     measured = gauss_bonnet(R, g, args.k)
@@ -174,7 +168,7 @@ def _cmd_invariants(args):
     consts = invariant_constants(args.n, args.k)
     ricci = ricci_2k(R, g, args.k)
     ricci_factor = float(np.trace(ricci.coeffs)) / args.n
-    ricci_closed = consts.ricci_coefficient * args.mu**args.k
+    ricci_closed = consts.ricci_coefficient * mu_k
     results = {
         "gauss_bonnet": measured,
         "closed_form": closed,
@@ -197,7 +191,7 @@ def _cmd_invariants(args):
         results["kronecker_difference"] = kron - closed
         ok = ok and abs(kron - closed) <= args.tol * scale
     results["routes_agree"] = ok
-    return results, None, 0 if ok else 4
+    return results, 0 if ok else 4
 
 
 def _cmd_verify_algebra(args):
@@ -205,7 +199,7 @@ def _cmd_verify_algebra(args):
     suite = algebra_property_suite(cases=args.cases, seed=args.seed, dims=dims, tol=args.tol)
     ok = all(entry["passed"] for entry in suite.values())
     results = {"properties": suite, "all_passed": ok}
-    return results, None, 0 if ok else 4
+    return results, 0 if ok else 4
 
 
 def _cmd_verify_linearization(args):
@@ -225,14 +219,14 @@ def _cmd_verify_linearization(args):
         "max_relative_error": args.max_relerr,
         "passed": ok,
     }
-    return results, None, 0 if ok else 4
+    return results, 0 if ok else 4
 
 
 def _cmd_spectrum(args):
     sf = space_form(args.n, args.mu, _QUOTIENTS[args.quotient])
     lam1, critical, ok = spectrum_gap_check(sf)
     results = {"lambda1": lam1, "critical_level": critical, "gap_clears": ok}
-    return results, None, 0
+    return results, 0
 
 
 def _cmd_solve(args):
@@ -260,8 +254,7 @@ def _cmd_solve(args):
         results["certificate"] = asdict(cert)
         if not cert.passed:
             code = 4
-    rows = _iteration_rows(report)
-    return results, [["iteration", "residual", "volume_drift", "step_norm"]] + rows, code
+    return results, code
 
 
 def _cmd_kernel_demo(args):
@@ -272,7 +265,7 @@ def _cmd_kernel_demo(args):
         "full_min_singular_value": full_sv,
         "collapse_ratio": full_sv / even_sv if even_sv > 0 else float("inf"),
     }
-    return results, None, 0
+    return results, 0
 
 
 def _cmd_sweep(args):
@@ -281,13 +274,11 @@ def _cmd_sweep(args):
     cfg = _solver_config(args)
     direction = mode_field(zonal_basis(args.n, cfg.mode_cutoff), args.mode, 1.0)
     runs = continuation_sweep(sf, direction, amplitudes, args.k, cfg)
-    entries = []
-    rows = [["amplitude", "iteration", "residual", "volume_drift", "step_norm"]]
-    for amp, report in runs:
-        entries.append({"amplitude": amp, **_report_summary(report)})
-        rows.extend(_iteration_rows(report, amplitude=amp))
+    entries = [
+        {"amplitude": amp, **_report_summary(report), "iterations": _iteration_records(report)} for amp, report in runs
+    ]
     converged = all(e["status"] == "converged" for e in entries)
-    return {"runs": entries, "all_converged": converged}, rows, 0 if converged else 3
+    return {"runs": entries, "all_converged": converged}, 0 if converged else 3
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +288,6 @@ def _cmd_sweep(args):
 
 def _add_output_flags(sub):
     sub.add_argument("--output", help="also write the report to this path")
-    sub.add_argument(
-        "--format",
-        choices=("json", "csv"),
-        default="json",
-        help="format of --output (csv holds the iteration history; solve/solve-g/sweep only)",
-    )
 
 
 def _add_solver_flags(sub):
@@ -412,16 +397,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_report(args, report: dict, csv_rows) -> None:
+def _write_report(args, report: dict) -> None:
     text = _dumps(report)
     sys.stdout.write(text)
-    if not args.output:
-        return
-    if args.format == "csv":
-        with open(args.output, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerows(csv_rows)
-    else:
+    if args.output:
         with open(args.output, "w") as handle:
             handle.write(text)
 
@@ -432,22 +411,18 @@ def main(argv=None) -> int:
     inputs = {
         key: val
         for key, val in vars(args).items()
-        if key not in ("func", "command", "output", "format") and val is not None
+        if key not in ("func", "command", "output") and val is not None
     }
     base = {"schema": 1, "command": args.command, "inputs": inputs}
     try:
-        if args.format == "csv" and not args.output:
-            raise ValueError("--format csv needs --output")
-        if args.format == "csv" and args.command not in _CSV_COMMANDS:
-            raise ValueError(f"csv output is only available for: {', '.join(_CSV_COMMANDS)}")
-        results, csv_rows, code = args.func(args)
+        results, code = args.func(args)
     except ValueError as exc:
         # NondegeneracyViolated lands here too; both are parameter problems
         report = dict(base, error={"type": type(exc).__name__, "message": str(exc)})
         sys.stdout.write(_dumps(report))
         return 2
     report = dict(base, results=results)
-    _write_report(args, report, csv_rows)
+    _write_report(args, report)
     return code
 
 

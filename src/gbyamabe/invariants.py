@@ -48,7 +48,7 @@ from itertools import permutations
 
 import numpy as np
 
-from ._validate import check_integer
+from ._validate import check_integer, check_power
 from .forms import (
     DoubleForm,
     _metric_frame,
@@ -403,5 +403,5 @@ def space_form_invariant(n: int, k: int, mu: float) -> float:
     """Closed-form order-2k invariant of the curvature-mu space form:
     (A + B) mu^k = n! / ((n-2k)! 2^k) mu^k (_two_block_coefficients)."""
     _check_order(n, k)
-    return sum(_two_block_coefficients(n, k)) * float(mu) ** k
+    return sum(_two_block_coefficients(n, k)) * check_power("curvature", mu, k)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validate import check_nonzero, check_positive
+from ._validate import check_nonzero, check_positive, check_power
 from .forms import check_dense_dim
 from .invariants import _two_block_coefficients, check_problem_order, invariant_constants
 from .spaceform import (
@@ -71,6 +71,7 @@ class LinearizationConstants:
 def constants(n: int, k: int, mu: float) -> LinearizationConstants:
     check_problem_order(n, k)
     check_nonzero("background curvature", mu)
+    check_power("background curvature", mu, k)
     B = _two_block_coefficients(n, k)[1]
     return LinearizationConstants(
         n=n,

@@ -15,10 +15,11 @@ solution by the Kazdan-Warner identity (Ann. of Math. 101, 1975). The
 pointwise residual that decides convergence still sees it.
 
 The pointwise invariant comes from the two-block closed form
-(spaceform._two_block_values) at every order but k = 2, which still runs the
-dense double-form evaluator _gb_values. The Jacobian is assembled by batched
-central differences in one curvature evaluation per iteration (the column
-for c is analytic). Every step is one square solve through the SVD of the
+(spaceform._two_block_values) everywhere but at k = 2 with n at most
+forms.DENSE_DIM_LIMIT, where the solver still runs the dense double-form
+evaluator _gb_values. The Jacobian is assembled by batched central
+differences in one curvature evaluation per iteration (the column for c is
+analytic). Every step is one square solve through the SVD of the
 Jacobian; a singular value below 1e-10 of the largest stops the solve with
 the singular_jacobian status on either quotient. sphere_kernel_demo builds
 the ungauged full window of the sphere to show the kernel the gauge removes.
@@ -38,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._validate import check_count, check_integer, check_positive
+from .forms import DENSE_DIM_LIMIT
 from .invariants import check_problem_order, space_form_invariant
 from .linearization import LinearFunctional, generalized_constants
 from .spaceform import (
@@ -160,8 +162,9 @@ def _phi_grids(basis: ZonalBasis, modes: np.ndarray):
 def _combined_values(sf: SpaceForm, weights, basis, vals, dv, ddv):
     total = None
     for k in sorted(weights):
-        # k = 2 stays dense for test_tracer_accounts_for_op_time_and_restores_the_package (ROADMAP item 1)
-        evaluate = _gb_values if k == 2 else _two_block_values
+        # k = 2 stays dense for test_tracer_accounts_for_op_time_and_restores_the_package (ROADMAP item 1),
+        # but only within the dense oracles' memory bound
+        evaluate = _gb_values if k == 2 and sf.n <= DENSE_DIM_LIMIT else _two_block_values
         part = weights[k] * evaluate(sf.n, sf.curvature, k, basis, vals, dv, ddv)
         total = part if total is None else total + part
     return total

@@ -149,7 +149,8 @@ def _sphere_factor(quotient: str, m: int, curvature: float, power: int) -> float
 def space_form(n: int, curvature: float, quotient: str = REAL_PROJECTIVE) -> SpaceForm:
     """Validated SpaceForm constructor. n is an integer of at least 5 and
     the curvature is finite: positive on the spherical quotients, which
-    compute their reference volume, negative on the synthetic hyperbolic
+    compute their reference volume and refuse an (n, curvature) where it is
+    not a finite positive float, negative on the synthetic hyperbolic
     quotient, which has none."""
     n = check_count("dimension", n, 5)
     if quotient not in _QUOTIENTS:
@@ -158,7 +159,12 @@ def space_form(n: int, curvature: float, quotient: str = REAL_PROJECTIVE) -> Spa
     if quotient in GRID_PARITY:
         if curvature <= 0:
             raise ValueError(f"{quotient} requires positive curvature")
-        vol = _sphere_factor(quotient, n + 1, curvature, n)
+        try:
+            vol = _sphere_factor(quotient, n + 1, curvature, n)
+        except OverflowError:
+            vol = math.inf
+        if not (math.isfinite(vol) and vol > 0):
+            raise ValueError(f"dimension {n} and curvature {curvature} give no finite positive reference volume")
         return SpaceForm(n=n, curvature=float(curvature), quotient=quotient, reference_volume=vol)
     if curvature >= 0:
         raise ValueError("synthetic hyperbolic quotient requires negative curvature")

@@ -1,7 +1,8 @@
 """Mutation sweep of the solver's honesty checks, the closed-form constants,
-the dense evaluator's memory bound, the product kernel's signs, the
-normalization of the exterior powers behind every frame change and the
-background curvature of the conformal pipeline.
+the dense evaluator's memory bound and the solver's use of it, the product
+kernel's signs, the normalization of the exterior powers behind every frame
+change, the background curvature of the conformal pipeline and the
+refusals of curvatures whose volume or power leaves the floats.
 
 Each mutant is a one-line edit of a gate, a bound or a reported number. For
 each, the sweep copies the repository to a temporary directory, applies the
@@ -33,6 +34,7 @@ NEWTON = "src/gbyamabe/newton.py"
 SPACEFORM = "src/gbyamabe/spaceform.py"
 INVARIANTS = "src/gbyamabe/invariants.py"
 FORMS = "src/gbyamabe/forms.py"
+VALIDATE = "src/gbyamabe/_validate.py"
 
 # (name, file, old text, new text, why); each old text occurs once in its file
 MUTANTS = [
@@ -154,6 +156,27 @@ MUTANTS = [
         "((mu / 2) * _metric_square(n) - gT)",
         "(mu * _metric_square(n) - gT)",
         "the conformal pipeline starts from twice the space form's curvature operator",
+    ),
+    (
+        "dense-k2-unbounded",
+        NEWTON,
+        "evaluate = _gb_values if k == 2 and sf.n <= DENSE_DIM_LIMIT else _two_block_values",
+        "evaluate = _gb_values if k == 2 else _two_block_values",
+        "the solver runs the dense k = 2 path above the dense oracles' memory bound",
+    ),
+    (
+        "reference-volume-unchecked",
+        SPACEFORM,
+        "        if not (math.isfinite(vol) and vol > 0):\n",
+        "        if False:\n",
+        "a space form whose reference volume overflows or underflows is built",
+    ),
+    (
+        "power-overflow-unchecked",
+        VALIDATE,
+        "    if not math.isfinite(power):\n",
+        "    if False:\n",
+        "a curvature whose k-th power overflows gives an infinite closed form",
     ),
 ]
 

@@ -1,7 +1,7 @@
-"""CLI: exit codes, JSON report shape, CSV output, determinism."""
+"""CLI: exit codes, JSON report shape, iteration records, determinism."""
 
 import argparse
-import csv
+import dataclasses
 import json
 import os
 import re
@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import gbyamabe
-from gbyamabe import cli, forms, invariants, spaceform
+from gbyamabe import forms, invariants, spaceform
 from gbyamabe.cli import build_parser, main
 
 
@@ -170,6 +170,14 @@ def test_spectrum_command(capsys):
         (["verify-linearization", "--n", "5", "--k", "2", "--max-relerr", "nan"], "max_relerr must be finite"),
         (["verify-linearization", "--n", "5", "--k", "2", "--max-relerr", "-1"], "max_relerr must be finite"),
         (["verify-linearization", "--n", "5", "--k", "2", "--eps", "nan"], "eps must be finite and positive"),
+        (["solve", "--format", "csv"], "unrecognized arguments: --format csv"),
+        (["invariants", "--n", "5", "--k", "2", "--mu", "1e200"], "curvature 1e+200 overflows when raised to the power 2"),
+        (["spectrum", "--n", "5", "--mu", "1e-320"], "curvature 1e-320 give no finite positive reference volume"),
+        (["spectrum", "--n", "100000000"], "dimension 100000000 and curvature 1.0 give no finite positive"),
+        (["kernel-demo", "--n", "5", "--k", "2", "--mu", "1e-300"], "curvature 1e-300 give no finite positive"),
+        (["verify-linearization", "--n", "5", "--k", "2", "--mu", "1e-300"], "curvature 1e-300 give no finite positive"),
+        (["solve", "--n", "5", "--k", "2", "--coeffs", "2:0.05", "--mu", "1e-300"], "curvature 1e-300 give no finite"),
+        (["solve", "--n", "5", "--k", "2", "--mu", "1e300", "--amp", "0.01"], "curvature 1e+300 give no finite positive"),
     ],
     ids=[
         "solve-mu-inf",
@@ -195,6 +203,14 @@ def test_spectrum_command(capsys):
         "verify-linearization-max-relerr-nan",
         "verify-linearization-max-relerr-negative",
         "verify-linearization-eps-nan",
+        "solve-format-csv",
+        "invariants-mu-power-overflow",
+        "spectrum-volume-overflow",
+        "spectrum-n-volume-overflow",
+        "kernel-demo-volume-overflow",
+        "verify-linearization-volume-overflow",
+        "solve-volume-overflow",
+        "solve-volume-underflow",
     ],
 )
 def test_non_finite_or_undeclarable_parameters_exit_2(capsys, argv, message):
@@ -361,15 +377,30 @@ def test_sweep_refuses_a_large_amplitude_before_any_solve(capsys, monkeypatch):
     }
 
 
-def test_csv_output(tmp_path, capsys):
-    target = tmp_path / "history.csv"
-    code, report = run_cli(capsys, ["solve", "--output", str(target), "--format", "csv"])
+def _library_records(report):
+    return [{"iteration": i, **dataclasses.asdict(rec)} for i, rec in enumerate(report.iterations)]
+
+
+def test_iteration_records_match_the_library(capsys):
+    # solve and every sweep run report each Newton iteration with all of its
+    # fields, as floats equal to the library's
+    sf = gbyamabe.space_form(5, 1.0, gbyamabe.REAL_PROJECTIVE)
+    basis = gbyamabe.zonal_basis(5, gbyamabe.SolverConfig().mode_cutoff)
+    code, report = run_cli(capsys, ["solve", "--coeffs", "2:0.03,4:0.01"])
     assert code == 0
-    with open(target, newline="") as handle:
-        rows = list(csv.reader(handle))
-    assert rows[0] == ["iteration", "residual", "volume_drift", "step_norm"]
-    assert len(rows) == report["results"]["steps"] + 2
-    assert rows[1][0] == "0"
+    modes = [0.0] * (basis.max_mode + 1)
+    modes[2], modes[4] = 0.03, 0.01
+    psi = gbyamabe.field_from_modes(basis, modes, parity="even")
+    expected = gbyamabe.newton_solve(sf, psi, 2)
+    assert report["results"]["steps"] == expected.steps > 0
+    assert report["results"]["iterations"] == _library_records(expected)
+    amplitudes = [0.0, 0.02, 0.04, 0.06]
+    code, report = run_cli(capsys, ["sweep", "--amplitudes", ",".join(map(str, amplitudes))])
+    assert code == 0
+    runs = gbyamabe.continuation_sweep(sf, gbyamabe.mode_field(basis, 2, 1.0), amplitudes, 2)
+    assert [entry["amplitude"] for entry in report["results"]["runs"]] == amplitudes
+    assert [entry["iterations"] for entry in report["results"]["runs"]] == [_library_records(r) for _, r in runs]
+    assert any(entry["steps"] > 0 for entry in report["results"]["runs"])
 
 
 def test_json_output_file_matches_stdout(tmp_path, capsys):
@@ -378,26 +409,6 @@ def test_json_output_file_matches_stdout(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert target.read_text() == out
-
-
-def test_csv_needs_output_path(capsys):
-    code, report = run_cli(capsys, ["solve", "--format", "csv"])
-    assert code == 2
-    assert "--output" in report["error"]["message"]
-
-
-def test_csv_limited_to_iterative_commands(tmp_path, capsys, monkeypatch):
-    # refused before the handler runs, not after it has computed everything
-    ran = []
-    for handler in ("_cmd_spectrum", "_cmd_invariants"):
-        monkeypatch.setattr(cli, handler, lambda args, handler=handler: ran.append(handler) or ({}, None, 0))
-    target = tmp_path / "bad.csv"
-    for argv in (["spectrum", "--n", "5"], ["invariants", "--n", "5", "--k", "2"]):
-        code, report = run_cli(capsys, [*argv, "--format", "csv", "--output", str(target)])
-        assert code == 2
-        assert "csv output is only available" in report["error"]["message"]
-        assert not target.exists()
-    assert ran == []
 
 
 def test_reports_are_byte_identical(capsys):

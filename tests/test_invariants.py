@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from functools import lru_cache
@@ -78,6 +79,14 @@ def test_space_form_invariant_formula():
     for n, k, mu in [(5, 2, 1.0), (6, 2, -2.0), (7, 3, 0.5), (8, 2, 1.0)]:
         expected = math.factorial(n) / (math.factorial(n - 2 * k) * 2**k) * mu**k
         assert space_form_invariant(n, k, mu) == pytest.approx(expected, rel=0)
+
+
+@pytest.mark.parametrize("mu", [1e200, -1e200])
+def test_space_form_invariant_refuses_a_curvature_whose_power_overflows(mu):
+    message = f"curvature {mu} overflows when raised to the power 2"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        space_form_invariant(5, 2, mu)
+    assert math.isfinite(space_form_invariant(5, 2, 1e150))
 
 
 def test_gauss_bonnet_k1_is_half_scalar_curvature():

@@ -1,6 +1,7 @@
 """Linearization constants, finite-difference checks, generalized functionals."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -78,6 +79,14 @@ def test_constants_refuse_a_curvature_that_is_not_finite(mu):
     # a NaN curvature used to pass the nonzero check and return NaN constants
     with pytest.raises(ValueError, match=f"^background curvature must be finite, got {mu}$"):
         constants(7, 3, mu)
+
+
+@pytest.mark.parametrize("mu", [1e200, -1e200])
+def test_constants_refuse_a_curvature_whose_power_overflows(mu):
+    # the invariant scales with mu^k, so a mu whose k-th power leaves the floats is refused
+    message = f"background curvature {mu} overflows when raised to the power 2"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        constants(5, 2, mu)
 
 
 def test_max_order():

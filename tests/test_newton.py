@@ -30,6 +30,7 @@ from gbyamabe import (
     volume,
     zonal_basis,
 )
+from gbyamabe.forms import DENSE_DIM_LIMIT
 from gbyamabe.spaceform import _reflect_field
 
 
@@ -435,6 +436,24 @@ def test_order_3_solve_runs_no_dense_evaluation(monkeypatch):
     phi = field_from_modes(psi.basis, psi.modes + report.w.modes, parity="even")
     field = gb_field(conformal_metric(sf, phi), 3, "conformal")
     assert np.abs(field.values - report.achieved_constant).max() <= 1e-9
+
+
+def test_order_2_solve_above_the_dense_bound_runs_no_dense_evaluation(monkeypatch):
+    # the dense k = 2 path holds C(n, 4) * 36 entries per node, so the solver
+    # keeps it within the dense oracles' bound and uses the closed form above
+    from gbyamabe import spaceform
+
+    def dense(*args):
+        raise AssertionError("the solver evaluated the invariant densely")
+
+    n = DENSE_DIM_LIMIT + 1
+    sf = space_form(n, 1.0, REAL_PROJECTIVE)
+    psi = default_psi(amp=0.02, n=n)
+    with monkeypatch.context() as patch:
+        patch.setattr(spaceform, "_gb_chunk", dense)
+        report = newton_solve(sf, psi, 2)
+        cert = fixed_point_certificate(sf, psi, report, k=2)
+    assert report.status == "converged" and cert.passed
 
 
 def test_fixed_point_certificate_flags_wrong_constant():

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -321,6 +322,18 @@ def test_hyperbolic_quotient_needs_no_spectral_data(n, mu):
 def test_space_form_refuses_non_integer_dimensions(n, message):
     with pytest.raises(ValueError, match=message):
         space_form(n, 1.0, REAL_PROJECTIVE)
+
+
+@pytest.mark.parametrize(
+    "n, mu, quotient",
+    [(5, 1e-300, REAL_PROJECTIVE), (5, 1e300, FULL_SPHERE), (100_000_000, 1.0, REAL_PROJECTIVE)],
+    ids=["volume-overflow", "volume-underflow", "sphere-constant-overflow"],
+)
+def test_space_form_refuses_a_reference_volume_outside_the_floats(n, mu, quotient):
+    # an infinite volume used to raise OverflowError, and a zero one to divide by zero in the solver
+    message = f"dimension {n} and curvature {mu} give no finite positive reference volume"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        space_form(n, mu, quotient)
 
 
 def test_space_form_accepts_numpy_integer_dimensions():
