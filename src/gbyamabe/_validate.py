@@ -1,7 +1,8 @@
 """The argument rules every module shares, each stated once: integers and
 counts (bools refused), finite positive numbers (steps, radii, thresholds,
 solver tolerances), finite non-negative verification tolerances, finite
-nonzero curvatures and curvature powers that stay finite. Each raises
+nonzero curvatures, and curvatures whose closed forms (a coefficient times
+a power of the curvature) stay finite. Each raises
 ValueError naming the argument."""
 
 import math
@@ -36,15 +37,24 @@ def check_nonzero(name: str, value: float):
         raise ValueError(f"{name} must be nonzero")
 
 
-def check_power(name: str, value: float, k: int) -> float:
-    """float(value) ** k, refusing a value whose k-th power overflows."""
+def check_power(name: str, value: float, k: int, coefficient: float = 1) -> float:
+    """coefficient * float(value) ** k, a closed form that scales with the
+    k-th power of a curvature: refuses the curvature when its power, or the
+    power times the coefficient (an integer or a float), is not a finite
+    float."""
     try:
         power = float(value) ** k
     except OverflowError:
         power = math.inf
     if not math.isfinite(power):
         raise ValueError(f"{name} {value} overflows when raised to the power {k}")
-    return power
+    try:
+        scaled = coefficient * power
+    except OverflowError:
+        scaled = math.inf
+    if not math.isfinite(scaled):
+        raise ValueError(f"{name} {value} overflows when its power {k} is scaled by a closed-form coefficient")
+    return scaled
 
 
 def check_tolerance(name: str, value: float):

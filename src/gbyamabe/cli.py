@@ -160,15 +160,17 @@ def _cmd_invariants(args):
     check_dense_dim("--n", args.n)
     check_tolerance("tol", args.tol)
     check_nonzero("background curvature", args.mu)
-    mu_k = check_power("background curvature", args.mu, args.k)
+    # every closed form the report carries refuses a curvature that takes it
+    # out of the floats (check_power), before any dense evaluation
+    consts = invariant_constants(args.n, args.k)
+    ricci_closed = check_power("background curvature", args.mu, args.k, consts.ricci_coefficient)
+    closed = space_form_invariant(args.n, args.k, args.mu)
+    lin = linearization_constants(args.n, args.k, args.mu) if args.k <= max_order(args.n) else None
     g = standard_metric(args.n)
     R = space_form_curvature(args.n, args.mu)
     measured = gauss_bonnet(R, g, args.k)
-    closed = space_form_invariant(args.n, args.k, args.mu)
-    consts = invariant_constants(args.n, args.k)
     ricci = ricci_2k(R, g, args.k)
     ricci_factor = float(np.trace(ricci.coeffs)) / args.n
-    ricci_closed = consts.ricci_coefficient * mu_k
     results = {
         "gauss_bonnet": measured,
         "closed_form": closed,
@@ -178,8 +180,7 @@ def _cmd_invariants(args):
         "base_coefficient": consts.base_coefficient,
         "ricci_coefficient": consts.ricci_coefficient,
     }
-    if args.k <= max_order(args.n):
-        lin = linearization_constants(args.n, args.k, args.mu)
+    if lin is not None:
         results["tensor_coefficient"] = lin.tensor_coefficient
         results["conformal_coefficient"] = lin.conformal_coefficient
     scale = max(1.0, abs(closed))

@@ -18,10 +18,12 @@ Conventions (fixed once, relied on everywhere):
   exact adjoints; the test suite checks this rather than assuming it.
 - Every metric argument (contract here, gauss_bonnet and ricci_2k in
   invariants) obeys one rule, _metric_frame: a symmetric positive definite
-  (1,1) form in the dimension of the other argument. A non-identity metric
-  goes through an explicit g-orthonormal frame E (Cholesky by default):
-  transform in, work there, transform back. The result is frame
-  independent and the tests exercise that too.
+  (1,1) form in the dimension of the other argument. The standard metric
+  needs no frame: the rule recognizes the cached standard_metric instance
+  by identity, and any other identity matrix by comparing entries. A
+  non-identity metric goes through an explicit g-orthonormal frame E
+  (Cholesky by default): transform in, work there, transform back. The
+  result is frame independent and the tests exercise that too.
 - A frame change is itself a product (_to_frame): on a (p, q) form it
   applies the p-th and q-th exterior powers of E, and the p-th power is the
   product of p copies of E as a (1,1) form divided by p! (_exterior_power).
@@ -46,9 +48,10 @@ indexing.insertion_tables) and sums over the n directions in one reduction
 (_signed_gather_sum, which invariants.ricci_2k shares). The cached plans
 hold their index tables C-contiguous and writeable, so np.take reads them
 without a copy. The kernels build their intermediates in buffers kept per
-thread (_work_array), and so does invariants.gauss_bonnet_coeffs for its
-diagonal blocks, so that repeated calls fault in no fresh memory pages, up
-to _WORK_RETAIN entries. spaceform sizes its grid chunks by its own rule
+thread (_work_array), and so do invariants.gauss_bonnet_coeffs for its
+diagonal blocks and invariants.raw_kronecker_sum for its factors, so that
+repeated calls fault in no fresh memory pages, up to _WORK_RETAIN
+entries. spaceform sizes its grid chunks by its own rule
 (spaceform._GATHER_BUDGET).
 DENSE_DIM_LIMIT bounds the dimension of the dense algebra's oracles, and
 check_dense_dim is the one rule that applies it.
@@ -105,7 +108,7 @@ class DoubleForm:
                 f"bidegree {(self.p, self.q)} in dimension {self.dim}, "
                 f"expected {expect}"
             )
-        if not np.all(np.isfinite(self.coeffs)):
+        if not np.isfinite(self.coeffs).all():
             raise ValueError("coefficients must be finite")
 
 
@@ -182,8 +185,11 @@ def _metric_frame(g: DoubleForm, dim: int, frame: np.ndarray | None = None) -> n
         raise ValueError("metric must have bidegree (1,1)")
     if g.dim != dim:
         raise ValueError(f"dimension mismatch: {g.dim} vs {dim}")
-    G, eye = g.coeffs, standard_metric(dim).coeffs
-    if frame is None and np.array_equal(G, eye):
+    standard = standard_metric(dim)
+    G, eye = g.coeffs, standard.coeffs
+    # most callers pass the cached instance, which identity recognizes
+    # without comparing entries
+    if frame is None and (g is standard or np.array_equal(G, eye)):
         return None
     if not _is_symmetric(G, 1e-12):
         raise ValueError("metric is not symmetric")
@@ -276,7 +282,8 @@ def _work_array(slot: int, shape: tuple[int, ...]) -> np.ndarray:
     Y in 3, the column gather in 4);
     5 and 6, _signed_gather_sum; 0 and 1 again, the diagonal-block gathers
     of invariants.gauss_bonnet_coeffs, taken only after its products have
-    returned.
+    returned; 0 again, the factor gather of invariants.raw_kronecker_sum,
+    which calls no kernel.
     """
     size = math.prod(shape)
     if size > _WORK_RETAIN:

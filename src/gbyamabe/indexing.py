@@ -7,8 +7,8 @@ tables behind the wedge-type product and the insertion tables behind
 contraction (frame changes are products: forms._to_frame). It is the one
 owner of ranks and signs: every sign of a split or an insertion comes from
 merge_sign, and the other modules read these tables instead of rebuilding
-them (invariants.raw_kronecker_sum reads its pair ranks from
-insertion_tables(n, 1)).
+them (invariants._kronecker_plan, the cached gather plan of
+raw_kronecker_sum, reads its pair ranks from insertion_tables(n, 1)).
 
 All tables are cached per (n, degree) signature. split_tables lists the
 splits of each (p+r)-combination as one contiguous run, so a product sums
@@ -17,11 +17,14 @@ alone picks between the general plan and a square's half of each run), and
 the invariant's trace reads the diagonal blocks of a product from the same
 runs; its three arrays hold C(n, p+r) C(p+r, p) entries each (1260 for the
 (4,2) split at n = 9). insertion_tables holds C(n, p) n entries per array
-and feeds two cached gather plans: forms.contract_coeffs expands a pair of
-them into a table of n entries (one per direction) per coefficient of one
-contraction, and invariants.ricci_2k expands the table of degree 2k - 1,
+and feeds three cached gather plans: forms.contract_coeffs expands a pair
+of them into a table of n entries (one per direction) per coefficient of
+one contraction, invariants.ricci_2k expands the table of degree 2k - 1,
 with row and direction swapped, into a table of C(n, 2k - 1) entries (one
-per (2k - 1)-set) per coefficient of 2k - 1 contractions at once. What
+per (2k - 1)-set) per coefficient of 2k - 1 contractions at once, and
+invariants.raw_kronecker_sum ranks by the table of degree 1 the k pairs
+of every orbit term of every 2k-combination (28,350 entries at n = 7,
+k = 3, the largest the Kronecker route admits). What
 grows with n and k is the arrays the kernels gather through these tables,
 which the forms work buffers keep from faulting in fresh pages and
 spaceform bounds per grid chunk (spaceform._GATHER_BUDGET).

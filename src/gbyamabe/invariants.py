@@ -17,7 +17,9 @@ Two independent evaluation routes are kept deliberately separate:
   spaceform's chunk rule (spaceform._GATHER_BUDGET); and
 - the generalized-Kronecker-delta route: enumeration of index tuples with
   antisymmetrized signs, summing each orbit of 4^k k! equal terms once
-  (factorial cost, the oracle path, guarded to n <= 7). The raw sum counts
+  (factorial cost, the oracle path, guarded to n <= 7). Every factor of
+  every orbit term is read in one gather through a plan cached per (n, k)
+  (_kronecker_plan), like the trace route's tables. The raw sum counts
   every term of tr(R^k) 4^k times (gauss_bonnet_kronecker says why), so
   the route divides by that closed-form constant and takes no scale from
   the trace route it checks.
@@ -326,6 +328,28 @@ def _pair_orbits(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     return out
 
 
+@lru_cache(maxsize=None)
+def _kronecker_plan(n: int, k: int) -> np.ndarray:
+    """Flat ranks into R's C(n,2)^2 coefficients of every factor of every
+    orbit term of raw_kronecker_sum, shaped (k, C(n,2k), |sigma|, |tau|):
+    entry [t, M, s, u] reads R at the pair t of sigma s against the pair t
+    of tau u on the 2k-combination M (_pair_orbits), each pair ranked by
+    insertion_tables(n, 1). Factor-major, so each factor is one contiguous
+    slice. C-contiguous and left writeable: np.take copies any other index
+    array on every call."""
+    # entry [a, b]: the rank of the pair {a, b} (a dummy 0 where a == b)
+    rank2 = insertion_tables(n, 1)[0]
+    combos = np.array(index_tuples(n, 2 * k), dtype=np.intp)
+    sigma, _, tau, _ = _pair_orbits(2 * k)
+
+    def pair_ranks(perms):
+        elems = combos[:, perms]  # (combinations, permutations, 2k)
+        return np.moveaxis(rank2[elems[..., 0::2], elems[..., 1::2]], -1, 0)
+
+    rs, rt = pair_ranks(sigma), pair_ranks(tau)
+    return np.ascontiguousarray(rs[:, :, :, None] * num_indices(n, 2) + rt[:, :, None, :])
+
+
 def raw_kronecker_sum(R: DoubleForm, k: int) -> float:
     """Raw generalized-Kronecker-delta sum of order 2k.
 
@@ -335,25 +359,23 @@ def raw_kronecker_sum(R: DoubleForm, k: int) -> float:
     term is unchanged by reversing a pair of either tuple (both signs flip)
     and by permuting the k pairs of both tuples together, so every orbit of
     4^k k! terms is summed once: sigma over the tuples made of increasing
-    pairs, tau over the pair partitions, all index sets in one gather.
-    Guarded to n <= 7 (factorial growth).
+    pairs, tau over the pair partitions, all index sets in one gather
+    through the cached plan (_kronecker_plan) into forms._work_array slot
+    0, whose k factor slices are multiplied in place. Guarded to n <= 7
+    (factorial growth).
     """
     _validate_curvature(R)
     n = R.dim
     if n > KRONECKER_DIM_LIMIT:
         raise ValueError(f"Kronecker enumeration is limited to n <= {KRONECKER_DIM_LIMIT}, got {n}")
     _check_order(n, k)
-    # entry [a, b]: the rank of the pair {a, b} (a dummy 0 where a == b)
-    rank2 = insertion_tables(n, 1)[0]
-    combos = np.array(index_tuples(n, 2 * k), dtype=np.intp)
-    sigma, sigma_sign, tau, tau_sign = _pair_orbits(2 * k)
-
-    def pair_ranks(perms):
-        elems = combos[:, perms]  # (combinations, permutations, 2k)
-        return rank2[elems[..., 0::2], elems[..., 1::2]]
-
-    rs, rt = pair_ranks(sigma), pair_ranks(tau)
-    terms = R.coeffs[rs[:, :, None, :], rt[:, None, :, :]].prod(axis=-1)
+    plan = _kronecker_plan(n, k)
+    _, sigma_sign, _, tau_sign = _pair_orbits(2 * k)
+    # mode="clip" writes straight into out; the ranks are in range by construction
+    factors = np.take(R.coeffs, plan, out=_work_array(0, plan.shape), mode="clip")
+    terms = factors[0]
+    for factor in factors[1:]:
+        np.multiply(terms, factor, out=terms)
     return float(4**k * math.factorial(k) * (sigma_sign @ terms.sum(axis=0) @ tau_sign))
 
 
@@ -403,5 +425,5 @@ def space_form_invariant(n: int, k: int, mu: float) -> float:
     """Closed-form order-2k invariant of the curvature-mu space form:
     (A + B) mu^k = n! / ((n-2k)! 2^k) mu^k (_two_block_coefficients)."""
     _check_order(n, k)
-    return sum(_two_block_coefficients(n, k)) * check_power("curvature", mu, k)
+    return check_power("curvature", mu, k, sum(_two_block_coefficients(n, k)))
 

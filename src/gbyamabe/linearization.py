@@ -78,8 +78,8 @@ def constants(n: int, k: int, mu: float) -> LinearizationConstants:
         k=k,
         mu=float(mu),
         base_coefficient=invariant_constants(n, k).base_coefficient,
-        tensor_coefficient=B / (2 * (n - 1)) * float(mu) ** (k - 1),
-        conformal_coefficient=B / 2 * float(mu) ** (k - 1),
+        tensor_coefficient=check_power("background curvature", mu, k - 1, B / (2 * (n - 1))),
+        conformal_coefficient=check_power("background curvature", mu, k - 1, B / 2),
     )
 
 

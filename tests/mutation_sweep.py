@@ -1,8 +1,9 @@
 """Mutation sweep of the solver's honesty checks, the closed-form constants,
 the dense evaluator's memory bound and the solver's use of it, the product
 kernel's signs, the normalization of the exterior powers behind every frame
-change, the background curvature of the conformal pipeline and the
-refusals of curvatures whose volume or power leaves the floats.
+change, the background curvature of the conformal pipeline, the refusals
+of curvatures whose volume or power leaves the floats, the signs and
+factors of the Kronecker route and the metric rule's standard metric.
 
 Each mutant is a one-line edit of a gate, a bound or a reported number. For
 each, the sweep copies the repository to a temporary directory, applies the
@@ -172,11 +173,39 @@ MUTANTS = [
         "a space form whose reference volume overflows or underflows is built",
     ),
     (
+        "kronecker-tau-sign",
+        INVARIANTS,
+        "(sigma_sign @ terms.sum(axis=0) @ tau_sign)",
+        "(sigma_sign @ terms.sum(axis=0).sum(axis=1))",
+        "the Kronecker route sums the pair partitions without their signs",
+    ),
+    (
+        "kronecker-factor",
+        INVARIANTS,
+        "    for factor in factors[1:]:\n",
+        "    for factor in factors[:-1]:\n",
+        "the Kronecker route multiplies factor 0 twice and drops the last factor",
+    ),
+    (
+        "metric-identity-by-dim",
+        FORMS,
+        "if frame is None and (g is standard or np.array_equal(G, eye)):",
+        "if frame is None and (g.dim == dim or np.array_equal(G, eye)):",
+        "every metric of the right dimension is taken for the standard one",
+    ),
+    (
         "power-overflow-unchecked",
         VALIDATE,
         "    if not math.isfinite(power):\n",
         "    if False:\n",
         "a curvature whose k-th power overflows gives an infinite closed form",
+    ),
+    (
+        "closed-form-overflow-unchecked",
+        VALIDATE,
+        "    if not math.isfinite(scaled):\n",
+        "    if False:\n",
+        "a curvature whose power is finite but whose closed form overflows gives an infinite closed form",
     ),
 ]
 

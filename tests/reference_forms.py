@@ -153,3 +153,34 @@ def brute_kronecker_sum(n: int, k: int, R_coeffs: np.ndarray) -> float:
                     term *= dense[left[2 * t], left[2 * t + 1], right[2 * t], right[2 * t + 1]]
                 total += term
     return total
+
+
+def orbit_kronecker_sum(n: int, k: int, R_coeffs: np.ndarray) -> float:
+    """The raw Kronecker sum over orbit representatives, by one broadcast
+    fancy index per call on tables built here.
+
+    sigma runs over the position permutations of range(2k) whose pairs
+    (2t, 2t+1) are increasing, tau over those that also sort the pairs by
+    first entry, both in the lexicographic order of itertools.permutations.
+    Every index set M and every (sigma, tau) gives the term sign(sigma)
+    sign(tau) prod_t R(pair t of sigma(M); pair t of tau(M)), read from the
+    ranked coefficients, and the orbit sum is 4^k k! times their total.
+    """
+    m = 2 * k
+    pair_rank = {pair: r for r, pair in enumerate(combinations(range(n), 2))}
+    sigma = [p for p in permutations(range(m)) if all(p[2 * t] < p[2 * t + 1] for t in range(k))]
+    tau = [p for p in sigma if all(p[2 * t] < p[2 * t + 2] for t in range(k - 1))]
+    combos = list(combinations(range(n), m))
+
+    def pair_ranks(perms):
+        # (combinations, permutations, k)
+        return np.array(
+            [[[pair_rank[(combo[p[2 * t]], combo[p[2 * t + 1]])] for t in range(k)] for p in perms] for combo in combos],
+            dtype=np.intp,
+        )
+
+    sigma_sign = np.array([float(perm_sign(p)) for p in sigma])
+    tau_sign = np.array([float(perm_sign(p)) for p in tau])
+    rs, rt = pair_ranks(sigma), pair_ranks(tau)
+    terms = R_coeffs[rs[:, :, None, :], rt[:, None, :, :]].prod(axis=-1)
+    return float(4**k * math.factorial(k) * (sigma_sign @ terms.sum(axis=0) @ tau_sign))

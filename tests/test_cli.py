@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -178,6 +179,9 @@ def test_spectrum_command(capsys):
         (["verify-linearization", "--n", "5", "--k", "2", "--mu", "1e-300"], "curvature 1e-300 give no finite positive"),
         (["solve", "--n", "5", "--k", "2", "--coeffs", "2:0.05", "--mu", "1e-300"], "curvature 1e-300 give no finite"),
         (["solve", "--n", "5", "--k", "2", "--mu", "1e300", "--amp", "0.01"], "curvature 1e+300 give no finite positive"),
+        (["invariants", "--n", "10", "--k", "4", "--mu", "1e77"], "background curvature 1e+77 overflows when its power 4"),
+        (["invariants", "--n", "10", "--k", "4", "--mu", "5.6e75"], "background curvature 5.6e+75 overflows when its"),
+        (["invariants", "--n", "10", "--k", "1", "--mu", "1e307"], "curvature 1e+307 overflows when its power 1"),
     ],
     ids=[
         "solve-mu-inf",
@@ -211,6 +215,9 @@ def test_spectrum_command(capsys):
         "verify-linearization-volume-overflow",
         "solve-volume-overflow",
         "solve-volume-underflow",
+        "invariants-closed-form-overflow",
+        "invariants-ricci-constant-overflow",
+        "invariants-k1-invariant-overflow",
     ],
 )
 def test_non_finite_or_undeclarable_parameters_exit_2(capsys, argv, message):
@@ -221,11 +228,19 @@ def test_non_finite_or_undeclarable_parameters_exit_2(capsys, argv, message):
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
         return
-    code, report = run_cli(capsys, argv)
+    # refused before any evaluation that could overflow: no numpy warning,
+    # nothing on stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
     assert code == 2
     assert "results" not in report
     assert report["error"]["type"] == "ValueError"
     assert message in report["error"]["message"]
+    assert captured.err == ""
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize("k", [2, 3])

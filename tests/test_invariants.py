@@ -47,7 +47,14 @@ from gbyamabe.invariants import (
     gauss_bonnet_gather_entries,
 )
 
-from reference_forms import brute_kronecker_sum, classical_ricci, classical_scalar, dense_pullback, two_block_invariant
+from reference_forms import (
+    brute_kronecker_sum,
+    classical_ricci,
+    classical_scalar,
+    dense_pullback,
+    orbit_kronecker_sum,
+    two_block_invariant,
+)
 
 
 def algebra_orders(max_n):
@@ -87,6 +94,13 @@ def test_space_form_invariant_refuses_a_curvature_whose_power_overflows(mu):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         space_form_invariant(5, 2, mu)
     assert math.isfinite(space_form_invariant(5, 2, 1e150))
+
+
+def test_space_form_invariant_refuses_a_curvature_whose_closed_form_overflows():
+    # mu^4 = 1e308 is a float, (A + B) mu^4 = 113400e308 is not
+    message = "curvature 1e+77 overflows when its power 4 is scaled by a closed-form coefficient"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        space_form_invariant(10, 4, 1e77)
 
 
 def test_gauss_bonnet_k1_is_half_scalar_curvature():
@@ -287,6 +301,20 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
+def _faults_in_child(script):
+    # the page faults the script prints, from a child with glibc's mmap
+    # threshold pinned at its default: frees of larger arrays raise it, so
+    # this process's history could hide fresh allocations
+    src = str(Path(invariants.__file__).resolve().parents[1])
+    env = dict(
+        os.environ,
+        MALLOC_MMAP_THRESHOLD_="131072",
+        PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    return int(proc.stdout)
+
+
 @pytest.mark.skipif(resource is None or not sys.platform.startswith("linux"), reason="counts Linux page faults")
 def test_repeated_k2_traces_fault_in_no_fresh_pages():
     # one RP^7 k = 2 Jacobian evaluates 864 matrices; each diagonal-block
@@ -297,14 +325,7 @@ def test_repeated_k2_traces_fault_in_no_fresh_pages():
     # therefore run in a child with the threshold pinned at glibc's default.
     pages = 864 * _trace_blocks(7, 1, 1)[0].size * 8 // 4096
     assert pages == 2126
-    src = str(Path(invariants.__file__).resolve().parents[1])
-    env = dict(
-        os.environ,
-        MALLOC_MMAP_THRESHOLD_="131072",
-        PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
-    )
-    proc = subprocess.run([sys.executable, "-c", _K2_TRACE_FAULTS], capture_output=True, text=True, env=env, check=True)
-    assert int(proc.stdout) < pages // 10
+    assert _faults_in_child(_K2_TRACE_FAULTS) < pages // 10
 
 
 def test_trace_route_matches_two_block_closed_form():
@@ -458,6 +479,64 @@ def test_raw_kronecker_sum_matches_brute_force():
             assert raw_kronecker_sum(R, k) == pytest.approx(
                 brute_kronecker_sum(n, k, R.coeffs), rel=1e-11
             )
+
+
+def test_kronecker_plan_matches_the_fancy_index_reference():
+    # the cached plan against one broadcast fancy index per call on tables
+    # the reference builds itself: the same products summed in the same
+    # order, so bit for bit
+    rng = np.random.default_rng(27)
+    for n, k in algebra_orders(7):
+        for _ in range(5):
+            R = random_curvature_like(n, rng)
+            assert raw_kronecker_sum(R, k) == orbit_kronecker_sum(n, k, R.coeffs), (n, k)
+
+
+def test_kronecker_plan_is_one_factor_major_take_table():
+    # (k, C(n,2k), |sigma|, |tau|) flat ranks into C(n,2)^2 coefficients,
+    # cached, C-contiguous and writeable (np.take copies any other index
+    # array on every call); the largest, at (7, 3), holds 28,350 ranks
+    for n, k in algebra_orders(7):
+        plan = invariants._kronecker_plan(n, k)
+        sigma, _, tau, _ = invariants._pair_orbits(2 * k)
+        assert plan.shape == (k, math.comb(n, 2 * k), len(sigma), len(tau))
+        assert plan.flags.writeable and plan.flags.c_contiguous
+        assert 0 <= plan.min() and plan.max() < math.comb(n, 2) ** 2
+        assert invariants._kronecker_plan(n, k) is plan
+    assert invariants._kronecker_plan(7, 3).size == 3 * 7 * 90 * 15 == 28350
+
+
+_KRONECKER_FAULTS = """
+import resource
+import numpy as np
+from gbyamabe import random_curvature_like, raw_kronecker_sum
+R = random_curvature_like(7, np.random.default_rng(13))
+raw_kronecker_sum(R, 3)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    raw_kronecker_sum(R, 3)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(resource is None or not sys.platform.startswith("linux"), reason="counts Linux page faults")
+def test_repeated_kronecker_sums_fault_in_no_fresh_pages():
+    # the (7, 3) factor gather holds 28,350 entries (227 KB, 55 pages),
+    # above glibc's default mmap threshold: freshly allocated per call, ten
+    # calls would fault in over 500 pages
+    pages = invariants._kronecker_plan(7, 3).size * 8 // 4096
+    assert pages == 55
+    assert _faults_in_child(_KRONECKER_FAULTS) < pages
+
+
+def test_metric_rule_needs_no_frame_for_any_identity_metric():
+    # the cached instance is recognized by identity, a fresh identity matrix
+    # by its entries
+    for n in (3, 5, 8):
+        fresh = double_form(n, 1, 1, np.eye(n))
+        assert fresh is not standard_metric(n)
+        assert forms._metric_frame(fresh, n) is None
+        assert forms._metric_frame(standard_metric(n), n) is None
 
 
 def test_calibration_constant_at_5_1():
