@@ -3,19 +3,22 @@
 Every subcommand prints a single JSON report to stdout: keys are sorted,
 floats use their shortest round-trip representation, and nothing
 time-dependent is included, so identical invocations produce identical
-bytes. --output writes the same report to a file. solve and solve-g
-report every Newton iteration under results.iterations, and each run of a
-sweep carries its own.
+bytes. Reports are strict JSON (RFC 8259): a result that is not a finite
+float is refused with an error report that names its key, and a
+non-finite input is echoed as a string such as "nan". --output writes the
+same report to a file. solve and solve-g report every Newton iteration
+under results.iterations, and each run of a sweep carries its own.
 
 Exit codes: 0 success, 2 invalid parameters (including a degenerate
-combined functional), 3 solver finished without converging, 4 internal
-verification failure.
+combined functional and a result that is not a finite float), 3 solver
+finished without converging, 4 internal verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, fields
 
@@ -61,7 +64,20 @@ _GRID_QUOTIENTS = tuple(name for name, quotient in _QUOTIENTS.items() if quotien
 
 
 def _dumps(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _check_finite(value, key: str) -> None:
+    """Raise ValueError naming the first float under value, in report order,
+    that JSON cannot hold."""
+    if isinstance(value, dict):
+        for name in sorted(value):
+            _check_finite(value[name], f"{key}.{name}")
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            _check_finite(item, f"{key}[{i}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{key} is {float(value)}: a report holds only finite floats")
 
 
 def _field_payload(field) -> dict:
@@ -410,15 +426,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     inputs = {
-        key: val
+        key: str(val) if isinstance(val, float) and not math.isfinite(val) else val
         for key, val in vars(args).items()
         if key not in ("func", "command", "output") and val is not None
     }
     base = {"schema": 1, "command": args.command, "inputs": inputs}
     try:
         results, code = args.func(args)
+        _check_finite(results, "results")
     except ValueError as exc:
-        # NondegeneracyViolated lands here too; both are parameter problems
+        # NondegeneracyViolated and non-finite results land here too: the
+        # parameters ask for a result the report cannot state
         report = dict(base, error={"type": type(exc).__name__, "message": str(exc)})
         sys.stdout.write(_dumps(report))
         return 2

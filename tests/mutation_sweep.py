@@ -3,7 +3,8 @@ the dense evaluator's memory bound and the solver's use of it, the product
 kernel's signs, the normalization of the exterior powers behind every frame
 change, the background curvature of the conformal pipeline, the refusals
 of curvatures whose volume or power leaves the floats, the signs and
-factors of the Kronecker route and the metric rule's standard metric.
+factors of the Kronecker route, the metric rule's standard metric and the
+CLI's strict JSON reports.
 
 Each mutant is a one-line edit of a gate, a bound or a reported number. For
 each, the sweep copies the repository to a temporary directory, applies the
@@ -36,6 +37,7 @@ SPACEFORM = "src/gbyamabe/spaceform.py"
 INVARIANTS = "src/gbyamabe/invariants.py"
 FORMS = "src/gbyamabe/forms.py"
 VALIDATE = "src/gbyamabe/_validate.py"
+CLI = "src/gbyamabe/cli.py"
 
 # (name, file, old text, new text, why); each old text occurs once in its file
 MUTANTS = [
@@ -159,11 +161,11 @@ MUTANTS = [
         "the conformal pipeline starts from twice the space form's curvature operator",
     ),
     (
-        "dense-k2-unbounded",
+        "dense-k2-widened",
         NEWTON,
-        "evaluate = _gb_values if k == 2 and sf.n <= DENSE_DIM_LIMIT else _two_block_values",
-        "evaluate = _gb_values if k == 2 else _two_block_values",
-        "the solver runs the dense k = 2 path above the dense oracles' memory bound",
+        "evaluate = _gb_values if k == 2 and sf.n == 5 else _two_block_values",
+        "evaluate = _gb_values if k == 2 and sf.n >= 5 else _two_block_values",
+        "the solver runs the dense k = 2 path at every n, not only at the traced n = 5",
     ),
     (
         "reference-volume-unchecked",
@@ -207,6 +209,20 @@ MUTANTS = [
         "    if False:\n",
         "a curvature whose power is finite but whose closed form overflows gives an infinite closed form",
     ),
+    (
+        "report-finite-unchecked",
+        CLI,
+        '        _check_finite(results, "results")\n',
+        "",
+        "a result that is not a finite float reaches the strict JSON encoder unnamed",
+    ),
+    (
+        "input-non-finite-echoed",
+        CLI,
+        "str(val) if isinstance(val, float) and not math.isfinite(val) else val",
+        "val",
+        "a non-finite input is echoed as a float, which strict JSON cannot hold",
+    ),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
@@ -216,7 +232,8 @@ IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", "results
 def _failures(tree: Path, tests: list[str]) -> list[str]:
     env = {**os.environ, "PYTHONPATH": "src"}
     done = subprocess.run(TIER1 + tests, cwd=tree, capture_output=True, text=True, env=env)
-    return re.findall(r"^(?:FAILED|ERROR) (\S+)", done.stdout, flags=re.MULTILINE)
+    # a test id may hold spaces (the README commands'), so it runs up to " - message"
+    return re.findall(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", done.stdout, flags=re.MULTILINE)
 
 
 def run_mutant(file: str, old: str, new: str) -> tuple[list[str], list[str]]:

@@ -18,10 +18,19 @@ from gbyamabe import forms, invariants, spaceform
 from gbyamabe.cli import build_parser, main
 
 
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def strict_json(text):
+    """json.loads without the NaN, Infinity and -Infinity tokens that RFC 8259 excludes."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
 def run_cli(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
-    return code, json.loads(out)
+    return code, strict_json(out)
 
 
 def test_invariants_command(capsys):
@@ -182,6 +191,8 @@ def test_spectrum_command(capsys):
         (["invariants", "--n", "10", "--k", "4", "--mu", "1e77"], "background curvature 1e+77 overflows when its power 4"),
         (["invariants", "--n", "10", "--k", "4", "--mu", "5.6e75"], "background curvature 5.6e+75 overflows when its"),
         (["invariants", "--n", "10", "--k", "1", "--mu", "1e307"], "curvature 1e+307 overflows when its power 1"),
+        (["invariants", "--n", "10", "--k", "2", "--mu", "1e152"], "results.ricci_factor is inf: a report holds only"),
+        (["kernel-demo", "--n", "5", "--k", "2", "--mu", "1e120"], "results.collapse_ratio is inf: a report holds"),
     ],
     ids=[
         "solve-mu-inf",
@@ -218,6 +229,8 @@ def test_spectrum_command(capsys):
         "invariants-closed-form-overflow",
         "invariants-ricci-constant-overflow",
         "invariants-k1-invariant-overflow",
+        "invariants-ricci-factor-not-finite",
+        "kernel-demo-collapse-ratio-not-finite",
     ],
 )
 def test_non_finite_or_undeclarable_parameters_exit_2(capsys, argv, message):
@@ -228,19 +241,23 @@ def test_non_finite_or_undeclarable_parameters_exit_2(capsys, argv, message):
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
         return
-    # refused before any evaluation that could overflow: no numpy warning,
-    # nothing on stderr
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main(argv)
     captured = capsys.readouterr()
-    report = json.loads(captured.out)
+    report = strict_json(captured.out)
     assert code == 2
     assert "results" not in report
     assert report["error"]["type"] == "ValueError"
     assert message in report["error"]["message"]
     assert captured.err == ""
-    assert [str(w.message) for w in caught] == []
+    warned = [str(w.message) for w in caught]
+    if message.startswith("results."):
+        # a result refused after the evaluation that overflowed
+        assert all("overflow" in text for text in warned)
+    else:
+        # refused before any evaluation that could overflow: no numpy warning
+        assert warned == []
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -480,6 +497,20 @@ def test_readme_commands_parse(line):
         build_parser().parse_args(shlex.split(line)[1:])
     except SystemExit:
         pytest.fail(f"README documents a command the parser refuses: {line}")
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_commands_print_strict_json(capsys, monkeypatch, tmp_path, line):
+    monkeypatch.chdir(tmp_path)  # for the line that writes --output
+    main(shlex.split(line)[1:])
+    report = strict_json(capsys.readouterr().out)
+    assert "results" in report
+
+
+def test_non_finite_inputs_are_echoed_as_strings(capsys):
+    code, report = run_cli(capsys, ["spectrum", "--n", "5", "--mu", "nan"])
+    assert code == 2
+    assert report["inputs"]["mu"] == "nan"
 
 
 def test_readme_flags_exist():

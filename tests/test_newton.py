@@ -419,7 +419,8 @@ def test_fixed_point_certificate_passes_on_solution():
     assert cert.nnodes == 2 * psi.basis.x.size
 
 
-def test_order_3_solve_runs_no_dense_evaluation(monkeypatch):
+@pytest.mark.parametrize("k", [2, 3])
+def test_order_3_solve_runs_no_dense_evaluation(monkeypatch, k):
     from gbyamabe import spaceform
 
     def dense(*args):
@@ -429,24 +430,25 @@ def test_order_3_solve_runs_no_dense_evaluation(monkeypatch):
     psi = default_psi(n=7)
     with monkeypatch.context() as patch:
         patch.setattr(spaceform, "_gb_chunk", dense)
-        report = newton_solve(sf, psi, 3)
-        cert = fixed_point_certificate(sf, psi, report, k=3)
+        report = newton_solve(sf, psi, k)
+        cert = fixed_point_certificate(sf, psi, report, k=k)
     assert report.status == "converged" and cert.passed
     # the dense oracle still agrees with the solved metric
     phi = field_from_modes(psi.basis, psi.modes + report.w.modes, parity="even")
-    field = gb_field(conformal_metric(sf, phi), 3, "conformal")
+    field = gb_field(conformal_metric(sf, phi), k, "conformal")
     assert np.abs(field.values - report.achieved_constant).max() <= 1e-9
 
 
-def test_order_2_solve_above_the_dense_bound_runs_no_dense_evaluation(monkeypatch):
-    # the dense k = 2 path holds C(n, 4) * 36 entries per node, so the solver
-    # keeps it within the dense oracles' bound and uses the closed form above
+@pytest.mark.parametrize("n", [6, 7, DENSE_DIM_LIMIT + 1])
+def test_order_2_solve_above_the_dense_bound_runs_no_dense_evaluation(monkeypatch, n):
+    # the solver runs the dense k = 2 path only at n = 5, for the benchmark's
+    # tracer test (ROADMAP item 1); every larger n, within the dense oracles'
+    # bound and above it, takes the closed form
     from gbyamabe import spaceform
 
     def dense(*args):
         raise AssertionError("the solver evaluated the invariant densely")
 
-    n = DENSE_DIM_LIMIT + 1
     sf = space_form(n, 1.0, REAL_PROJECTIVE)
     psi = default_psi(amp=0.02, n=n)
     with monkeypatch.context() as patch:
