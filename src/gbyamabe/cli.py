@@ -182,11 +182,15 @@ def _cmd_invariants(args):
     ricci_closed = check_power("background curvature", args.mu, args.k, consts.ricci_coefficient)
     closed = space_form_invariant(args.n, args.k, args.mu)
     lin = linearization_constants(args.n, args.k, args.mu) if args.k <= max_order(args.n) else None
+    # every order-2k quantity is |mu|^k times its value at the unit curvature
+    # of mu's sign: the dense routes run there, whose intermediates (up to n
+    # times the closed forms) cannot overflow, and are scaled once
+    mu_power = check_power("background curvature", abs(args.mu), args.k)
     g = standard_metric(args.n)
-    R = space_form_curvature(args.n, args.mu)
-    measured = gauss_bonnet(R, g, args.k)
+    R = space_form_curvature(args.n, math.copysign(1.0, args.mu))
+    measured = mu_power * gauss_bonnet(R, g, args.k)
     ricci = ricci_2k(R, g, args.k)
-    ricci_factor = float(np.trace(ricci.coeffs)) / args.n
+    ricci_factor = mu_power * (float(np.trace(ricci.coeffs)) / args.n)
     results = {
         "gauss_bonnet": measured,
         "closed_form": closed,
@@ -203,7 +207,7 @@ def _cmd_invariants(args):
     ricci_ok = abs(ricci_factor - ricci_closed) <= args.tol * max(1.0, abs(ricci_closed))
     ok = abs(measured - closed) <= args.tol * scale and ricci_ok
     if args.kronecker:
-        kron = gauss_bonnet_kronecker(R, args.k)
+        kron = mu_power * gauss_bonnet_kronecker(R, args.k)
         results["kronecker"] = kron
         results["kronecker_difference"] = kron - closed
         ok = ok and abs(kron - closed) <= args.tol * scale

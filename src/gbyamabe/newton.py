@@ -18,11 +18,15 @@ The pointwise invariant comes from the two-block closed form
 (spaceform._two_block_values) everywhere but at k = 2 with n = 5, where the
 solver still runs the dense double-form evaluator _gb_values: the
 benchmark's tracer test times a traced RP^5 k = 2 solve and needs it slower
-than the closed form would be (ROADMAP item 1). The Jacobian is assembled
-by batched central differences in one curvature evaluation per iteration
-(the column for c is analytic). Every step is one square solve through the
-SVD of the Jacobian; a singular value below 1e-10 of the largest stops the
-solve with the singular_jacobian status on either quotient.
+than the closed form would be (ROADMAP item 1). The Jacobian is exact
+wherever the solver evaluates the closed form: the chain rule through its
+pointwise partials in (phi, phi', phi'') (spaceform._two_block_partials),
+with no perturbation batch. Only a weighting that holds the dense n = 5,
+k = 2 order takes batched central differences, in one curvature evaluation
+per iteration. The column for c is analytic in both. Every step is one
+square solve through the SVD of the Jacobian; a singular value below 1e-10
+of the largest stops the solve with the singular_jacobian status on either
+quotient.
 sphere_kernel_demo builds the ungauged full window of the sphere to show
 the kernel the gauge removes.
 
@@ -54,6 +58,8 @@ from .spaceform import (
     _gauged_modes,
     _gb_values,
     _grid_parity,
+    _sphere_factor,
+    _two_block_partials,
     _two_block_values,
     _volume_from_values,
     field_from_modes,
@@ -77,7 +83,7 @@ __all__ = [
 ]
 
 _SUP_NORM_LIMIT = 0.3
-_FD_STEP = 1e-6  # central-difference step of the Jacobian
+_FD_STEP = 1e-6  # central-difference step of the Jacobian at the dense n = 5, k = 2 order only
 _LINE_SEARCH_TRIALS = 12  # step fractions 1, 1/2, ..., 1/2^11 tried per Newton step
 
 
@@ -160,22 +166,62 @@ def _phi_grids(basis: ZonalBasis, modes: np.ndarray):
     return basis.values @ modes, basis.dtheta @ modes, basis.ddtheta @ modes
 
 
+def _dense_order(sf: SpaceForm, k: int) -> bool:
+    """Whether the solver evaluates order k densely, with the central-difference
+    Jacobian that goes with it.
+
+    n = 5 is the dimension of the RP^5 k = 2 solve that
+    perfbench/test_bench_checks.py::test_tracer_accounts_for_op_time_and_restores_the_package
+    traces; it passes only while that solve is slower than the closed form
+    makes it. newton._gb_values stays bound because perfbench/tracing.TARGETS
+    names it. ROADMAP items 1a/1c delete this fork, the central differences
+    and _FD_STEP together.
+    """
+    return k == 2 and sf.n == 5
+
+
 def _combined_values(sf: SpaceForm, weights, basis, vals, dv, ddv):
     total = None
     for k in sorted(weights):
-        # n = 5 is the dimension of the RP^5 k = 2 solve that
-        # perfbench/test_bench_checks.py::test_tracer_accounts_for_op_time_and_restores_the_package
-        # traces; it passes only while that solve is slower than the closed form
-        # makes it. newton._gb_values stays bound because perfbench/tracing.TARGETS
-        # names it. ROADMAP items 1a/1c delete this branch.
-        evaluate = _gb_values if k == 2 and sf.n == 5 else _two_block_values
+        evaluate = _gb_values if _dense_order(sf, k) else _two_block_values
         part = weights[k] * evaluate(sf.n, sf.curvature, k, basis, vals, dv, ddv)
         total = part if total is None else total + part
     return total
 
 
-def _projected_ones(basis: ZonalBasis) -> np.ndarray:
-    return basis.projection @ np.ones(basis.x.size)
+def _combined_partials(sf: SpaceForm, weights, basis, vals, dv, ddv):
+    """The weighted sums of _two_block_partials over the orders: the
+    combined invariant's partials in phi, phi' and phi'' at each node."""
+    total = None
+    for k in sorted(weights):
+        parts = [weights[k] * part for part in _two_block_partials(sf.n, sf.curvature, k, basis, vals, dv, ddv)]
+        total = parts if total is None else [a + b for a, b in zip(total, parts)]
+    return total
+
+
+@dataclass(frozen=True)
+class _Window:
+    """The constants of one solve on the modes sel of basis: the projection
+    rows and the projected constant 1 on sel, and sel's columns of the basis
+    grids. Built once per solve (and per window of sphere_kernel_demo)."""
+
+    sel: np.ndarray
+    projection: np.ndarray
+    ones: np.ndarray
+    values: np.ndarray
+    dtheta: np.ndarray
+    ddtheta: np.ndarray
+
+
+def _window(basis: ZonalBasis, sel: np.ndarray) -> _Window:
+    return _Window(
+        sel,
+        basis.projection[sel],
+        (basis.projection @ np.ones(basis.x.size))[sel],
+        basis.values[:, sel],
+        basis.dtheta[:, sel],
+        basis.ddtheta[:, sel],
+    )
 
 
 def _invariant_and_volume(sf, weights, basis, phi_modes):
@@ -185,34 +231,46 @@ def _invariant_and_volume(sf, weights, basis, phi_modes):
     return S, float(_volume_from_values(sf, basis, vals))
 
 
-def _evaluate(sf, weights, basis, sel, phi_modes, c):
+def _evaluate(sf, weights, basis, window, phi_modes, c):
     """Residual vector, pointwise invariant values, and volume."""
     S, vol = _invariant_and_volume(sf, weights, basis, phi_modes)
-    F = np.empty(sel.size + 1)
-    F[:-1] = basis.projection[sel] @ S - c * _projected_ones(basis)[sel]
+    F = np.empty(window.sel.size + 1)
+    F[:-1] = window.projection @ S - c * window.ones
     F[-1] = (vol - sf.reference_volume) / sf.reference_volume
     return F, S, vol
 
 
-def _assemble_jacobian(sf, weights, basis, sel, phi_modes):
-    """Central-difference Jacobian in one batched curvature call.
+def _assemble_jacobian(sf, weights, basis, window, phi_modes):
+    """Jacobian of _evaluate's residual at phi_modes.
 
-    Rows: projected residual on the selected modes, then the volume defect.
-    Columns: the selected modes of w, then c (analytic: only the constant
-    mode of the projection sees a shift of c).
+    Rows: projected residual on the window's modes, then the volume defect.
+    Columns: the window's modes of w, then c (analytic: only the constant
+    mode of the projection sees a shift of c). A mode's column is the chain
+    rule through the pointwise partials d0, d1, d2 of the invariant in phi,
+    phi', phi'': projection (d0 B + d1 B' + d2 B'') on the mode block,
+    and n e^{n phi} against the quadrature weights on the volume row. Where
+    a weighted order is dense (_dense_order), both come instead from central
+    differences in one batched curvature call.
     """
-    m = sel.size
-    perts = (basis.values[:, sel].T, basis.dtheta[:, sel].T, basis.ddtheta[:, sel].T)
-    grids = zip(_phi_grids(basis, phi_modes), perts)
-    vals, dv, ddv = (np.concatenate([base + _FD_STEP * pert, base - _FD_STEP * pert]) for base, pert in grids)
-    S = _combined_values(sf, weights, basis, vals, dv, ddv)
-    vols = np.asarray(_volume_from_values(sf, basis, vals))
-    dS = (S[:m] - S[m:]) / (2.0 * _FD_STEP)
-    dvol = (vols[:m] - vols[m:]) / (2.0 * _FD_STEP)
+    m = window.sel.size
+    if any(_dense_order(sf, k) for k in weights):
+        grids = zip(_phi_grids(basis, phi_modes), (window.values.T, window.dtheta.T, window.ddtheta.T))
+        vals, dv, ddv = (np.concatenate([base + _FD_STEP * pert, base - _FD_STEP * pert]) for base, pert in grids)
+        S = _combined_values(sf, weights, basis, vals, dv, ddv)
+        vols = np.asarray(_volume_from_values(sf, basis, vals))
+        modes_block = window.projection @ ((S[:m] - S[m:]) / (2.0 * _FD_STEP)).T
+        volume_row = (vols[:m] - vols[m:]) / (2.0 * _FD_STEP)
+    else:
+        vals, dv, ddv = _phi_grids(basis, phi_modes)
+        d0, d1, d2 = _combined_partials(sf, weights, basis, vals, dv, ddv)
+        pointwise = d0[:, None] * window.values + d1[:, None] * window.dtheta + d2[:, None] * window.ddtheta
+        modes_block = window.projection @ pointwise
+        factor = sf.n * _sphere_factor(sf.quotient, sf.n, sf.curvature, sf.n)
+        volume_row = factor * ((basis.weights * np.exp(sf.n * vals)) @ window.values)
     J = np.zeros((m + 1, m + 1))
-    J[:m, :m] = basis.projection[sel] @ dS.T
-    J[m, :m] = dvol / sf.reference_volume
-    J[:m, m] = -_projected_ones(basis)[sel]
+    J[:m, :m] = modes_block
+    J[m, :m] = volume_row / sf.reference_volume
+    J[:m, m] = -window.ones
     return J
 
 
@@ -234,16 +292,17 @@ def _solve_core(sf, psi, weights, config, w0, c0):
         check_problem_order(sf.n, k)
     basis = zonal_basis(sf.n, cfg.mode_cutoff)
     psi_b = _solver_profile(sf, psi, basis)
-    sel = _gauged_modes(sf, cfg.mode_cutoff)
+    window = _window(basis, _gauged_modes(sf, cfg.mode_cutoff))
+    sel = window.sel
 
     wm = np.zeros(basis.max_mode + 1)
     if w0 is not None:
         w0_b = _admissible(sf, w0 if w0.basis is basis else resample(w0, basis), "initial correction")
         wm[sel] = w0_b.modes[sel]
 
-    F, S, vol = _evaluate(sf, weights, basis, sel, psi_b.modes + wm, 0.0)
+    F, S, vol = _evaluate(sf, weights, basis, window, psi_b.modes + wm, 0.0)
     c = float(c0) if c0 is not None else float(basis.weights @ S / basis.weights.sum())
-    F[:-1] -= c * _projected_ones(basis)[sel]
+    F[:-1] -= c * window.ones
 
     records = [_record(sf, S, c, vol)]
     status = "max_iterations"
@@ -258,7 +317,7 @@ def _solve_core(sf, psi, weights, config, w0, c0):
         if it == cfg.max_iterations:
             break
 
-        J = _assemble_jacobian(sf, weights, basis, sel, psi_b.modes + wm)
+        J = _assemble_jacobian(sf, weights, basis, window, psi_b.modes + wm)
         U, svals, Vt = np.linalg.svd(J)
         smin = float(svals[-1])
         if smin <= 1e-10 * svals[0]:
@@ -273,7 +332,7 @@ def _solve_core(sf, psi, weights, config, w0, c0):
             wm_t = wm.copy()
             wm_t[sel] -= lam * delta[:-1]
             c_t = c - lam * delta[-1]
-            F_t, S_t, vol_t = _evaluate(sf, weights, basis, sel, psi_b.modes + wm_t, c_t)
+            F_t, S_t, vol_t = _evaluate(sf, weights, basis, window, psi_b.modes + wm_t, c_t)
             new_norm = float(np.abs(F_t).max())
             if new_norm <= (1.0 - 1e-4 * lam) * old_norm:
                 accepted = (wm_t, c_t, F_t, S_t, vol_t, lam)
@@ -286,7 +345,7 @@ def _solve_core(sf, psi, weights, config, w0, c0):
         records.append(_record(sf, S, c, vol, float(lam_used * np.abs(delta).max()), lam_used))
 
     if smin is None:
-        J = _assemble_jacobian(sf, weights, basis, sel, psi_b.modes + wm)
+        J = _assemble_jacobian(sf, weights, basis, window, psi_b.modes + wm)
         smin = float(np.linalg.svd(J, compute_uv=False)[-1])
 
     return SolverReport(
@@ -345,8 +404,10 @@ def sphere_kernel_demo(
 
     The full window contains the lowest nonconstant mode, which the
     linearization annihilates identically, so the second number collapses
-    (to finite-difference roundoff) while the first stays order one. The
-    solver gauges that mode out; this demo keeps the ungauged window.
+    while the first stays order one. It collapses to round-off where the
+    Jacobian is exact, and to finite-difference error at the dense n = 5,
+    k = 2 order (_dense_order). The solver gauges that mode out; this demo
+    keeps the ungauged window.
     """
     cfg = config if config is not None else SolverConfig()
     check_problem_order(n, k)
@@ -356,7 +417,7 @@ def sphere_kernel_demo(
     phi0 = np.zeros(basis.max_mode + 1)
     out = []
     for quotient in (REAL_PROJECTIVE, FULL_SPHERE):  # the even modes, then the full window
-        J = _assemble_jacobian(sf, weights, basis, _admitted_modes(quotient, cfg.mode_cutoff), phi0)
+        J = _assemble_jacobian(sf, weights, basis, _window(basis, _admitted_modes(quotient, cfg.mode_cutoff)), phi0)
         out.append(float(np.linalg.svd(J, compute_uv=False)[-1]))
     return out[0], out[1]
 

@@ -47,7 +47,9 @@ invertible and spectrum_gap_check decides its gap in closed form.
 The curvature operator of either pipeline has only two eigenvalues, k_rad on
 the n - 1 radial planes and k_sph on the rest, so the order-2k invariant is a
 two-term polynomial in them. _two_block_values evaluates that closed form in
-O(nodes) and is what the solver uses everywhere but at k = 2 with n = 5.
+O(nodes) and is what the solver uses everywhere but at k = 2 with n = 5;
+_two_block_partials gives its exact derivatives in (phi, phi', phi''), from
+which the solver assembles its Jacobian wherever it uses the closed form.
 The dense evaluator _gb_values builds each pipeline's curvature stack and
 runs the double-form algebra; it is the oracle behind gb_field, fd_verify
 and constancy_diagnostic, and the solver's n = 5, k = 2 path. It runs in
@@ -592,6 +594,30 @@ def _two_block_values(n, mu, k, basis: ZonalBasis, vals, dv, ddv):
     k_rad, k_sph = _sectional_blocks(mu, basis.x, basis.sin_theta, vals, dv, ddv)
     A, B = _two_block_coefficients(n, k)
     return k_sph ** (k - 1) * (A * k_sph + B * k_rad)
+
+
+def _two_block_partials(n, mu, k, basis: ZonalBasis, vals, dv, ddv):
+    """Partial derivatives of _two_block_values in phi, phi' and phi'' at
+    each node, as three arrays shaped like vals.
+
+    Both blocks carry the factor scale = mu e^{-2 phi} and the invariant is
+    homogeneous of degree k in them, so dS/dphi = -2k S. With cot = x /
+    sin theta, phi' and phi'' enter through dk_rad/dphi' = -scale cot,
+    dk_rad/dphi'' = -scale, dk_sph/dphi' = -2 scale (cot + phi') and
+    dk_sph/dphi'' = 0, while dS/dk_rad = B k_sph^(k-1) and dS/dk_sph =
+    k A k_sph^(k-1) + (k-1) B k_rad k_sph^(k-2).
+    """
+    k_rad, k_sph = _sectional_blocks(mu, basis.x, basis.sin_theta, vals, dv, ddv)
+    A, B = _two_block_coefficients(n, k)
+    lead = k_sph ** (k - 1)
+    d_rad = B * lead
+    d_sph = k * A * lead
+    if k > 1:
+        d_sph = d_sph + (k - 1) * B * k_rad * k_sph ** (k - 2)
+    cot = basis.x / basis.sin_theta
+    scale = mu * np.exp(-2.0 * vals)
+    S = lead * (A * k_sph + B * k_rad)
+    return -2.0 * k * S, -scale * (cot * d_rad + 2.0 * (cot + dv) * d_sph), -scale * d_rad
 
 
 def gb_field(cm: ConformalMetric, k: int, pipeline: str = "warped") -> LatitudeField:

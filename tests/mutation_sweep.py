@@ -1,5 +1,6 @@
 """Mutation sweep of the solver's honesty checks, the closed-form constants,
-the dense evaluator's memory bound and the solver's use of it, the product
+the dense evaluator's memory bound and the solver's use of it, the exact
+Newton Jacobian's partials and volume row, the product
 kernel's signs, the normalization of the exterior powers behind every frame
 change, the background curvature of the conformal pipeline, the refusals
 of curvatures whose volume or power leaves the floats, the signs and
@@ -163,9 +164,30 @@ MUTANTS = [
     (
         "dense-k2-widened",
         NEWTON,
-        "evaluate = _gb_values if k == 2 and sf.n == 5 else _two_block_values",
-        "evaluate = _gb_values if k == 2 and sf.n >= 5 else _two_block_values",
-        "the solver runs the dense k = 2 path at every n, not only at the traced n = 5",
+        "    return k == 2 and sf.n == 5\n",
+        "    return k == 2 and sf.n >= 5\n",
+        "the solver runs the dense k = 2 path and its central differences at every n, not only at the traced n = 5",
+    ),
+    (
+        "partials-cross-term-dropped",
+        SPACEFORM,
+        "        d_sph = d_sph + (k - 1) * B * k_rad * k_sph ** (k - 2)\n",
+        "        d_sph = d_sph\n",
+        "the exact Jacobian drops the (k - 1) B k_rad k_sph^(k - 2) term of dS/dk_sph",
+    ),
+    (
+        "partials-sph-slope",
+        SPACEFORM,
+        "-scale * (cot * d_rad + 2.0 * (cot + dv) * d_sph)",
+        "-scale * (cot * d_rad + 2.0 * cot * d_sph)",
+        "the exact Jacobian drops phi' from dk_sph/dphi', a term that vanishes at the space form",
+    ),
+    (
+        "volume-row-without-n",
+        NEWTON,
+        "        factor = sf.n * _sphere_factor(",
+        "        factor = _sphere_factor(",
+        "the exact Jacobian's volume row drops the factor n of d e^{n phi} / d phi",
     ),
     (
         "reference-volume-unchecked",

@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 import gbyamabe
-from gbyamabe import forms, invariants, spaceform
+from gbyamabe import constants, forms, invariant_constants, invariants, max_order, space_form_invariant, spaceform
+from gbyamabe._validate import check_power
 from gbyamabe.cli import build_parser, main
 
 
@@ -191,7 +192,6 @@ def test_spectrum_command(capsys):
         (["invariants", "--n", "10", "--k", "4", "--mu", "1e77"], "background curvature 1e+77 overflows when its power 4"),
         (["invariants", "--n", "10", "--k", "4", "--mu", "5.6e75"], "background curvature 5.6e+75 overflows when its"),
         (["invariants", "--n", "10", "--k", "1", "--mu", "1e307"], "curvature 1e+307 overflows when its power 1"),
-        (["invariants", "--n", "10", "--k", "2", "--mu", "1e152"], "results.ricci_factor is inf: a report holds only"),
         (["kernel-demo", "--n", "5", "--k", "2", "--mu", "1e120"], "results.collapse_ratio is inf: a report holds"),
     ],
     ids=[
@@ -229,7 +229,6 @@ def test_spectrum_command(capsys):
         "invariants-closed-form-overflow",
         "invariants-ricci-constant-overflow",
         "invariants-k1-invariant-overflow",
-        "invariants-ricci-factor-not-finite",
         "kernel-demo-collapse-ratio-not-finite",
     ],
 )
@@ -258,6 +257,45 @@ def test_non_finite_or_undeclarable_parameters_exit_2(capsys, argv, message):
     else:
         # refused before any evaluation that could overflow: no numpy warning
         assert warned == []
+
+
+def _refusal_bound(n, k):
+    """The largest mu, to a few ulps, at which every closed form that
+    `invariants` reports is a finite float: the bound at which it refuses."""
+
+    def refused(mu):
+        try:
+            space_form_invariant(n, k, mu)
+            check_power("mu", mu, k, invariant_constants(n, k).ricci_coefficient)
+            if k <= max_order(n):
+                constants(n, k, mu)
+        except ValueError:
+            return True
+        return False
+
+    lo, hi = 1.0, 1e308
+    for _ in range(80):  # bisection in log mu; 80 halvings leave a ratio below 1 + 1e-15
+        mid = lo**0.5 * hi**0.5
+        lo, hi = (lo, mid) if refused(mid) else (mid, hi)
+    return lo
+
+
+@pytest.mark.parametrize("n, k", [(10, 1), (10, 2), (7, 3), (8, 3), (10, 4), (10, 5)])
+def test_invariants_below_the_refusal_bound_exit_0(capsys, n, k):
+    # the dense routes run at unit curvature and are scaled by |mu|^k, so
+    # wherever the closed forms are finite the report is too: at 0.5, 0.9
+    # and 0.999999 of the bound the dense Ricci trace used to overflow
+    bound = _refusal_bound(n, k)
+    for mu in (0.5 * bound, 0.9 * bound, 0.999999 * bound, -0.999999 * bound):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["invariants", "--n", str(n), "--k", str(k), f"--mu={mu!r}"])
+        captured = capsys.readouterr()
+        results = strict_json(captured.out)["results"]
+        assert code == 0, (mu, results)
+        assert captured.err == "" and caught == []
+        assert results["routes_agree"] is True
+        assert results["ricci_factor"] == pytest.approx(results["ricci_closed_form"], rel=1e-12)
 
 
 @pytest.mark.parametrize("k", [2, 3])

@@ -432,6 +432,21 @@ def test_ricci_of_space_form_is_isotropic():
     assert consts.ricci_coefficient == pytest.approx(144.0, rel=0)
 
 
+@pytest.mark.parametrize("n, k", [(5, 1), (6, 2), (7, 3), (8, 4), (10, 2)])
+def test_dense_routes_are_homogeneous_of_degree_k_in_the_curvature(n, k):
+    # `gbyamabe invariants` runs the dense routes at the unit curvature of
+    # mu's sign and scales them by |mu|^k; the routes themselves must agree
+    g = standard_metric(n)
+    for mu in (0.3, 2.5, -0.7, -4.0):
+        R, unit = space_form_curvature(n, mu), space_form_curvature(n, math.copysign(1.0, mu))
+        scale = abs(mu) ** k
+        assert gauss_bonnet(R, g, k) == pytest.approx(scale * gauss_bonnet(unit, g, k), rel=1e-13)
+        ricci = ricci_2k(R, g, k).coeffs
+        np.testing.assert_allclose(ricci, scale * ricci_2k(unit, g, k).coeffs, rtol=1e-13, atol=1e-13 * np.abs(ricci).max())
+        if n <= 7:
+            assert gauss_bonnet_kronecker(R, k) == pytest.approx(scale * gauss_bonnet_kronecker(unit, k), rel=1e-13)
+
+
 def test_invariants_with_general_metric_are_invariant_under_pullback():
     # pulling back R and g by a linear map must not change the scalar
     rng = np.random.default_rng(24)

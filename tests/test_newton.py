@@ -16,6 +16,7 @@ from gbyamabe import (
     SolverConfig,
     SolverReport,
     conformal_metric,
+    constants,
     continuation_sweep,
     field_from_modes,
     fixed_point_certificate,
@@ -30,8 +31,9 @@ from gbyamabe import (
     volume,
     zonal_basis,
 )
+from gbyamabe import newton
 from gbyamabe.forms import DENSE_DIM_LIMIT
-from gbyamabe.spaceform import _reflect_field
+from gbyamabe.spaceform import _gauged_modes, _reflect_field, _sphere_factor, _two_block_values
 
 
 def rp5():
@@ -530,3 +532,107 @@ def test_sphere_kernel_demo_separates_sectors():
         sphere_kernel_demo(5, 1.0, 0)
     with pytest.raises(ValueError):
         sphere_kernel_demo(5, -1.0, 2)
+
+
+def complex_step_jacobian(sf, weights, basis, window, phi_modes):
+    """The Newton Jacobian by the complex step (Squire & Trapp, SIAM Review
+    40 (1998)): Im F(phi + i h e_l) / h along each selected mode l, with
+    h = 1e-30, on the closed form. Exact to round-off: no difference of two
+    evaluations is taken. The volume is integrated here because
+    _volume_from_values returns floats, which would drop the imaginary part."""
+    h = 1e-30
+    m = window.sel.size
+    J = np.zeros((m + 1, m + 1))
+    for col, ell in enumerate(window.sel):
+        phi = phi_modes.astype(complex)
+        phi[ell] += 1j * h
+        vals, dv, ddv = basis.values @ phi, basis.dtheta @ phi, basis.ddtheta @ phi
+        S = sum(c * _two_block_values(sf.n, sf.curvature, k, basis, vals, dv, ddv) for k, c in weights.items())
+        J[:m, col] = window.projection @ S.imag / h
+        vol = _sphere_factor(sf.quotient, sf.n, sf.curvature, sf.n) * (np.exp(sf.n * vals) @ basis.weights)
+        J[m, col] = vol.imag / h / sf.reference_volume
+    J[:m, m] = -window.ones
+    return J
+
+
+@pytest.mark.parametrize(
+    "n, weights, quotient",
+    [
+        (6, {1: 1.0}, REAL_PROJECTIVE),
+        (7, {2: 1.0}, REAL_PROJECTIVE),
+        (7, {3: 1.0}, FULL_SPHERE),
+        (9, {4: 1.0}, REAL_PROJECTIVE),
+        (13, {6: 1.0}, REAL_PROJECTIVE),
+        (21, {10: 1.0}, REAL_PROJECTIVE),
+        (7, {1: 1.0, 3: 0.2}, REAL_PROJECTIVE),
+        (5, {1: 1.0}, FULL_SPHERE),
+    ],
+    ids=["RP6-k1", "RP7-k2", "S7-k3", "RP9-k4", "RP13-k6", "RP21-k10", "RP7-combined", "S5-k1"],
+)
+def test_exact_jacobian_matches_the_complex_step(n, weights, quotient):
+    # central differences missed by 5.7e-6 of the largest entry at (7,3) and
+    # by 1.06 at (21,10); the exact blocks sum the same products over the
+    # nodes as the complex step, so they agree to a few ulps (measured
+    # <= 4e-16 relative to each block's largest entry)
+    sf = space_form(n, 1.0, quotient)
+    basis = zonal_basis(n, 16)
+    phi = mode_field(basis, 2, 0.05).modes + mode_field(basis, 4, -0.02).modes
+    if quotient == FULL_SPHERE:
+        phi = phi + mode_field(basis, 3, 0.02).modes
+    window = newton._window(basis, _gauged_modes(sf, 16))
+    J = newton._assemble_jacobian(sf, weights, basis, window, phi)
+    reference = complex_step_jacobian(sf, weights, basis, window, phi)
+    m = window.sel.size
+    for rows in (slice(0, m), slice(m, m + 1)):  # the mode block, then the volume row
+        block, ref = J[rows, :m], reference[rows, :m]
+        assert np.abs(block - ref).max() <= 2e-15 * np.abs(ref).max()
+    assert np.array_equal(J[:, m], reference[:, m])
+
+
+@pytest.mark.parametrize("n", [6, 7, 9, 13, 21])
+def test_newton_model_at_the_space_form_is_the_paper_linearization(n):
+    # at phi = 0 the mode block is 2 c (Delta - n mu) on the gauged modes
+    # (the paper's linearization, conformal_coefficient c): its diagonal is
+    # 2 c mu (l (l + n - 1) - n), measured to <= 9e-16 relative, and the
+    # quadrature is exact on the products of modes it projects, so what lies
+    # off the diagonal is round-off of the node sums (measured <= 1e-14 of
+    # the largest diagonal entry)
+    for k in sorted({1, 2, (n - 1) // 2}):
+        for mu in (1.0, 0.7):
+            for quotient in (REAL_PROJECTIVE, FULL_SPHERE):
+                sf = space_form(n, mu, quotient)
+                basis = zonal_basis(n, 16)
+                window = newton._window(basis, _gauged_modes(sf, 16))
+                m = window.sel.size
+                block = newton._assemble_jacobian(sf, {k: 1.0}, basis, window, np.zeros(basis.max_mode + 1))[:m, :m]
+                ell = window.sel
+                expected = 2.0 * constants(n, k, mu).conformal_coefficient * mu * (ell * (ell + n - 1) - n)
+                assert np.all(np.abs(np.diag(block) - expected) <= 4e-15 * np.abs(expected))
+                off_diagonal = block - np.diag(np.diag(block))
+                assert np.abs(off_diagonal).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_only_the_dense_order_evaluates_perturbation_batches(monkeypatch):
+    # the exact Jacobian evaluates the invariant on the nodes alone; the
+    # central differences of the dense n = 5, k = 2 order evaluate it on a
+    # batch of perturbed grids, which the benchmark's traced RP^5 k = 2 solve
+    # runs until that fork is deleted (ROADMAP items 1a/1c)
+    real = newton._combined_values
+    ndims = []
+
+    def recording(sf, weights, basis, vals, dv, ddv):
+        ndims.append(np.ndim(vals))
+        return real(sf, weights, basis, vals, dv, ddv)
+
+    monkeypatch.setattr(newton, "_combined_values", recording)
+    rp7 = space_form(7, 1.0, REAL_PROJECTIVE)
+    psi = default_psi(n=7)
+    report = newton_solve(rp7, psi, 3)
+    assert report.status == "converged" and report.steps >= 3
+    assert fixed_point_certificate(rp7, psi, report, k=3).passed
+    sphere = newton_solve(space_form(7, 1.0, FULL_SPHERE), default_psi(amp=0.03, ell=3, n=7), 2)
+    assert sphere.status == "converged" and sphere.steps >= 3
+    assert ndims and set(ndims) == {1}
+    ndims.clear()
+    assert newton_solve(rp5(), default_psi(), 2).status == "converged"
+    assert 2 in ndims
