@@ -47,12 +47,10 @@ through a table cached per bidegree (_contract_plan, from
 indexing.insertion_tables) and sums over the n directions in one reduction
 (_signed_gather_sum, which invariants.ricci_2k shares). The cached plans
 hold their index tables C-contiguous and writeable, so np.take reads them
-without a copy. The kernels build their intermediates in buffers kept per
-thread (_work_array), and so do invariants.gauss_bonnet_coeffs for its
-diagonal blocks and invariants.raw_kronecker_sum for its factors, so that
-repeated calls fault in no fresh memory pages, up to _WORK_RETAIN
-entries. spaceform sizes its grid chunks by its own rule
-(spaceform._GATHER_BUDGET).
+without a copy. The kernels allocate their intermediates per call; the
+geometry modules bound them by evaluating grids in chunks
+(product_gather_entries reports a product's largest array to
+spaceform's chunk rule).
 DENSE_DIM_LIMIT bounds the dimension of the dense algebra's oracles, and
 check_dense_dim is the one rule that applies it.
 is_in_symmetry_class and the metric rule _metric_frame share one symmetry
@@ -62,7 +60,6 @@ rule (_is_symmetric).
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -252,51 +249,6 @@ def _random_form(n: int, p: int, q: int, rng: np.random.Generator) -> DoubleForm
 # ---------------------------------------------------------------------------
 
 
-# Entries above which _work_array allocates per call instead of keeping the
-# buffer (16 MB): a rare huge call then leaves nothing behind, and in calls
-# that large the page faults are a small share of the work. This is not the
-# grid chunk size (spaceform._GATHER_BUDGET). The dense oracles' single
-# products need the headroom: their largest array is the row stage's
-# result of a (4,4).(2,2) product or a (4,4) square, 54,880 entries at
-# n = 8 and 1,984,500 at n = 10 (DENSE_DIM_LIMIT), so every product the
-# package makes keeps its buffers; allocating per call made the verify
-# benchmark 40% slower.
-_WORK_RETAIN = 2**21
-_work = threading.local()
-
-
-def _work_array(slot: int, shape: tuple[int, ...]) -> np.ndarray:
-    """An uninitialized float64 array of `shape` for a kernel intermediate.
-
-    It is a view of a buffer this thread keeps for `slot` and grows when a
-    call needs more, so the memory is reused by the next call instead of
-    being returned to the system and faulted in again (for arrays over a
-    few hundred kB that is what the allocator does, or not, depending on
-    the sizes freed earlier in the process). The view is valid until the
-    next request for the same slot on this thread: a kernel must never
-    return one, and must not call another kernel that uses the slot while
-    holding one.
-
-    Slots by owner: 0-4, product_coeffs (_two_stage_sum: the row gathers
-    U and V in 0 and 1, the signed copy of w1 in 2, the row stage's result
-    Y in 3, the column gather in 4);
-    5 and 6, _signed_gather_sum; 0 and 1 again, the diagonal-block gathers
-    of invariants.gauss_bonnet_coeffs, taken only after its products have
-    returned; 0 again, the factor gather of invariants.raw_kronecker_sum,
-    which calls no kernel.
-    """
-    size = math.prod(shape)
-    if size > _WORK_RETAIN:
-        return np.empty(shape)
-    buffers = getattr(_work, "buffers", None)
-    if buffers is None:
-        buffers = _work.buffers = {}
-    buf = buffers.get(slot)
-    if buf is None or buf.size < size:
-        buf = buffers[slot] = np.empty(size)
-    return buf[:size].reshape(shape)
-
-
 @lru_cache(maxsize=None)
 def _product_plan(n, p, q, r, s):
     """Index tables of product_coeffs for one bidegree signature.
@@ -335,8 +287,7 @@ def _square_plan(n, p, q):
 
 
 def _two_stage_sum(plan, w1, w2) -> np.ndarray:
-    """The product kernel on the tables of a plan, in two stages, every
-    intermediate in a _work_array buffer.
+    """The product kernel on the tables of a plan, in two stages.
 
     Row stage: for each (p+r)-combination M, the signed rows U of w1 and the
     rows V of w2 of its row splits, shaped (..., C(n,p+r), c1, C(n,q)) and
@@ -348,20 +299,10 @@ def _two_stage_sum(plan, w1, w2) -> np.ndarray:
     rows_1, rows_2, cols, col_signs = plan
     w1 = np.asarray(w1, dtype=float)
     w2 = np.asarray(w2, dtype=float)
-    batch1, batch2 = w1.shape[:-2], w2.shape[:-2]
-    batch = batch1 if batch1 == batch2 else np.broadcast_shapes(batch1, batch2)
-    (nrows, q_size), s_size = w1.shape[-2:], w2.shape[-1]
-    combos = rows_1.shape[0]
-    signed = _work_array(2, batch1 + (2 * nrows, q_size))
-    signed[..., :nrows, :] = w1
-    np.negative(w1, out=signed[..., nrows:, :])
-    # mode="clip" writes straight into out (mode="raise" buffers it); the
-    # ranks are in range by construction
-    U = np.take(signed, rows_1, axis=-2, out=_work_array(0, batch1 + rows_1.shape + (q_size,)), mode="clip")
-    V = np.take(w2, rows_2, axis=-2, out=_work_array(1, batch2 + rows_2.shape + (s_size,)), mode="clip")
-    Y = np.matmul(np.swapaxes(U, -1, -2), V, out=_work_array(3, batch + (combos, q_size, s_size)))
-    flat = Y.reshape(batch + (combos, q_size * s_size))
-    terms = np.take(flat, cols, axis=-1, out=_work_array(4, batch + (combos,) + cols.shape), mode="clip")
+    U = np.take(np.concatenate([w1, -w1], axis=-2), rows_1, axis=-2)
+    V = np.take(w2, rows_2, axis=-2)
+    Y = np.matmul(np.swapaxes(U, -1, -2), V)
+    terms = np.take(Y.reshape(Y.shape[:-2] + (-1,)), cols, axis=-1)
     return np.einsum("...mcn,cn->...mn", terms, col_signs)
 
 
@@ -422,16 +363,12 @@ def _signed_ranks(flat: np.ndarray, sign: np.ndarray, size: int) -> np.ndarray:
 
 def _signed_gather_sum(ranks: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Sum over the first axis of the terms that the _signed_ranks table
-    `ranks` reads from w (..., rows, cols): one gather into a _work_array
-    buffer and one reduction."""
+    `ranks` reads from w (..., rows, cols): one gather and one reduction."""
     w = np.asarray(w, dtype=float)
     batch = w.shape[:-2]
-    size = w.shape[-2] * w.shape[-1]
-    signed = _work_array(5, batch + (2 * size + 1,))
-    signed[..., :size] = w.reshape(batch + (size,))
-    np.negative(signed[..., :size], out=signed[..., size:-1])
-    signed[..., -1] = 0.0
-    terms = np.take(signed, ranks, axis=-1, out=_work_array(6, batch + ranks.shape), mode="clip")
+    flat = w.reshape(batch + (-1,))
+    signed = np.concatenate([flat, -flat, np.zeros(batch + (1,))], axis=-1)
+    terms = np.take(signed, ranks, axis=-1)
     # from +0.0, so that a sum of signed zeros is +0.0, never -0.0
     return np.add.reduce(terms, axis=-3, initial=0.0)
 

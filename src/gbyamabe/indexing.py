@@ -26,8 +26,7 @@ invariants.raw_kronecker_sum ranks by the table of degree 1 the k pairs
 of every orbit term of every 2k-combination (28,350 entries at n = 7,
 k = 3, the largest the Kronecker route admits). What
 grows with n and k is the arrays the kernels gather through these tables,
-which the forms work buffers keep from faulting in fresh pages and
-spaceform bounds per grid chunk (spaceform._GATHER_BUDGET).
+which spaceform bounds per grid chunk (invariants._GATHER_BUDGET).
 """
 
 from functools import lru_cache

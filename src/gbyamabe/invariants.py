@@ -14,7 +14,7 @@ Two independent evaluation routes are kept deliberately separate:
   takes every square (the same array twice) by its square route, half the
   terms of the product; gauss_bonnet multiplies nothing at k = 2.
   gauss_bonnet_gather_entries reports the largest array it builds to
-  spaceform's chunk rule (spaceform._GATHER_BUDGET); and
+  spaceform's chunk rule; and
 - the generalized-Kronecker-delta route: enumeration of index tuples with
   antisymmetrized signs, summing each orbit of 4^k k! equal terms once
   (factorial cost, the oracle path, guarded to n <= 7). Every factor of
@@ -35,6 +35,15 @@ integer (_validate.check_integer). So does the batched trace kernel
 (gauss_bonnet_coeffs) that spaceform's grid evaluator shares with the
 dense oracles.
 
+The package's one memory constant lives here too, _GATHER_BUDGET: no
+array that the dense grid evaluator builds per chunk holds more than that
+many float64 entries (1 MiB) unless one node alone needs more
+(spaceform._chunk_nodes), and no retained buffer keeps more. The one
+kernel that keeps buffers is gauss_bonnet_coeffs, for its two
+diagonal-block gathers (_work_array): the solver's n = 5, k = 2 path
+repeats them on the same chunk shapes every Newton step. Every other
+kernel allocates per call.
+
 The closed forms at the space form live here too: every constant
 (space_form_invariant, invariant_constants, linearization.constants and
 spaceform's two-block evaluator) derives from the two integers of
@@ -44,6 +53,7 @@ _two_block_coefficients.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -57,7 +67,6 @@ from .forms import (
     _signed_gather_sum,
     _signed_ranks,
     _to_frame,
-    _work_array,
     double_form,
     is_in_symmetry_class,
     product_coeffs,
@@ -202,6 +211,38 @@ def _trace_blocks(n: int, a: int, b: int) -> tuple[np.ndarray, np.ndarray, np.nd
     return flat_p, flat_q, signs
 
 
+# Float64 entries (1 MiB) that one array of a dense grid chunk, or one
+# retained buffer, may hold. The k = 2 invariant's two diagonal-block
+# gathers then fit a 2 MiB L2 together. At n = 5, k = 2 a chunk holds
+# 728 nodes of 180 entries (131,040), so the solver's gathers are kept.
+_GATHER_BUDGET = 2**17
+_work = threading.local()
+
+
+def _work_array(slot: int, shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialized float64 array of `shape` for gauss_bonnet_coeffs'
+    diagonal-block gather `slot` (0 or 1).
+
+    Up to _GATHER_BUDGET entries it is a view of a buffer this thread keeps
+    for the slot and grows when a call needs more, so repeated calls fault
+    in no fresh memory pages (for arrays over a few hundred kB the
+    allocator returns freed memory to the system, or not, depending on the
+    sizes freed earlier in the process); larger requests are allocated per
+    call. The view is valid until the next request for the same slot on
+    this thread, so it must never be returned.
+    """
+    size = math.prod(shape)
+    if size > _GATHER_BUDGET:
+        return np.empty(shape)
+    buffers = getattr(_work, "buffers", None)
+    if buffers is None:
+        buffers = _work.buffers = {}
+    buf = buffers.get(slot)
+    if buf is None or buf.size < size:
+        buf = buffers[slot] = np.empty(size)
+    return buf[:size].reshape(shape)
+
+
 def gauss_bonnet_coeffs(n: int, k: int, w: np.ndarray) -> np.ndarray:
     """Order-2k invariant of a batch of orthonormal-frame (2,2) coefficient
     matrices shaped (..., C(n,2), C(n,2)); returns the batch shape.
@@ -214,9 +255,9 @@ def gauss_bonnet_coeffs(n: int, k: int, w: np.ndarray) -> np.ndarray:
     power built is w^a. Every w w (P at k = 3, Q at k = 4) passes w twice,
     so product_coeffs takes its square route.
 
-    Both diagonal-block gathers go into forms._work_array slots 0 and 1,
-    taken after the products have returned, and are multiplied in place,
-    so repeated calls fault in no fresh memory pages.
+    Both diagonal-block gathers go into retained buffers (_work_array) and
+    are multiplied in place, so repeated calls on chunks within
+    _GATHER_BUDGET fault in no fresh memory pages.
     """
     if k == 1:
         return np.trace(w, axis1=-2, axis2=-1)
@@ -226,8 +267,8 @@ def gauss_bonnet_coeffs(n: int, k: int, w: np.ndarray) -> np.ndarray:
     batch = w.shape[:-2]
     Q = _power(n, b, w)
     P = Q if a == b else product_coeffs(n, 2 * b, 2 * b, Q, 2, 2, w)
-    # P and Q are w or fresh einsum results, so slots 0 and 1 (the product's
-    # row gathers) are free; mode="clip" writes straight into out
+    # mode="clip" writes straight into out (mode="raise" buffers it); the
+    # ranks are in range by construction
     terms = np.take(P.reshape(batch + (-1,)), flat_p, axis=-1, out=_work_array(0, batch + flat_p.shape), mode="clip")
     q_terms = np.take(Q.reshape(batch + (-1,)), flat_q, axis=-1, out=_work_array(1, batch + flat_q.shape), mode="clip")
     np.multiply(terms, q_terms, out=terms)
@@ -360,9 +401,8 @@ def raw_kronecker_sum(R: DoubleForm, k: int) -> float:
     and by permuting the k pairs of both tuples together, so every orbit of
     4^k k! terms is summed once: sigma over the tuples made of increasing
     pairs, tau over the pair partitions, all index sets in one gather
-    through the cached plan (_kronecker_plan) into forms._work_array slot
-    0, whose k factor slices are multiplied in place. Guarded to n <= 7
-    (factorial growth).
+    through the cached plan (_kronecker_plan), whose k factor slices are
+    multiplied in place. Guarded to n <= 7 (factorial growth).
     """
     _validate_curvature(R)
     n = R.dim
@@ -371,8 +411,7 @@ def raw_kronecker_sum(R: DoubleForm, k: int) -> float:
     _check_order(n, k)
     plan = _kronecker_plan(n, k)
     _, sigma_sign, _, tau_sign = _pair_orbits(2 * k)
-    # mode="clip" writes straight into out; the ranks are in range by construction
-    factors = np.take(R.coeffs, plan, out=_work_array(0, plan.shape), mode="clip")
+    factors = np.take(R.coeffs, plan)
     terms = factors[0]
     for factor in factors[1:]:
         np.multiply(terms, factor, out=terms)

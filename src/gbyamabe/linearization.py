@@ -121,11 +121,16 @@ def fd_verify(
     denom = sup_norm(exact)
     if denom == 0.0:
         raise ValueError("exact linearization vanishes; relative error undefined")
-    vals = np.stack([eps * field.values, -eps * field.values])
-    dv = np.stack([eps * field.dvalues, -eps * field.dvalues])
-    ddv = np.stack([eps * field.ddvalues, -eps * field.ddvalues])
-    two_sided = _gb_values(sf.n, sf.curvature, k, basis, vals, dv, ddv, pipeline)
-    fd_vals = (two_sided[0] - two_sided[1]) / (2.0 * eps)
+    # a large eps takes e^(+-2 eps f) g_mu out of the floats; the quotient
+    # is then refused below, with no numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.stack([eps * field.values, -eps * field.values])
+        dv = np.stack([eps * field.dvalues, -eps * field.dvalues])
+        ddv = np.stack([eps * field.ddvalues, -eps * field.ddvalues])
+        two_sided = _gb_values(sf.n, sf.curvature, k, basis, vals, dv, ddv, pipeline)
+        fd_vals = (two_sided[0] - two_sided[1]) / (2.0 * eps)
+    if not np.all(np.isfinite(fd_vals)):
+        raise ValueError(f"eps {eps:.3g} gives non-finite difference quotients: e^(+-2 eps f) g_mu leaves the floats")
     fd = field_from_values(basis, fd_vals, parity=field.parity)
     relerr = float(np.abs(fd.values - exact.values).max() / denom)
     return fd, exact, relerr

@@ -280,7 +280,7 @@ def _solver_profile(sf, psi, basis):
     psi_b = _admissible(sf, psi if psi.basis is basis else resample(psi, basis), "profile")
     if sup_norm(psi_b) > _SUP_NORM_LIMIT:
         raise ValueError(
-            f"profile sup norm {sup_norm(psi_b):.3f} exceeds the validated neighborhood ({_SUP_NORM_LIMIT})"
+            f"profile sup norm {sup_norm(psi_b):#.3g} exceeds the validated neighborhood ({_SUP_NORM_LIMIT})"
         )
     return psi_b
 

@@ -53,12 +53,12 @@ which the solver assembles its Jacobian wherever it uses the closed form.
 The dense evaluator _gb_values builds each pipeline's curvature stack and
 runs the double-form algebra; it is the oracle behind gb_field, fd_verify
 and constancy_diagnostic, and the solver's n = 5, k = 2 path. It runs in
-chunks of nodes whose largest gather holds at most _GATHER_BUDGET entries,
-a cache-sized budget far below the size up to which the forms kernels
-retain their work buffers (forms._WORK_RETAIN). Every gather, the products' and the
-invariant's diagonal blocks alike, goes into such a buffer, so no chunk maps
-fresh memory, and the buffers a grid evaluation leaves behind are a chunk's
-size, not the whole batch's.
+chunks of nodes whose largest array holds at most invariants._GATHER_BUDGET
+entries (1 MiB), the one memory constant of the package. The same constant
+caps the buffers that invariants.gauss_bonnet_coeffs keeps for its two
+diagonal-block gathers, the one kernel that keeps any: so the solver's
+n = 5, k = 2 chunks reuse their gathers' memory, and what a grid
+evaluation leaves behind is a chunk's size, not the whole batch's.
 """
 
 from __future__ import annotations
@@ -73,6 +73,7 @@ from ._validate import check_count, check_integer, check_nonzero
 from .forms import DoubleForm, check_dense_dim, double_form, product_coeffs, product_gather_entries, standard_metric
 from .indexing import num_indices
 from .invariants import (
+    _GATHER_BUDGET,
     _metric_square,
     _two_block_coefficients,
     check_problem_order,
@@ -330,16 +331,24 @@ def _even_modes(modes: np.ndarray, parity: str, tol: float):
 
 
 def field_from_modes(basis: ZonalBasis, modes, parity: str = "any") -> LatitudeField:
-    """Field from mode coefficients; grids are synthesized spectrally."""
+    """Field from mode coefficients; grids are synthesized spectrally, and
+    refused, naming them, unless finite."""
     m = np.array(modes, dtype=float)
     if m.shape != (basis.max_mode + 1,):
         raise ValueError(f"expected {basis.max_mode + 1} mode coefficients, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("mode coefficients must be finite")
     _even_modes(m, parity, tol=1e-10)
-    vals = basis.values @ m
-    dv = basis.dtheta @ m
-    ddv = basis.ddtheta @ m
+    with np.errstate(over="ignore", invalid="ignore"):
+        grids = {
+            "values": basis.values @ m,
+            "first derivatives": basis.dtheta @ m,
+            "second derivatives": basis.ddtheta @ m,
+        }
+    bad = [name for name, grid in grids.items() if not np.all(np.isfinite(grid))]
+    if bad:
+        raise ValueError(f"mode coefficients synthesize non-finite grids: {', '.join(bad)}")
+    vals, dv, ddv = grids.values()
     _freeze(m, vals, dv, ddv)
     return LatitudeField(basis, m, parity, vals, dv, ddv)
 
@@ -533,18 +542,6 @@ def conformal_curvature(cm: ConformalMetric, node: int) -> DoubleForm:
     return _node_curvature(cm, node, "conformal")
 
 
-# Float64 entries one gather of a grid chunk may hold (1 MiB), unless one
-# node alone needs more. The budget is sized to the cache, not to the forms
-# work buffers (16 MB each): the k = 2 invariant's two diagonal-block gathers
-# then fit a 2 MiB L2 together, and the buffers that the thread keeps after
-# a grid evaluation hold one chunk instead of the whole batch. A dense
-# (7, 2) batch of 18 fields x 48 nodes, the size of an RP^7 k = 2 solver
-# Jacobian (which the solver now takes from the closed form), runs in 9
-# chunks of up to 104 nodes; at a budget of 2^21 it would be one chunk,
-# leaving 17 MB in the buffers.
-_GATHER_BUDGET = 2**17
-
-
 def _gather_entries(n, k, pipeline):
     """Entries of the largest per-node array one evaluation builds: the
     curvature stack, one of the arrays of the product of g and T on the
@@ -556,7 +553,7 @@ def _gather_entries(n, k, pipeline):
 
 
 def _chunk_nodes(n, k, pipeline):
-    """Evaluations per chunk of _gb_values: as many as keep every gather
+    """Evaluations per chunk of _gb_values: as many as keep every array
     within _GATHER_BUDGET entries, and at least one."""
     return max(1, _GATHER_BUDGET // _gather_entries(n, k, pipeline))
 
@@ -570,11 +567,10 @@ def _gb_values(n, mu, k, basis: ZonalBasis, vals, dv, ddv, pipeline="warped"):
     """Pointwise order-2k invariant of e^{2 phi} g_mu on raw value arrays.
 
     vals/dv/ddv may carry leading batch dimensions in front of the node
-    axis. Work runs in chunks sized so that no gather exceeds
-    _GATHER_BUDGET entries (one node at least), well within the retained
-    forms work buffers: every chunk's gathers reuse memory, and the memory
-    a call holds is set by the chunk, not by the batch. Chunking does not
-    change results: outputs are concatenated, never reduced across chunks.
+    axis. Work runs in chunks sized so that no array exceeds
+    _GATHER_BUDGET entries (one node at least): the memory a call holds is
+    set by the chunk, not by the batch. Chunking does not change results:
+    outputs are concatenated, never reduced across chunks.
     """
     batch = np.shape(vals)
     grid = np.stack([np.broadcast_to(a, batch).reshape(-1) for a in (basis.x, basis.sin_theta, vals, dv, ddv)])

@@ -1,5 +1,6 @@
 """Mutation sweep of the solver's honesty checks, the closed-form constants,
-the dense evaluator's memory bound and the solver's use of it, the exact
+the dense evaluator's memory bound and the solver's use of it, the
+retained buffers of the invariant's diagonal-block gathers, the exact
 Newton Jacobian's partials and volume row, the product
 kernel's signs, the normalization of the exterior powers behind every frame
 change, the background curvature of the conformal pipeline, the refusals
@@ -7,7 +8,8 @@ of curvatures whose volume or power leaves the floats, the signs and
 factors of the Kronecker route, the metric rule's standard metric and the
 CLI's strict JSON reports.
 
-Each mutant is a one-line edit of a gate, a bound or a reported number. For
+Each mutant is a one-line edit of a gate, a bound or a reported number
+(two lines for the pair of diagonal-block gathers). For
 each, the sweep copies the repository to a temporary directory, applies the
 edit, runs the Tier-1 suite there and prints the tests that caught it: those
 that failed and failed again when rerun on the mutant. A test that passes on
@@ -132,6 +134,15 @@ MUTANTS = [
         "    return max(1, _GATHER_BUDGET // _gather_entries(n, k, pipeline))\n",
         "    return 1 << 62\n",
         "the dense evaluator runs a whole batch as one chunk, whatever its gathers hold",
+    ),
+    (
+        "diagonal-blocks-unretained",
+        INVARIANTS,
+        '    terms = np.take(P.reshape(batch + (-1,)), flat_p, axis=-1, out=_work_array(0, batch + flat_p.shape), mode="clip")\n'
+        '    q_terms = np.take(Q.reshape(batch + (-1,)), flat_q, axis=-1, out=_work_array(1, batch + flat_q.shape), mode="clip")\n',
+        "    terms = np.take(P.reshape(batch + (-1,)), flat_p, axis=-1)\n"
+        "    q_terms = np.take(Q.reshape(batch + (-1,)), flat_q, axis=-1)\n",
+        "the k = 2 invariant's two diagonal-block gathers are allocated per call, not kept",
     ),
     (
         "square-undoubled",

@@ -193,6 +193,11 @@ def test_spectrum_command(capsys):
         (["invariants", "--n", "10", "--k", "4", "--mu", "5.6e75"], "background curvature 5.6e+75 overflows when its"),
         (["invariants", "--n", "10", "--k", "1", "--mu", "1e307"], "curvature 1e+307 overflows when its power 1"),
         (["kernel-demo", "--n", "5", "--k", "2", "--mu", "1e120"], "results.collapse_ratio is inf: a report holds"),
+        (["solve", "--n", "5", "--k", "2", "--coeffs", "2:1e308"], "non-finite grids: values, first derivatives, second"),
+        (["solve", "--n", "5", "--k", "2", "--coeffs", "2:1e200,4:1e200"], "profile sup norm 1.33e+201 exceeds"),
+        (["solve", "--n", "5", "--k", "2", "--amp", "1e308"], "non-finite grids: second derivatives"),
+        (["sweep", "--amplitudes", "1e308"], "non-finite grids: second derivatives"),
+        (["verify-linearization", "--n", "5", "--k", "2", "--eps", "1e300"], "eps 1e+300 gives non-finite difference"),
     ],
     ids=[
         "solve-mu-inf",
@@ -230,6 +235,11 @@ def test_spectrum_command(capsys):
         "invariants-ricci-constant-overflow",
         "invariants-k1-invariant-overflow",
         "kernel-demo-collapse-ratio-not-finite",
+        "solve-profile-grids-overflow",
+        "solve-profile-sup-norm-huge",
+        "solve-amp-grids-overflow",
+        "sweep-amplitude-grids-overflow",
+        "verify-linearization-eps-overflow",
     ],
 )
 def test_non_finite_or_undeclarable_parameters_exit_2(capsys, argv, message):
@@ -255,7 +265,8 @@ def test_non_finite_or_undeclarable_parameters_exit_2(capsys, argv, message):
         # a result refused after the evaluation that overflowed
         assert all("overflow" in text for text in warned)
     else:
-        # refused before any evaluation that could overflow: no numpy warning
+        # refused with no numpy warning: before any evaluation that could
+        # overflow, or after one that ignores its overflow and checks it
         assert warned == []
 
 

@@ -2,19 +2,10 @@
 
 import itertools
 import math
-import os
-import subprocess
-import sys
 import threading
-from pathlib import Path
 
 import numpy as np
 import pytest
-
-try:
-    import resource
-except ImportError:  # not on every platform
-    resource = None
 
 from gbyamabe import (
     algebra_property_suite,
@@ -25,7 +16,7 @@ from gbyamabe import (
     product,
     standard_metric,
 )
-from gbyamabe import forms, spaceform
+from gbyamabe import forms, invariants
 from gbyamabe.forms import _random_form, contract_coeffs, product_coeffs
 from gbyamabe.indexing import index_tuples, insertion_tables, rank_map, split_tables
 
@@ -539,121 +530,19 @@ def test_product_coeffs_accepts_integer_coefficients():
     assert np.array_equal(product_coeffs(4, 1, 1, g, 1, 1, g), product(standard_metric(4), standard_metric(4)).coeffs)
 
 
-def test_product_coeffs_reuses_its_work_buffers():
-    rng = np.random.default_rng(5)
-    w = rng.standard_normal((4, 28, 28))
-    first = product_coeffs(8, 2, 2, w, 2, 2, w)
-    kept = first.copy()
-    buffers = dict(forms._work.buffers)
-    # one view passed twice, so that both calls take the square route
-    flipped = w[::-1]
-    second = product_coeffs(8, 2, 2, flipped, 2, 2, flipped)
-    assert all(forms._work.buffers[slot] is buf for slot, buf in buffers.items())
-    assert not any(np.shares_memory(out, buf) for out in (first, second) for buf in buffers.values())
-    assert np.array_equal(first, kept)
-    assert np.array_equal(second, kept[::-1])
-
-
-_PRODUCT_FAULTS = """
-import resource
-import numpy as np
-from gbyamabe.forms import product_coeffs
-rng = np.random.default_rng(6)
-w1, w2 = rng.standard_normal((70, 70)), rng.standard_normal((28, 28))
-product_coeffs(8, 4, 4, w1, 2, 2, w2)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for _ in range(10):
-    product_coeffs(8, 4, 4, w1, 2, 2, w2)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-"""
-
-
-def _run_with_pinned_mmap_threshold(script):
-    # the integers the script prints, among them the minor page faults of
-    # its loop, from a child with glibc's mmap threshold pinned at its
-    # default of 128 KB: frees of larger arrays raise it, so this process's
-    # history could hide fresh allocations (other allocators ignore the
-    # variable)
-    src = str(Path(forms.__file__).resolve().parents[1])
-    env = dict(
-        os.environ,
-        MALLOC_MMAP_THRESHOLD_="131072",
-        PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
-    )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
-    return [int(word) for word in proc.stdout.split()]
-
-
-@pytest.mark.skipif(resource is None, reason="needs getrusage")
-def test_repeated_products_fault_in_no_fresh_pages():
-    # the n = 8 (4,4) x (2,2) product's row stage builds Y, 28 matrices of
-    # 70 x 28 (54,880 entries, 439 KB); freshly allocated per call, ten
-    # calls would fault in over a thousand pages
-    assert forms.product_gather_entries(8, 4, 4, 2, 2) == 28 * 70 * 28
-    assert _run_with_pinned_mmap_threshold(_PRODUCT_FAULTS)[0] < 28 * 70 * 28 * 8 // 4096
-
-
-_CONTRACT_FAULTS = """
-import resource
-import numpy as np
-from gbyamabe.forms import contract_coeffs
-w = np.random.default_rng(8).standard_normal((56, 56))
-contract_coeffs(8, 5, 5, w)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for _ in range(10):
-    contract_coeffs(8, 5, 5, w)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-"""
-
-
-@pytest.mark.skipif(resource is None, reason="needs getrusage")
-def test_repeated_contractions_fault_in_no_fresh_pages():
-    # the n = 8 (5,5) -> (4,4) contraction gathers 8 x 70 x 70 = 39,200
-    # entries (314 KB), above glibc's default mmap threshold of 128 KB:
-    # freshly allocated per call, ten calls would fault in hundreds of pages
-    assert _run_with_pinned_mmap_threshold(_CONTRACT_FAULTS)[0] < 8 * 70 * 70 * 8 // 4096
-
-
-_GRID_CHUNK_FAULTS = """
-import resource
-import numpy as np
-from gbyamabe import spaceform
-from gbyamabe.forms import product_coeffs
-nodes = spaceform._chunk_nodes(7, 3, "warped")
-w = np.random.default_rng(7).standard_normal((nodes, 21, 21))
-product_coeffs(7, 2, 2, w, 2, 2, w)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for _ in range(10):
-    product_coeffs(7, 2, 2, w, 2, 2, w)
-print(nodes, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-"""
-
-
-@pytest.mark.skipif(resource is None, reason="needs getrusage")
-def test_grid_chunk_products_fault_in_no_fresh_pages():
-    # the RP^7 k = 3 grid chunk: the arrays of its (2,2) square, the largest
-    # a Y of 35 matrices of 21 x 21 per node, must fit the retained
-    # buffers; a chunk of over 135 nodes would map a fresh Y of over 16 MB
-    # on every call, and a fresh Y of one chunk would fault in a chunk's
-    # pages
-    per_node = forms.product_gather_entries(7, 2, 2, 2, 2)
-    assert per_node == 35 * 21 * 21
-    nodes, faults = _run_with_pinned_mmap_threshold(_GRID_CHUNK_FAULTS)
-    assert nodes == spaceform._chunk_nodes(7, 3, "warped") == 8
-    assert nodes * per_node <= forms._WORK_RETAIN
-    assert faults < nodes * per_node * 8 // 4096
-
-
 def test_work_arrays_are_per_thread_and_bounded(monkeypatch):
-    mine = forms._work_array(0, (3, 5))
+    # the retained buffers of invariants.gauss_bonnet_coeffs, the one kernel
+    # that keeps any: the forms kernels allocate per call
+    assert not hasattr(forms, "_work_array")
+    mine = invariants._work_array(0, (3, 5))
     theirs = []
-    worker = threading.Thread(target=lambda: theirs.append(forms._work_array(0, (3, 5))))
+    worker = threading.Thread(target=lambda: theirs.append(invariants._work_array(0, (3, 5))))
     worker.start()
     worker.join()
     assert not np.shares_memory(mine, theirs[0])
-    assert np.shares_memory(mine, forms._work_array(0, (15,)))
-    monkeypatch.setattr(forms, "_WORK_RETAIN", 10)
-    assert not np.shares_memory(forms._work_array(0, (3, 5)), mine)
+    assert np.shares_memory(mine, invariants._work_array(0, (15,)))
+    monkeypatch.setattr(invariants, "_GATHER_BUDGET", 10)
+    assert not np.shares_memory(invariants._work_array(0, (3, 5)), mine)
 
 
 def test_algebra_property_suite_smoke():

@@ -261,12 +261,13 @@ def _plain_trace(n, k, w):
 
 @pytest.mark.parametrize("n, k", [(7, 2), (7, 3), (8, 4)])
 def test_gauss_bonnet_coeffs_reuses_its_work_buffers(monkeypatch, n, k):
-    # the diagonal blocks are gathered into slots 0 and 1, which at k >= 3
-    # the product's row gathers held just before
+    # the diagonal blocks, the last two takes, are gathered into the
+    # retained buffers 0 and 1; at k >= 3 the product before them
+    # allocates its arrays per call
     w = _random_stack(n, (3,), np.random.default_rng([n, k]))
     first = gauss_bonnet_coeffs(n, k, w)
     kept = first.copy()
-    buffers = dict(forms._work.buffers)
+    buffers = dict(invariants._work.buffers)
     assert {0, 1} <= set(buffers)
     outs, real_take = [], np.take
 
@@ -278,9 +279,10 @@ def test_gauss_bonnet_coeffs_reuses_its_work_buffers(monkeypatch, n, k):
     flipped = w[::-1]
     second = gauss_bonnet_coeffs(n, k, flipped)
     monkeypatch.undo()
-    assert len(outs) >= 2
-    assert all(out is not None and any(np.shares_memory(out, buf) for buf in buffers.values()) for out in outs)
-    assert all(forms._work.buffers[slot] is buf for slot, buf in buffers.items())
+    assert len(outs) == (2 if k == 2 else 5)
+    assert all(out is not None and any(np.shares_memory(out, buf) for buf in buffers.values()) for out in outs[-2:])
+    assert all(out is None for out in outs[:-2])
+    assert all(invariants._work.buffers[slot] is buf for slot, buf in buffers.items())
     assert not any(np.shares_memory(out, buf) for out in (first, second) for buf in buffers.values())
     assert np.array_equal(first, kept)
     assert np.array_equal(second, kept[::-1])
@@ -290,21 +292,37 @@ def test_gauss_bonnet_coeffs_reuses_its_work_buffers(monkeypatch, n, k):
 _K2_TRACE_FAULTS = """
 import resource
 import numpy as np
-from gbyamabe.invariants import gauss_bonnet_coeffs
-raw = np.random.default_rng(12).standard_normal((864, 21, 21))
-w = (raw + np.swapaxes(raw, -1, -2)) / 2
-gauss_bonnet_coeffs(7, 2, w)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+from gbyamabe import spaceform
+from gbyamabe.spaceform import _gb_values, mode_field, zonal_basis
+faults, real = [0], spaceform.gauss_bonnet_coeffs
+def counting(n, k, w):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    out = real(n, k, w)
+    faults[0] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    return out
+spaceform.gauss_bonnet_coeffs = counting
+basis = zonal_basis(5, 16)
+phi = mode_field(basis, 2, 0.05)
+rng = np.random.default_rng(14)
+batches = [
+    [grid + 1e-3 * rng.standard_normal((fields, grid.size)) for grid in (phi.values, phi.dvalues, phi.ddvalues)]
+    for fields in (18, 32)
+]
+for vals, dv, ddv in batches:
+    _gb_values(5, 1.0, 2, basis, vals, dv, ddv)
+faults[0] = 0
 for _ in range(5):
-    gauss_bonnet_coeffs(7, 2, w)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    for vals, dv, ddv in batches:
+        _gb_values(5, 1.0, 2, basis, vals, dv, ddv)
+print(basis.x.size, spaceform._chunk_nodes(5, 2, "warped"), faults[0])
 """
 
 
 def _faults_in_child(script):
-    # the page faults the script prints, from a child with glibc's mmap
-    # threshold pinned at its default: frees of larger arrays raise it, so
-    # this process's history could hide fresh allocations
+    # the integers the script prints, among them page faults, from a child
+    # with glibc's mmap threshold pinned at its default of 128 KB: frees of
+    # larger arrays raise it, so this process's history could hide fresh
+    # allocations (other allocators ignore the variable)
     src = str(Path(invariants.__file__).resolve().parents[1])
     env = dict(
         os.environ,
@@ -312,20 +330,25 @@ def _faults_in_child(script):
         PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
-    return int(proc.stdout)
+    return [int(word) for word in proc.stdout.split()]
 
 
 @pytest.mark.skipif(resource is None or not sys.platform.startswith("linux"), reason="counts Linux page faults")
 def test_repeated_k2_traces_fault_in_no_fresh_pages():
-    # one RP^7 k = 2 Jacobian evaluates 864 matrices; each diagonal-block
-    # gather holds 864 * 35 * 6^2 entries (8.7 MB, 2126 pages). A fresh
-    # array per call maps and faults those pages in anew, but only while
-    # glibc's mmap threshold is below its size: frees of larger arrays
-    # raise it, so this process's history can hide the faults. The calls
-    # therefore run in a child with the threshold pinned at glibc's default.
-    pages = 864 * _trace_blocks(7, 1, 1)[0].size * 8 // 4096
-    assert pages == 2126
-    assert _faults_in_child(_K2_TRACE_FAULTS) < pages // 10
+    # the one reason a buffer is kept: the solver's n = 5, k = 2 path
+    # evaluates RP^5 batches of 18 fields and S^5 batches of 32 at 48 nodes
+    # every Newton step. A chunk of 728 nodes fits the budget, and each of
+    # its two diagonal-block gathers holds 728 * 5 * 6^2 entries (1 MB,
+    # 255 pages); fresh arrays per call would fault those pages in anew
+    # (the helper pins the mmap threshold). The invariant kernel's calls
+    # over five rounds of both batches must fault in almost none.
+    per_node = _trace_blocks(5, 1, 1)[0].size
+    nodes, chunk, faults = _faults_in_child(_K2_TRACE_FAULTS)
+    assert (nodes, chunk, per_node) == (48, 728, 180)
+    assert chunk * per_node <= invariants._GATHER_BUDGET
+    pages = chunk * per_node * 8 // 4096
+    assert pages == 255
+    assert faults < pages // 10
 
 
 def test_trace_route_matches_two_block_closed_form():
@@ -519,29 +542,6 @@ def test_kronecker_plan_is_one_factor_major_take_table():
         assert 0 <= plan.min() and plan.max() < math.comb(n, 2) ** 2
         assert invariants._kronecker_plan(n, k) is plan
     assert invariants._kronecker_plan(7, 3).size == 3 * 7 * 90 * 15 == 28350
-
-
-_KRONECKER_FAULTS = """
-import resource
-import numpy as np
-from gbyamabe import random_curvature_like, raw_kronecker_sum
-R = random_curvature_like(7, np.random.default_rng(13))
-raw_kronecker_sum(R, 3)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for _ in range(10):
-    raw_kronecker_sum(R, 3)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-"""
-
-
-@pytest.mark.skipif(resource is None or not sys.platform.startswith("linux"), reason="counts Linux page faults")
-def test_repeated_kronecker_sums_fault_in_no_fresh_pages():
-    # the (7, 3) factor gather holds 28,350 entries (227 KB, 55 pages),
-    # above glibc's default mmap threshold: freshly allocated per call, ten
-    # calls would fault in over 500 pages
-    pages = invariants._kronecker_plan(7, 3).size * 8 // 4096
-    assert pages == 55
-    assert _faults_in_child(_KRONECKER_FAULTS) < pages
 
 
 def test_metric_rule_needs_no_frame_for_any_identity_metric():

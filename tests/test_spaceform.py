@@ -574,28 +574,30 @@ def test_gb_values_gathers_stay_within_budget(monkeypatch):
     # in one chunk would hold 3.3e6 entries; the last step reads only the
     # diagonal blocks of w^2 w (84 * 15^2 entries per node). One node alone
     # exceeds the default budget, so the test pins one under which the
-    # chunk rule fits 4 nodes in a chunk, and records every work array the
-    # kernels ask for
-    import gbyamabe.forms as forms
-    import gbyamabe.invariants as invariants
-
+    # chunk rule fits 4 nodes in a chunk, and records the size of every
+    # array np.take and np.matmul return: the product kernel's gathers and
+    # its row stage, and the invariant's diagonal blocks
     per_node = 126 * 36 * 36
     budget = 4 * per_node
     monkeypatch.setattr(spaceform, "_GATHER_BUDGET", budget)
 
-    real_work_array = forms._work_array
     sizes = []
 
-    def recording_work_array(slot, shape):
-        sizes.append(math.prod(shape))
-        return real_work_array(slot, shape)
+    def recording(real):
+        def wrapper(*args, **kwargs):
+            out = real(*args, **kwargs)
+            sizes.append(out.size)
+            return out
 
-    monkeypatch.setattr(forms, "_work_array", recording_work_array)
-    monkeypatch.setattr(invariants, "_work_array", recording_work_array)
+        return wrapper
+
+    monkeypatch.setattr(np, "take", recording(np.take))
+    monkeypatch.setattr(np, "matmul", recording(np.matmul))
     n, k = 9, 3
     basis = zonal_basis(n, 2)
     cm = conformal_metric(space_form(n, 1.0, FULL_SPHERE), mode_field(basis, 2, 0.05))
     field = gb_field(cm, k)
+    monkeypatch.undo()
     assert basis.x.size == 20
     assert 3 * per_node < max(sizes) <= budget
     for node in (0, 7, 19):
