@@ -340,15 +340,12 @@ def field_from_modes(basis: ZonalBasis, modes, parity: str = "any") -> LatitudeF
         raise ValueError("mode coefficients must be finite")
     _even_modes(m, parity, tol=1e-10)
     with np.errstate(over="ignore", invalid="ignore"):
-        grids = {
-            "values": basis.values @ m,
-            "first derivatives": basis.dtheta @ m,
-            "second derivatives": basis.ddtheta @ m,
-        }
-    bad = [name for name, grid in grids.items() if not np.all(np.isfinite(grid))]
-    if bad:
-        raise ValueError(f"mode coefficients synthesize non-finite grids: {', '.join(bad)}")
-    vals, dv, ddv = grids.values()
+        vals, dv, ddv = basis.values @ m, basis.dtheta @ m, basis.ddtheta @ m
+    finite = [np.isfinite(grid).all() for grid in (vals, dv, ddv)]
+    if not all(finite):
+        names = ("values", "first derivatives", "second derivatives")
+        bad = ", ".join(name for name, ok in zip(names, finite) if not ok)
+        raise ValueError(f"mode coefficients synthesize non-finite grids: {bad}")
     _freeze(m, vals, dv, ddv)
     return LatitudeField(basis, m, parity, vals, dv, ddv)
 
