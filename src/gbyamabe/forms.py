@@ -47,10 +47,10 @@ through a table cached per bidegree (_contract_plan, from
 indexing.insertion_tables) and sums over the n directions in one reduction
 (_signed_gather_sum, which invariants.ricci_2k shares). The cached plans
 hold their index tables C-contiguous and writeable, so np.take reads them
-without a copy. The kernels allocate their intermediates per call; the
-geometry modules bound them by evaluating grids in chunks
-(product_gather_entries reports a product's largest array to
-spaceform's chunk rule).
+without a copy. The kernels allocate their intermediates per call and
+keep no buffers; spaceform bounds them by evaluating grids in chunks
+under the package's one memory constant (invariants._GATHER_BUDGET), and
+product_gather_entries reports a product's largest array to that rule.
 DENSE_DIM_LIMIT bounds the dimension of the dense algebra's oracles, and
 check_dense_dim is the one rule that applies it.
 is_in_symmetry_class and the metric rule _metric_frame share one symmetry

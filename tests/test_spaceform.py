@@ -657,12 +657,13 @@ print(vals.shape[0], vals.shape[1], tracemalloc.get_traced_memory()[1], _GATHER_
 
 
 def test_k2_jacobian_batch_peaks_at_a_chunk_not_the_batch():
-    # the RP^7 k = 2 Jacobian evaluates 18 perturbed fields at 48 nodes, and
-    # each of the invariant's two diagonal-block gathers holds 1260 entries
-    # per node: 8.7 MB each for the whole batch. Chunked, a call holds two
-    # gathers of at most the budget, the chunk's curvature stack and the
-    # outputs. The work buffers persist per thread, so a process that has
-    # already grown them would hide the peak: the call runs in a child.
+    # a dense (7, 2) batch of 18 perturbed fields at 48 nodes, the size of
+    # an RP^7 k = 2 Jacobian batch: each of the invariant's two
+    # diagonal-block gathers holds 1260 entries per node, 8.7 MB each for
+    # the whole batch. Chunked, a call holds two gathers of at most the
+    # budget, the chunk's curvature stack and the outputs. The invariant's
+    # retained buffers persist per thread, so a process that has already
+    # grown them would hide the peak: the call runs in a child.
     src = str(Path(spaceform.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-c", _JACOBIAN_PEAK], capture_output=True, text=True, env=env, check=True)
