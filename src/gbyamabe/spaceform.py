@@ -340,12 +340,11 @@ def field_from_modes(basis: ZonalBasis, modes, parity: str = "any") -> LatitudeF
         raise ValueError("mode coefficients must be finite")
     _even_modes(m, parity, tol=1e-10)
     with np.errstate(over="ignore", invalid="ignore"):
-        vals, dv, ddv = basis.values @ m, basis.dtheta @ m, basis.ddtheta @ m
-    finite = [np.isfinite(grid).all() for grid in (vals, dv, ddv)]
-    if not all(finite):
-        names = ("values", "first derivatives", "second derivatives")
-        bad = ", ".join(name for name, ok in zip(names, finite) if not ok)
-        raise ValueError(f"mode coefficients synthesize non-finite grids: {bad}")
+        vals, dv, ddv = grids = basis.values @ m, basis.dtheta @ m, basis.ddtheta @ m
+    names = ("values", "first derivatives", "second derivatives")
+    bad = [name for name, grid in zip(names, grids) if not np.isfinite(grid).all()]
+    if bad:
+        raise ValueError(f"mode coefficients synthesize non-finite grids: {', '.join(bad)}")
     _freeze(m, vals, dv, ddv)
     return LatitudeField(basis, m, parity, vals, dv, ddv)
 
