@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, fields
 
@@ -307,6 +308,24 @@ def _cmd_sweep(args):
 # ---------------------------------------------------------------------------
 
 
+# Flags whose value is a comma list. argparse reads a lone negative number
+# after a flag ("--mu -1") as its value, but a list that starts with one
+# ("-1,0.5") as another flag; _Parser attaches such a list to its flag.
+_LIST_FLAGS = ("--amplitudes", "--g-coeffs", "--coeffs", "--dims")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads "--g-coeffs -1,0.5" as "--g-coeffs=-1,0.5"
+    (_LIST_FLAGS). Subparsers are built from the same class."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = list(sys.argv[1:] if args is None else args)
+        for i in range(len(args) - 1, 0, -1):
+            if args[i - 1] in _LIST_FLAGS and re.match(r"-\.?\d", args[i]):
+                args[i - 1 : i + 1] = [f"{args[i - 1]}={args[i]}"]
+        return super().parse_known_args(args, namespace)
+
+
 def _add_output_flags(sub):
     sub.add_argument("--output", help="also write the report to this path")
 
@@ -336,7 +355,7 @@ def _add_profile_flags(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gbyamabe",
         description="Gauss-Bonnet curvature invariants and constant-invariant conformal metrics on space forms",
     )

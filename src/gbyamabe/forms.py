@@ -253,18 +253,18 @@ def _random_form(n: int, p: int, q: int, rng: np.random.Generator) -> DoubleForm
 def _product_plan(n, p, q, r, s):
     """Index tables of product_coeffs for one bidegree signature.
 
-    Returns the row ranks into w1 stacked over -w1 (a negative split takes
-    its row from the second half) and the row ranks into w2, shaped
-    (C(n,p+r), C(p+r,p)): one run of row splits per (p+r)-combination; then
-    the flat column ranks A2 C(n,s) + B2 into the row stage's C(n,q) x C(n,s)
-    matrices and the column signs, shaped (C(q+s,q), C(n,q+s)): ordered
-    split by split.
+    Returns the row ranks into w1 stacked over -w1 (_signed_ranks: a
+    negative split takes its row from the second half) and the row ranks
+    into w2, shaped (C(n,p+r), C(p+r,p)): one run of row splits per
+    (p+r)-combination; then the flat column ranks A2 C(n,s) + B2 into the
+    row stage's C(n,q) x C(n,s) matrices and the column signs, shaped
+    (C(q+s,q), C(n,q+s)): ordered split by split.
     """
     A1, B1, s1 = split_tables(n, p, r)
     A2, B2, s2 = split_tables(n, q, s)
     c1, c2 = math.comb(p + r, p), math.comb(q + s, q)
     runs, splits = (A1.size // c1, c1), (A2.size // c2, c2)
-    rows_1 = (A1 + num_indices(n, p) * (s1 < 0)).reshape(runs)
+    rows_1 = _signed_ranks(A1, s1, num_indices(n, p)).reshape(runs)
     rows_2 = B1.reshape(runs).copy()
     cols = (A2 * num_indices(n, s) + B2).reshape(splits).T.copy()
     col_signs = s2.reshape(splits).T.copy()

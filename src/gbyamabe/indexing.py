@@ -5,10 +5,14 @@ indexed by strictly increasing multi-indices in lexicographic order. This
 module owns the combinatorial plumbing: rank/unrank maps, the signed split
 tables behind the wedge-type product and the insertion tables behind
 contraction (frame changes are products: forms._to_frame). It is the one
-owner of ranks and signs: every sign of a split or an insertion comes from
-merge_sign, and the other modules read these tables instead of rebuilding
-them (invariants._kronecker_plan, the cached gather plan of
-raw_kronecker_sum, reads its pair ranks from insertion_tables(n, 1)).
+owner of ranks and signs. Every sign is the parity of a permutation, and
+permutation_signs alone computes one: split_tables signs the splits of one
+combination with it and repeats those signs for every combination,
+insertion_tables scatters split_tables(n, 1, p), and invariants._pair_orbits
+signs the Kronecker route's orbit representatives with it. The other
+modules read these tables instead of rebuilding them
+(invariants._kronecker_plan, the cached gather plan of raw_kronecker_sum,
+reads its pair ranks from insertion_tables(n, 1)).
 
 All tables are cached per (n, degree) signature. split_tables lists the
 splits of each (p+r)-combination as one contiguous run, so a product sums
@@ -53,15 +57,16 @@ def num_indices(n: int, p: int) -> int:
     return len(index_tuples(n, p))
 
 
-def merge_sign(left: tuple[int, ...], right: tuple[int, ...]) -> float:
-    """Sign of the permutation sorting the concatenation of two disjoint
-    increasing tuples, or 0.0 if they intersect."""
-    if set(left) & set(right):
-        return 0.0
-    swaps = 0
-    for a in left:
-        swaps += sum(1 for b in right if b < a)
-    return -1.0 if swaps % 2 else 1.0
+def permutation_signs(perms) -> np.ndarray:
+    """Sign (+-1.0) of each row of an array of permutations of range(m),
+    shaped (count, m): the parity of its inversions."""
+    perms = np.asarray(perms)
+    m = perms.shape[-1]
+    inversions = np.zeros(perms.shape[:-1], dtype=np.int64)
+    for a in range(m):
+        for b in range(a + 1, m):
+            inversions += perms[..., a] > perms[..., b]
+    return np.where(inversions % 2 == 0, 1.0, -1.0)
 
 
 @lru_cache(maxsize=None)
@@ -71,8 +76,9 @@ def split_tables(n: int, p: int, r: int) -> tuple[np.ndarray, np.ndarray, np.nda
     For every (p+r)-combination M, enumerate the ways to split M into an
     increasing p-part A and r-part B. Returns (A, B, signs), flat arrays of
     length C(n, p+r) C(p+r, p): the ranks of the parts and the sign of each
-    split (merge_sign(A, B), the parity of the shuffle restoring increasing
-    order).
+    split (the parity of the shuffle restoring increasing order, which
+    depends only on where A and B sit in M: permutation_signs of those
+    positions, computed once and repeated for every M).
 
     Layout: the C(p+r, p) splits of combination m are the contiguous run
     m C(p+r, p), ..., (m+1) C(p+r, p) - 1, in the lexicographic order of
@@ -84,16 +90,14 @@ def split_tables(n: int, p: int, r: int) -> tuple[np.ndarray, np.ndarray, np.nda
     big = index_tuples(n, p + r)
     rank_a = rank_map(n, p)
     rank_b = rank_map(n, r)
-    rows_a: list[int] = []
-    rows_b: list[int] = []
-    signs: list[float] = []
-    for combo in big:
-        for part in combinations(combo, p):
-            rest = tuple(i for i in combo if i not in part)
-            rows_a.append(rank_a[part])
-            rows_b.append(rank_b[rest])
-            signs.append(merge_sign(part, rest))
-    out = (np.array(rows_a, dtype=np.intp), np.array(rows_b, dtype=np.intp), np.array(signs))
+    # positions of the p-part and of the r-part in a sorted (p+r)-combination
+    parts = list(combinations(range(p + r), p))
+    rests = [tuple(i for i in range(p + r) if i not in part) for part in parts]
+    rows_a = [rank_a[tuple(combo[i] for i in part)] for combo in big for part in parts]
+    rows_b = [rank_b[tuple(combo[i] for i in rest)] for combo in big for rest in rests]
+    shuffles = np.array([part + rest for part, rest in zip(parts, rests)], dtype=np.intp)
+    signs = np.tile(permutation_signs(shuffles), len(big))
+    out = (np.array(rows_a, dtype=np.intp), np.array(rows_b, dtype=np.intp), signs)
     for arr in out:
         arr.flags.writeable = False
     return out
@@ -104,18 +108,18 @@ def insertion_tables(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Insertion data for contraction: for each p-combination row and each
     direction i, the rank of sorted({i} union row) among (p+1)-combinations
     and the sign of putting i first. Sign is 0 when i already lies in row
-    (the target rank is then a dummy 0)."""
-    rows = index_tuples(n, p)
-    rank_big = rank_map(n, p + 1)
-    R = np.zeros((len(rows), n), dtype=np.intp)
-    S = np.zeros((len(rows), n))
-    for r, combo in enumerate(rows):
-        for i in range(n):
-            if i in combo:
-                continue
-            sign = merge_sign((i,), combo)
-            R[r, i] = rank_big[tuple(sorted((i,) + combo))]
-            S[r, i] = sign
+    (the target rank is then a dummy 0).
+
+    These are the splits of split_tables(n, 1, p), scattered: the split of
+    combination M into {i} and row gives entry [row, i] the rank of M and
+    the split's sign."""
+    rows = num_indices(n, p)
+    parts, rests, signs = split_tables(n, 1, p)
+    R = np.zeros((rows, n), dtype=np.intp)
+    S = np.zeros((rows, n))
+    # split t of combination t // (p+1) puts direction parts[t] before the row rests[t]
+    R[rests, parts] = np.arange(parts.size) // (p + 1)
+    S[rests, parts] = signs
     R.flags.writeable = False
     S.flags.writeable = False
     return R, S

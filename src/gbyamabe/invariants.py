@@ -73,7 +73,7 @@ from .forms import (
     product_gather_entries,
     standard_metric,
 )
-from .indexing import index_tuples, insertion_tables, num_indices, split_tables
+from .indexing import index_tuples, insertion_tables, num_indices, permutation_signs, split_tables
 
 __all__ = [
     "InvariantConstants",
@@ -356,11 +356,7 @@ def _pair_orbits(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     (2j, 2j+1) are increasing, in every pair order; tau, those whose pairs
     are also sorted by first entry, one per pair partition ((m-1)!!)."""
     perms = np.array(list(permutations(range(m))), dtype=np.intp)
-    inversions = np.zeros(len(perms), dtype=np.int64)
-    for a in range(m):
-        for b in range(a + 1, m):
-            inversions += perms[:, a] > perms[:, b]
-    parity = np.where(inversions % 2 == 0, 1.0, -1.0)
+    parity = permutation_signs(perms)
     sigma = np.all(perms[:, 0::2] < perms[:, 1::2], axis=1)
     tau = sigma & np.all(np.diff(perms[:, 0::2], axis=1) > 0, axis=1)
     out = (perms[sigma], parity[sigma], perms[tau], parity[tau])

@@ -381,10 +381,6 @@ def mode_field(basis: ZonalBasis, ell: int, sup_amplitude: float = 1.0) -> Latit
     return field_from_modes(basis, modes, parity="even" if ell % 2 == 0 else "any")
 
 
-def _constant_field(basis: ZonalBasis, value: float) -> LatitudeField:
-    return field_from_values(basis, np.full(basis.x.size, float(value)), parity="even")
-
-
 def resample(field: LatitudeField, basis: ZonalBasis) -> LatitudeField:
     """Re-express a field on another basis of the same dimension.
 
@@ -403,13 +399,6 @@ def resample(field: LatitudeField, basis: ZonalBasis) -> LatitudeField:
     upto = min(src.max_mode, basis.max_mode) + 1
     modes[:upto] = field.modes[:upto] * basis.norms[:upto] / src.norms[:upto]
     return field_from_modes(basis, modes, parity=field.parity)
-
-
-def _reflect_field(field: LatitudeField) -> LatitudeField:
-    """Pull back under theta -> pi - theta (odd modes change sign)."""
-    modes = field.modes.copy()
-    modes[1::2] *= -1.0
-    return field_from_modes(field.basis, modes, parity=field.parity)
 
 
 def sup_norm(field: LatitudeField) -> float:

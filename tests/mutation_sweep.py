@@ -1,7 +1,8 @@
 """Mutation sweep of the solver's honesty checks, the closed-form constants,
 the dense evaluator's memory bound and the solver's use of it, the
 retained buffers of the invariant's diagonal-block gathers, the exact
-Newton Jacobian's partials and volume row, the product
+Newton Jacobian's partials and volume row, the one parity rule behind
+every signed index table and the layout of the split signs, the product
 kernel's signs, the normalization of the exterior powers behind every frame
 change, the background curvature of the conformal pipeline, the refusals
 of curvatures whose volume or power leaves the floats, the signs and
@@ -41,6 +42,7 @@ INVARIANTS = "src/gbyamabe/invariants.py"
 FORMS = "src/gbyamabe/forms.py"
 VALIDATE = "src/gbyamabe/_validate.py"
 CLI = "src/gbyamabe/cli.py"
+INDEXING = "src/gbyamabe/indexing.py"
 
 # (name, file, old text, new text, why); each old text occurs once in its file
 MUTANTS = [
@@ -143,6 +145,20 @@ MUTANTS = [
         "    terms = np.take(P.reshape(batch + (-1,)), flat_p, axis=-1)\n"
         "    q_terms = np.take(Q.reshape(batch + (-1,)), flat_q, axis=-1)\n",
         "the k = 2 invariant's two diagonal-block gathers are allocated per call, not kept",
+    ),
+    (
+        "parity-skips-adjacent",
+        INDEXING,
+        "        for b in range(a + 1, m):\n",
+        "        for b in range(a + 2, m):\n",
+        "the parity of every signed table skips the inversions of adjacent positions",
+    ),
+    (
+        "split-signs-repeated-elementwise",
+        INDEXING,
+        "    signs = np.tile(",
+        "    signs = np.repeat(",
+        "each split sign is repeated in place, not the signs of one combination once per combination",
     ),
     (
         "square-undoubled",

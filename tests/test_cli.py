@@ -421,6 +421,23 @@ def test_solve_generalized_degenerate(capsys):
     assert report["error"]["type"] == "NondegeneracyViolated"
 
 
+@pytest.mark.parametrize(
+    "argv, value, code",
+    [
+        (["sweep", "--amplitudes"], "-0.04,0.04", 0),
+        (["solve-g", "--g-coeffs"], "-1,0.5", 0),
+        (["solve", "--coeffs"], "-2:0.05,4:0.01", 2),
+        (["verify-algebra", "--cases", "5", "--dims"], "-3,4", 2),
+    ],
+)
+def test_a_comma_list_that_starts_with_a_minus_sign_is_the_flags_value(capsys, argv, value, code):
+    # argparse alone reads "-0.04,0.04" after a flag as another flag
+    spaced = run_cli(capsys, [*argv, value])
+    joined = run_cli(capsys, [*argv[:-1], f"{argv[-1]}={value}"])
+    assert spaced == joined
+    assert spaced[0] == code
+
+
 def test_kernel_demo_command(capsys):
     code, report = run_cli(capsys, ["kernel-demo", "--mode-cutoff", "8"])
     assert code == 0

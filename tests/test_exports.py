@@ -61,9 +61,10 @@ PUBLIC_NAMES = [
     "quadratic_tail",
 ]
 
-# Wrappers and test-only helpers that were once public: deleted, or private
-# to their module (_random_form, _constant_field, _reflect_field), or shared
-# internal rules the sibling modules import from invariants.
+# Wrappers and test-only helpers that were once public: deleted, private to
+# their module (_random_form), defined in the tests that use them
+# (_constant_field, _reflect_field), or shared internal rules the sibling
+# modules import from invariants.
 WITHDRAWN_NAMES = [
     "metric_multiply", "scalar_form", "symmetric_bilinear", "random_form",
     "base_coefficient", "check_problem_order", "hypersurface_sigma_check",

@@ -18,7 +18,7 @@ from gbyamabe import (
 )
 from gbyamabe import forms, invariants
 from gbyamabe.forms import _random_form, contract_coeffs, product_coeffs
-from gbyamabe.indexing import index_tuples, insertion_tables, rank_map, split_tables
+from gbyamabe.indexing import index_tuples, insertion_tables, permutation_signs, rank_map, split_tables
 
 from reference_forms import (
     dense_contract,
@@ -523,6 +523,56 @@ def test_product_and_square_plans_hand_take_writeable_contiguous_tables():
         assert col_signs.flags.c_contiguous and not col_signs.flags.writeable
     assert not np.shares_memory(forms._product_plan(7, 2, 2, 2, 2)[1], split_tables(7, 2, 2)[1])
     assert forms._square_plan(7, 2, 2)[0].shape == (35, 3)
+
+
+def _selection_sort_sign(seq):
+    # (-1)^(the swaps a selection sort makes), with no inversion count
+    seq, swaps = list(seq), 0
+    for i in range(len(seq)):
+        j = seq.index(min(seq[i:]), i)
+        if j != i:
+            seq[i], seq[j] = seq[j], seq[i]
+            swaps += 1
+    return -1.0 if swaps % 2 else 1.0
+
+
+@pytest.mark.parametrize("m", range(8))
+def test_permutation_signs_match_a_selection_sort(m):
+    # every permutation of m positions, the empty one (m = 0) included
+    perms = list(itertools.permutations(range(m)))
+    signs = permutation_signs(np.array(perms, dtype=np.intp).reshape(len(perms), m))
+    assert signs.dtype == np.float64
+    assert signs.tolist() == [_selection_sort_sign(perm) for perm in perms]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_split_and_insertion_signs_are_the_parity_of_sorting_the_parts(n):
+    for p in range(n + 1):
+        for r in range(n + 1 - p):
+            A, B, signs = split_tables(n, p, r)
+            parts = [index_tuples(n, p)[a] + index_tuples(n, r)[b] for a, b in zip(A, B)]
+            assert signs.tolist() == [_selection_sort_sign(part) for part in parts], (p, r)
+    for p in range(n):
+        R, S = insertion_tables(n, p)
+        for row, combo in enumerate(index_tuples(n, p)):
+            for i in range(n):
+                inserted = (i,) + combo
+                sign = 0.0 if i in combo else _selection_sort_sign(inserted)
+                rank = 0 if i in combo else rank_map(n, p + 1)[tuple(sorted(inserted))]
+                assert (R[row, i], S[row, i]) == (rank, sign), (p, row, i)
+
+
+@pytest.mark.parametrize(
+    "table, args, message",
+    [
+        (split_tables, (5, -1, 2), "degree -1 out of range for dimension 5"),
+        (insertion_tables, (5, 5), "degree 6 out of range for dimension 5"),
+        (insertion_tables, (5, 6), "degree 6 out of range for dimension 5"),
+    ],
+)
+def test_tables_refuse_degrees_out_of_range(table, args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        table(*args)
 
 
 def test_product_coeffs_accepts_integer_coefficients():

@@ -18,6 +18,7 @@ from gbyamabe import (
     constancy_diagnostic,
     constants,
     fd_verify,
+    field_from_values,
     generalized_constants,
     max_order,
     mode_field,
@@ -27,7 +28,10 @@ from gbyamabe import (
     sup_norm,
     zonal_basis,
 )
-from gbyamabe.spaceform import _constant_field
+
+
+def _constant_field(basis, value):
+    return field_from_values(basis, np.full(basis.x.size, float(value)), parity="even")
 
 
 def test_constants_at_unit_curvature_are_the_correctly_rounded_rationals():

@@ -33,7 +33,14 @@ from gbyamabe import (
 )
 from gbyamabe import newton
 from gbyamabe.forms import DENSE_DIM_LIMIT
-from gbyamabe.spaceform import _gauged_modes, _reflect_field, _sphere_factor, _two_block_values
+from gbyamabe.spaceform import _gauged_modes, _sphere_factor, _two_block_values
+
+
+def _reflect_field(field):
+    """Pull back under theta -> pi - theta (odd modes change sign)."""
+    modes = field.modes.copy()
+    modes[1::2] *= -1.0
+    return field_from_modes(field.basis, modes, parity=field.parity)
 
 
 def rp5():

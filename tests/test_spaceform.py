@@ -39,9 +39,20 @@ from gbyamabe import (
 )
 from gbyamabe import spaceform
 from gbyamabe.forms import DENSE_DIM_LIMIT
-from gbyamabe.spaceform import _constant_field, _gb_values, _reflect_field, _two_block_values
+from gbyamabe.spaceform import _gb_values, _two_block_values
 
 from reference_forms import two_block_invariant
+
+
+def _constant_field(basis, value):
+    return field_from_values(basis, np.full(basis.x.size, float(value)), parity="even")
+
+
+def _reflect_field(field):
+    """Pull back under theta -> pi - theta (odd modes change sign)."""
+    modes = field.modes.copy()
+    modes[1::2] *= -1.0
+    return field_from_modes(field.basis, modes, parity=field.parity)
 
 
 def random_phi(basis, rng, sup=0.15, parity="any"):
